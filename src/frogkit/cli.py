@@ -1,14 +1,12 @@
 """Command-line front end.
 
 Subcommands: synthesize, trace, recover, experiment, verify.  Exit codes:
-0 success, 1 recovery/verification failure, 2 usage error.  FROGKIT_THREADS
-caps parallelism of the experiment subcommand.
+0 success, 1 recovery/verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -78,14 +76,12 @@ def _recover(args) -> int:
 
 
 def _experiment(args) -> int:
-    threads = int(os.environ.get("FROGKIT_THREADS", "1"))
     grid = basin_experiment(
         n=args.n,
         l_values=args.l_list,
         sigma_values=args.sigma_list,
         trials=args.trials,
         seed=args.seed,
-        threads=max(threads, 1),
     )
     io.write_basin_grid(args.out, grid)
     print(f"wrote {args.out} ({len(args.sigma_list)}x{len(args.l_list)} cells, {args.trials} trials each)")
@@ -194,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParametersError, FileNotFoundError) as exc:
+    except (InvalidParametersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FrogkitError as exc:

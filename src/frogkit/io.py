@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,28 @@ from .recursive_recovery import RecoveryReport
 from .signal_model import FrogTrace, Signal, Spectrum
 
 _FLOAT_FMT = "%.17g"
+_TRACE_ROW = np.dtype([("k", np.intp), ("m", np.intp), ("value", np.float64)])
+
+
+@contextmanager
+def _parsing(path):
+    """Report a file that cannot be parsed, or lacks a field, as a usage
+    error naming the file."""
+    try:
+        yield
+    except InvalidParametersError:
+        raise
+    except KeyError as exc:
+        raise InvalidParametersError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParametersError(f"{path}: malformed file ({exc})") from exc
+
+
+def _read_json(path) -> dict:
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise InvalidParametersError(f"{path}: expected a JSON object")
+    return obj
 
 
 def _vector_to_dict(values: np.ndarray) -> dict:
@@ -45,7 +68,8 @@ def write_signal(path, signal: Signal):
 
 
 def read_signal(path) -> Signal:
-    return Signal(_vector_from_dict(json.loads(Path(path).read_text())))
+    with _parsing(path):
+        return Signal(_vector_from_dict(_read_json(path)))
 
 
 def write_spectrum(path, spectrum: Spectrum):
@@ -53,7 +77,8 @@ def write_spectrum(path, spectrum: Spectrum):
 
 
 def read_spectrum(path) -> Spectrum:
-    return Spectrum(_vector_from_dict(json.loads(Path(path).read_text())))
+    with _parsing(path):
+        return Spectrum(_vector_from_dict(_read_json(path)))
 
 
 def write_trace(path, trace: FrogTrace):
@@ -68,20 +93,27 @@ def write_trace(path, trace: FrogTrace):
 
 def read_trace(path, l: int) -> FrogTrace:
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _parsing(path):
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["k", "m", "value"]:
             raise InvalidParametersError(f"unexpected trace CSV header: {header}")
         for k, m, value in reader:
             rows.append((int(k), int(m), float(value)))
+        cells = np.fromiter(rows, dtype=_TRACE_ROW, count=len(rows))
     if not rows:
         raise InvalidParametersError("empty trace CSV")
-    n = max(k for k, _, _ in rows) + 1
-    r = max(m for _, m, _ in rows) + 1
-    data = np.zeros((n, r))
-    for k, m, value in rows:
-        data[k, m] = value
+    k, m = cells["k"], cells["m"]
+    if k.min() < 0 or m.min() < 0:
+        raise InvalidParametersError(f"{path}: negative trace index")
+    n, r = int(k.max()) + 1, int(m.max()) + 1
+    seen = np.zeros(len(rows), dtype=bool)
+    if n * r == len(rows):
+        seen[k * r + m] = True
+    if not seen.all():  # with n*r rows, every cell then appears once
+        raise InvalidParametersError(f"{path}: trace cells missing or repeated")
+    data = np.empty((n, r))
+    data[k, m] = cells["value"]
     return FrogTrace(data, l)
 
 
@@ -92,10 +124,11 @@ def write_power_spectrum(path, values: np.ndarray):
 
 
 def read_power_spectrum(path) -> np.ndarray:
-    obj = json.loads(Path(path).read_text())
-    arr = np.asarray(obj["values"], dtype=float)
-    if arr.size != int(obj["n"]):
-        raise InvalidParametersError("power-spectrum JSON length disagrees with n")
+    with _parsing(path):
+        obj = _read_json(path)
+        arr = np.asarray(obj["values"], dtype=float)
+        if arr.ndim != 1 or arr.size != int(obj["n"]):
+            raise InvalidParametersError("power-spectrum JSON length disagrees with n")
     return arr
 
 

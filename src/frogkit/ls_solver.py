@@ -13,16 +13,25 @@ derivative), so a step is plain ``z - t*g``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguities import dist_mod_group
 from .errors import InvalidParametersError
-from .signal_model import FrogTrace, Signal, dft, frog_trace, shift_product_table
+from .signal_model import (
+    FrogTrace,
+    Signal,
+    dft,
+    frog_trace,
+    shift_product_coeffs,
+    shift_product_table,
+)
 
 SUCCESS_DISTANCE = 1e-6
+_MIN_STEP = 1e-18  # backtracking gives up below this step
+# Most trace entries (trials x N x r) descended as one stack; bounds memory only.
+_BATCH_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -54,8 +63,12 @@ class BasinGrid:
 
 
 class _Workspace:
-    """Cached index tables for one (N, L); makes objective/gradient single
-    fancy-indexed FFT passes."""
+    """Objective and gradient for one (N, L) on stacks of trials.
+
+    ``z`` has shape (T, N) and ``data`` (T, N, r).  Each trial's block is
+    laid out, transformed and summed exactly as a single trial would be, so
+    stacking trials does not change any result bit.
+    """
 
     def __init__(self, n: int, l: int):
         self.n = n
@@ -64,23 +77,22 @@ class _Workspace:
         r = n // l
         p = np.arange(n)[:, None]
         m = np.arange(r)[None, :]
-        self.bwd = (p - m * l) % n
+        self.bwd = ((p - m * l) % n) * r + m  # flat index of ((p - m*L) mod N, m)
 
-    def model(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coeffs = np.fft.fft(z[:, None] * z[self.fwd], axis=0)
-        return np.abs(coeffs) ** 2, coeffs
+    def evaluate(self, z: np.ndarray, data: np.ndarray):
+        """Objective per trial, with the residual and the model coefficients
+        the gradient at the same point reuses."""
+        coeffs = shift_product_coeffs(z, self.l)
+        err = data - np.abs(coeffs) ** 2
+        f = 0.5 * np.add.reduce((err**2).reshape(len(err), -1), axis=1)
+        return f, err, coeffs
 
-    def objective(self, z: np.ndarray, data: np.ndarray) -> float:
-        model, _ = self.model(z)
-        return 0.5 * float(np.sum((data - model) ** 2))
-
-    def gradient(self, z: np.ndarray, data: np.ndarray) -> np.ndarray:
-        model, coeffs = self.model(z)
-        err = data - model
-        back = self.n * np.fft.ifft(err * coeffs, axis=0)
-        term = np.conj(z[self.fwd]) * back
-        term2 = (np.conj(z)[:, None] * back)[self.bwd, np.arange(back.shape[1])[None, :]]
-        return -2.0 * np.sum(term + term2, axis=1)
+    def gradient(self, z: np.ndarray, err: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        back = self.n * np.fft.ifft(err * coeffs, axis=-2)
+        zc = np.conj(z)
+        term = zc.take(self.fwd, axis=-1) * back
+        term2 = (zc[:, :, None] * back).reshape(len(z), -1).take(self.bwd, axis=-1)
+        return -2.0 * np.add.reduce(term + term2, axis=-1)
 
 
 def _workspace_for(trace: FrogTrace) -> _Workspace:
@@ -98,13 +110,77 @@ def ls_objective(z: Signal, trace: FrogTrace, l: int) -> float:
     """Half the squared Frobenius mismatch between the trace of z and the
     measured trace."""
     _check_dims(z, trace, l)
-    return _workspace_for(trace).objective(z.values, trace.data)
+    f, _, _ = _workspace_for(trace).evaluate(z.values[None], trace.data[None])
+    return float(f[0])
 
 
 def ls_gradient(z: Signal, trace: FrogTrace, l: int) -> Signal:
     """Analytic gradient of the objective, as df/dRe + i*df/dIm."""
     _check_dims(z, trace, l)
-    return Signal(_workspace_for(trace).gradient(z.values, trace.data))
+    ws = _workspace_for(trace)
+    _, err, coeffs = ws.evaluate(z.values[None], trace.data[None])
+    return Signal(ws.gradient(z.values[None], err, coeffs)[0])
+
+
+def _descend(ws: _Workspace, z0: np.ndarray, data: np.ndarray, opts: LsOptions, on_iterate=None):
+    """Armijo descent of a stack of trials, each exactly as if run alone.
+
+    ``z0`` is (T, N) and ``data`` (T, N, r).  Every trial keeps its own step
+    and its own stop test; a trial that stops leaves the stack.  Returns the
+    final iterates, objectives and iteration counts, in input order.
+    ``on_iterate(trial, iteration, objective)`` is called after each
+    accepted step.
+    """
+    z = np.array(z0, dtype=np.complex128)
+    f, err, coeffs = ws.evaluate(z, data)
+    step = np.full(len(z), float(opts.step0))
+    iters = np.zeros(len(z), dtype=np.int64)
+    out_z, out_f, out_iters = np.empty_like(z), np.empty_like(f), np.empty_like(iters)
+    live = np.arange(len(z))
+    while live.size:
+        g = ws.gradient(z, err, coeffs)
+        gnorm2 = np.array([np.vdot(row, row).real for row in g])
+        moving = ~(np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + np.abs(f)))
+        # Backtrack from a step that grew after the last success; the first
+        # round tries every live trial, later rounds only those still pending.
+        # ``t`` is the step array itself: a trial that finds no step stops, so
+        # its entry no longer matters.
+        t = step
+        z_new = z - t[:, None] * g
+        f_new, err_new, coeffs_new = ws.evaluate(z_new, data)
+        trying = moving & (t > _MIN_STEP)
+        accepted = trying & (f_new <= f - opts.decrease * t * gnorm2)
+        pending = np.flatnonzero(trying & ~accepted)
+        while pending.size:
+            t[pending] *= opts.shrink
+            pending = pending[t[pending] > _MIN_STEP]
+            if not pending.size:
+                break
+            z_try = z[pending] - t[pending, None] * g[pending]
+            f_try, err_try, coeffs_try = ws.evaluate(z_try, data[pending])
+            ok = f_try <= f[pending] - opts.decrease * t[pending] * gnorm2[pending]
+            won = pending[ok]
+            z_new[won], f_new[won] = z_try[ok], f_try[ok]
+            err_new[won], coeffs_new[won] = err_try[ok], coeffs_try[ok]
+            accepted[won] = True
+            pending = pending[~ok]
+
+        stop = ~accepted
+        if stop.any():  # no step found: keep the iterate
+            z_new[stop], f_new[stop] = z[stop], f[stop]
+        z, f, err, coeffs = z_new, f_new, err_new, coeffs_new
+        step = t / opts.shrink  # allow the next step to be larger
+        iters += accepted
+        if on_iterate is not None:
+            for k in np.flatnonzero(accepted):
+                on_iterate(int(live[k]), int(iters[k]), float(f[k]))
+        stop |= iters >= opts.max_iters
+        if stop.any():
+            done, keep = live[stop], ~stop
+            out_z[done], out_f[done], out_iters[done] = z[stop], f[stop], iters[stop]
+            live, z, f, err, coeffs = live[keep], z[keep], f[keep], err[keep], coeffs[keep]
+            step, iters, data = step[keep], iters[keep], data[keep]
+    return out_z, out_f, out_iters
 
 
 def ls_minimize(
@@ -122,46 +198,20 @@ def ls_minimize(
     accepted step.
     """
     _check_dims(z0, trace, l)
-    ws = _workspace_for(trace)
-    data = trace.data
-    z = z0.values.copy()
-    f = ws.objective(z, data)
-    step = opts.step0
-    iters = 0
-    for _ in range(opts.max_iters):
-        g = ws.gradient(z, data)
-        gnorm2 = float(np.vdot(g, g).real)
-        if np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + abs(f)):
-            break
-        # backtrack from a step that grows again after successes
-        t = step
-        accepted = False
-        while t > 1e-18:
-            z_new = z - t * g
-            f_new = ws.objective(z_new, data)
-            if f_new <= f - opts.decrease * t * gnorm2:
-                accepted = True
-                break
-            t *= opts.shrink
-        if not accepted:
-            break
-        z, f = z_new, f_new
-        step = t / opts.shrink  # allow the next step to be larger
-        iters += 1
-        if on_iterate is not None:
-            on_iterate(iters, f)
-    return Signal(z), float(f), iters
+    report = None if on_iterate is None else (lambda _, i, f: on_iterate(i, f))
+    z, f, iters = _descend(
+        _workspace_for(trace), z0.values[None], trace.data[None], opts, report
+    )
+    return Signal(z[0]), float(f[0]), int(iters[0])
 
 
-def _run_trial(n, l, sigma, seed_key, opts):
+def _draw_trial(n: int, sigma: float, seed_key) -> tuple[np.ndarray, np.ndarray]:
+    """A real standard-normal signal and its start point, perturbed by sigma
+    times a random sign vector."""
     rng = np.random.default_rng(seed_key)
     x = rng.standard_normal(n)
     signs = rng.integers(0, 2, size=n) * 2 - 1
-    z0 = x + sigma * signs.astype(float)
-    trace = frog_trace(Signal(x), l)
-    z_fin, _, _ = ls_minimize(Signal(z0.astype(complex)), trace, l, opts)
-    dist, _ = dist_mod_group(dft(z_fin), dft(Signal(x)))
-    return dist <= SUCCESS_DISTANCE
+    return x, x + sigma * signs.astype(float)
 
 
 def basin_experiment(
@@ -171,7 +221,6 @@ def basin_experiment(
     trials: int,
     seed: int,
     opts: LsOptions = LsOptions(),
-    threads: int = 1,
 ) -> BasinGrid:
     """Empirical success-rate grid of the descent under sign perturbations.
 
@@ -179,37 +228,36 @@ def basin_experiment(
     times a random sign vector, descends, and scores success by the group
     distance threshold of 1e-6.  Every trial derives its own RNG stream from
     (seed, sigma index, L index, trial index), so the grid is reproducible
-    and schedule-independent.
+    and independent of how trials are batched.  All trials of one L descend
+    together as one stack (split only to bound memory).
     """
     l_values = [int(l) for l in l_values]
     sigma_values = [float(s) for s in sigma_values]
+    if n < 1 or trials < 1:
+        raise InvalidParametersError(f"need N >= 1 and trials >= 1 (got N={n}, trials={trials})")
     for l in l_values:
         if l < 1 or n % l != 0:
             raise InvalidParametersError(f"step L={l} must divide N={n}")
 
-    def run_cell(args):
-        i_sigma, i_l = args
-        sigma, l = sigma_values[i_sigma], l_values[i_l]
-        wins = 0
-        for t in range(trials):
-            if _run_trial(n, l, sigma, (seed, i_sigma, i_l, t), opts):
-                wins += 1
-        return i_sigma, i_l, wins / trials
-
-    cells = [(i, j) for i in range(len(sigma_values)) for j in range(len(l_values))]
-    rate = np.zeros((len(sigma_values), len(l_values)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    for i, j, val in results:
-        rate[i, j] = val
+    wins = np.zeros((len(sigma_values), len(l_values)))
+    runs = [(i, t) for i in range(len(sigma_values)) for t in range(trials)]
+    for j, l in enumerate(l_values):
+        ws = _Workspace(n, l)
+        batch = max(1, _BATCH_ENTRIES // (n * (n // l)))
+        for first in range(0, len(runs), batch):
+            chunk = runs[first:first + batch]
+            draws = [_draw_trial(n, sigma_values[i], (seed, i, j, t)) for i, t in chunk]
+            data = np.array([frog_trace(Signal(x), l).data for x, _ in draws])
+            z0 = np.array([start for _, start in draws], dtype=complex)
+            z_fin, _, _ = _descend(ws, z0, data, opts)
+            for (i, _), (x, _), z in zip(chunk, draws, z_fin):
+                dist, _ = dist_mod_group(dft(Signal(z)), dft(Signal(x)))
+                wins[i, j] += dist <= SUCCESS_DISTANCE
 
     return BasinGrid(
         sigma_values=np.array(sigma_values),
         l_values=np.array(l_values),
         trials=trials,
-        success_rate=rate,
+        success_rate=wins / trials,
         seed=seed,
     )

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +33,10 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_complex_vector(self.values))
+        values = _frozen_complex_vector(self.values)
+        if not np.all(np.isfinite(values)):
+            raise InvalidParametersError("signal values must be finite")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -110,6 +114,8 @@ class FrogTrace:
             raise InvalidParametersError(
                 f"trace shape {arr.shape} inconsistent with L={self.l}: need r = N/L"
             )
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParametersError("trace entries must be finite")
         if np.min(arr) < 0:
             raise InvalidParametersError("trace entries must be nonnegative")
         arr.flags.writeable = False
@@ -140,13 +146,16 @@ def idft(xhat: Spectrum) -> Signal:
     return Signal(np.fft.ifft(xhat.values))
 
 
+@lru_cache(maxsize=64)
 def shift_product_table(n: int, l: int) -> np.ndarray:
-    """Index table ``idx[p, m] = (p + m*L) mod N`` for building all shifted
-    products in one fancy-indexing step."""
+    """Read-only index table ``idx[p, m] = (p + m*L) mod N`` for building all
+    shifted products in one gather."""
     r = _check_step(n, l)
     p = np.arange(n)[:, None]
     m = np.arange(r)[None, :]
-    return (p + m * l) % n
+    idx = (p + m * l) % n
+    idx.flags.writeable = False
+    return idx
 
 
 def product_signal(x: Signal, m: int, l: int) -> Signal:
@@ -157,12 +166,23 @@ def product_signal(x: Signal, m: int, l: int) -> Signal:
     return Signal(x.values * np.roll(x.values, -m * l))
 
 
+def shift_product_coeffs(values: np.ndarray, l: int) -> np.ndarray:
+    """Forward model on a stack: for values of shape (..., N), the DFTs of all
+    r = N/L shifted self-products, shape (..., N, r), with
+    ``out[..., k, m] = DFT_k(x * x[(. + m*L) mod N])``.
+
+    The transform runs along axis -2, so each trial's N x r block is
+    contiguous and every product is transformed exactly as for a single
+    signal; stacking trials does not change any result bit.
+    """
+    idx = shift_product_table(values.shape[-1], l)
+    products = values[..., :, None] * values.take(idx, axis=-1)
+    return np.fft.fft(products, axis=-2)
+
+
 def frog_trace(x: Signal, l: int) -> FrogTrace:
     """Squared Fourier magnitudes of all r = N/L shifted self-products."""
-    idx = shift_product_table(x.n, l)
-    products = x.values[:, None] * x.values[idx]
-    coeffs = np.fft.fft(products, axis=0)
-    return FrogTrace(np.abs(coeffs) ** 2, l)
+    return FrogTrace(np.abs(shift_product_coeffs(x.values, l)) ** 2, l)
 
 
 def frog_freq_coeffs(xhat: Spectrum, l: int) -> np.ndarray:

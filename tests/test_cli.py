@@ -175,3 +175,55 @@ def test_verify_full_band_reports_noninvariance(tmp_path):
     res = run_cli("verify", "--signal", sig, "--l", 3)
     assert res.returncode == 0
     assert "NOT invariant" in res.stdout
+
+
+def assert_usage_error(res):
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+
+
+def test_experiment_zero_trials_is_usage_error(tmp_path):
+    res = run_cli("experiment", "--n", 8, "--l-list", "1", "--trials", 0, "--out", tmp_path / "g.csv")
+    assert_usage_error(res)
+    assert "trials" in res.stderr
+
+
+def test_malformed_signal_json_is_usage_error(tmp_path):
+    contents = [
+        '{"n": 2, "re": [1, 2',  # truncated JSON
+        '{"n": 2, "re": [1, 2]}',  # missing "im"
+        '{"n": 2, "re": [1, "x"], "im": [0, 0]}',  # not a number
+        '{"n": 2, "re": [1, NaN], "im": [0, 0]}',  # not finite
+        "[1, 2]",  # not an object
+    ]
+    for i, text in enumerate(contents):
+        sig = tmp_path / f"s{i}.json"
+        sig.write_text(text)
+        assert_usage_error(run_cli("trace", "--signal", sig, "--l", 1, "--out", tmp_path / "t.csv"))
+
+
+def test_malformed_power_spectrum_is_usage_error(tmp_path):
+    sig, tr, ps = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "ps.json"
+    assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 5, "--out", tr).returncode == 0
+    for text in ('{"values": [1, 2, 3]}', '{"n": 3, "values": [1, 2, 3]'):
+        ps.write_text(text)
+        res = run_cli(
+            "recover", "--trace", tr, "--l", 5, "--b", 5, "--power-spectrum", ps,
+            "--out", tmp_path / "r.json",
+        )
+        assert_usage_error(res)
+
+
+def test_malformed_trace_csv_is_usage_error(tmp_path):
+    tr = tmp_path / "t.csv"
+    contents = [
+        "",  # no header
+        "k,m,value\n0,0\n",  # short row
+        "k,m,value\n0,zero,1.0\n",  # not an integer
+    ]
+    for text in contents:
+        tr.write_text(text)
+        res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 1, "--out", tmp_path / "r.json")
+        assert_usage_error(res)

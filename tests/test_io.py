@@ -47,6 +47,23 @@ def test_trace_csv_rejects_bad_header(tmp_path):
         io.read_trace(path, 1)
 
 
+def test_trace_csv_rejects_missing_repeated_and_negative_cells(rng, tmp_path):
+    good = tmp_path / "good.csv"
+    io.write_trace(good, frog_trace(random_signal(rng, 8), 2))
+    header, *rows = good.read_text().splitlines()
+    assert io.read_trace(good, 2).data.shape == (8, 4)
+    broken = {
+        "missing": rows[:5] + rows[6:],
+        "repeated": rows[:5] + [rows[4]] + rows[6:],
+        "negative": ["-1" + rows[0][1:]] + rows[1:],
+    }
+    for name, lines in broken.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join([header, *lines]) + "\n")
+        with pytest.raises(InvalidParametersError):
+            io.read_trace(path, 2)
+
+
 def test_power_spectrum_round_trip(rng, tmp_path):
     ps = rng.uniform(0, 3, 15)
     path = tmp_path / "ps.json"

@@ -16,6 +16,7 @@ from frogkit import (
     ls_minimize,
     ls_objective,
 )
+from frogkit import ls_solver
 from conftest import random_signal
 
 
@@ -153,12 +154,136 @@ def test_basin_sigma_zero_always_succeeds():
     assert np.all(grid.success_rate == 1.0)
 
 
-def test_basin_reproducible():
+def test_basin_reproducible(monkeypatch):
     a = basin_experiment(12, [1, 2], [0.0, 0.3], trials=4, seed=11)
     b = basin_experiment(12, [1, 2], [0.0, 0.3], trials=4, seed=11)
     assert np.array_equal(a.success_rate, b.success_rate)
-    c = basin_experiment(12, [1, 2], [0.0, 0.3], trials=4, seed=11, threads=2)
+    # the grid must not depend on how trials are stacked: one trial per batch
+    monkeypatch.setattr(ls_solver, "_BATCH_ENTRIES", 1)
+    c = basin_experiment(12, [1, 2], [0.0, 0.3], trials=4, seed=11)
     assert np.array_equal(a.success_rate, c.success_rate)
+
+
+def _batch_inputs(n, l, sigmas, seed):
+    starts, traces = [], []
+    for k, sigma in enumerate(sigmas):
+        x, z0 = ls_solver._draw_trial(n, sigma, (seed, k))
+        starts.append(z0)
+        traces.append(frog_trace(Signal(x), l))
+    return np.array(starts, dtype=complex), traces
+
+
+def _assert_batch_matches_serial(n, l, sigmas, seed, opts):
+    starts, traces = _batch_inputs(n, l, sigmas, seed)
+    data = np.array([tr.data for tr in traces])
+    z, f, iters = ls_solver._descend(ls_solver._Workspace(n, l), starts, data, opts)
+    for k, trace in enumerate(traces):
+        z_ref, f_ref, iters_ref = ls_minimize(Signal(starts[k]), trace, l, opts)
+        assert np.array_equal(z[k], z_ref.values)
+        assert f[k] == f_ref
+        assert iters[k] == iters_ref
+    return iters
+
+
+def test_batched_descent_matches_serial_on_mixed_batch():
+    # a loose tolerance, so that some trials stop on it before the cap
+    opts = LsOptions(max_iters=400, grad_tol=0.5)
+    sigmas = [0.0, 0.02, 0.3, 0.0, 1.0, 2.0, 0.01, 0.5]
+    iters = _assert_batch_matches_serial(12, 2, sigmas, 3, opts)
+    assert iters[0] == 0 and iters[3] == 0  # sigma = 0 starts at the truth
+    assert 0 < iters.min(where=iters > 0, initial=opts.max_iters) < opts.max_iters
+    assert np.any(iters == opts.max_iters)
+
+
+def test_batched_descent_when_all_trials_stop_together():
+    # all at the truth: every trial stops at iteration 0
+    iters = _assert_batch_matches_serial(12, 3, [0.0] * 4, 5, LsOptions())
+    assert np.all(iters == 0)
+    # all far away with a tiny cap: every trial stops at the cap
+    opts = LsOptions(max_iters=4)
+    iters = _assert_batch_matches_serial(12, 3, [2.0] * 4, 5, opts)
+    assert np.all(iters == opts.max_iters)
+    # a first step below the backtracking floor: every trial gives up at once
+    iters = _assert_batch_matches_serial(12, 3, [2.0] * 4, 5, LsOptions(step0=1e-19))
+    assert np.all(iters == 0)
+
+
+def _reference_minimize(z, data, l, opts):
+    """One trial at a time, recomputing the model for every gradient: the
+    descent as first written, kept as the bitwise reference."""
+    n, r = data.shape
+    fwd = (np.arange(n)[:, None] + np.arange(r)[None, :] * l) % n
+    bwd = (np.arange(n)[:, None] - np.arange(r)[None, :] * l) % n
+
+    def model(z):
+        coeffs = np.fft.fft(z[:, None] * z[fwd], axis=0)
+        return np.abs(coeffs) ** 2, coeffs
+
+    def objective(z):
+        return 0.5 * float(np.sum((data - model(z)[0]) ** 2))
+
+    def gradient(z):
+        m, coeffs = model(z)
+        back = n * np.fft.ifft((data - m) * coeffs, axis=0)
+        term2 = (np.conj(z)[:, None] * back)[bwd, np.arange(r)[None, :]]
+        return -2.0 * np.sum(np.conj(z[fwd]) * back + term2, axis=1)
+
+    f, step, iters = objective(z), opts.step0, 0
+    for _ in range(opts.max_iters):
+        g = gradient(z)
+        gnorm2 = float(np.vdot(g, g).real)
+        if np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + abs(f)):
+            break
+        t = step
+        while t > 1e-18:
+            z_new = z - t * g
+            f_new = objective(z_new)
+            if f_new <= f - opts.decrease * t * gnorm2:
+                break
+            t *= opts.shrink
+        else:
+            break
+        z, f, step, iters = z_new, f_new, t / opts.shrink, iters + 1
+    return z, f, iters
+
+
+def test_minimize_matches_reference_loop():
+    loose = LsOptions(max_iters=300, grad_tol=0.5)
+    cases = [  # (L, sigma, start scale, options): every way a descent stops
+        (1, 0.1, 1.0, LsOptions(max_iters=300)),  # iteration cap
+        (8, 0.25, 1.0, LsOptions(max_iters=300)),  # iteration cap
+        (2, 0.02, 1.0, loose),  # gradient tolerance, mid-run
+        (4, 1.0, 1.0, loose),  # gradient tolerance, early
+        (3, 0.0, 1.0, loose),  # at the truth
+        (4, 1.0, 1e4, LsOptions(max_iters=300)),  # no step decreases enough: underflow
+    ]
+    stops = set()
+    for l, sigma, scale, opts in cases:
+        starts, traces = _batch_inputs(24, l, [sigma], 17)
+        z, f, iters = ls_minimize(Signal(scale * starts[0]), traces[0], l, opts)
+        z_ref, f_ref, iters_ref = _reference_minimize(scale * starts[0], traces[0].data, l, opts)
+        assert np.array_equal(z.values, z_ref)
+        assert f == f_ref
+        assert iters == iters_ref
+        stops.add("cap" if iters == opts.max_iters else "start" if iters == 0 else "mid")
+    assert stops == {"cap", "start", "mid"}
+
+
+def test_minimize_reports_every_accepted_step(rng):
+    x = Signal(rng.standard_normal(12))
+    trace = frog_trace(x, 2)
+    z0 = Signal(x.values + 0.3 * (rng.integers(0, 2, 12) * 2 - 1))
+    seen = []
+    _, f, iters = ls_minimize(z0, trace, 2, LsOptions(max_iters=50), on_iterate=lambda i, v: seen.append((i, v)))
+    assert [i for i, _ in seen] == list(range(1, iters + 1))
+    assert seen[-1][1] == f
+
+
+def test_basin_rejects_empty_trials_and_signals():
+    with pytest.raises(InvalidParametersError):
+        basin_experiment(12, [1], [0.0], trials=0, seed=0)
+    with pytest.raises(InvalidParametersError):
+        basin_experiment(0, [1], [0.0], trials=1, seed=0)
 
 
 def test_basin_rejects_bad_step():

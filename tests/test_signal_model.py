@@ -12,6 +12,7 @@ from frogkit import (
     idft,
     product_signal,
 )
+from frogkit.signal_model import shift_product_coeffs
 from conftest import random_band_spectrum, random_signal
 
 
@@ -70,6 +71,22 @@ def test_frog_trace_constant():
     tr = frog_trace(Signal(np.ones(4)), 1)
     for m in range(4):
         assert np.allclose(tr.data[:, m], [16, 0, 0, 0])
+
+
+def test_frog_trace_bitwise_equals_direct_formula(rng):
+    for n, l in ((24, 1), (24, 8), (15, 5), (64, 4)):
+        x = random_signal(rng, n)
+        idx = (np.arange(n)[:, None] + np.arange(n // l)[None, :] * l) % n
+        direct = np.abs(np.fft.fft(x.values[:, None] * x.values[idx], axis=0)) ** 2
+        assert np.array_equal(frog_trace(x, l).data, direct)
+
+
+def test_shift_product_coeffs_stack_equals_single(rng):
+    stack = np.array([random_signal(rng, 12).values for _ in range(5)])
+    coeffs = shift_product_coeffs(stack, 3)
+    assert coeffs.shape == (5, 12, 4)
+    for row, block in zip(stack, coeffs):
+        assert np.array_equal(shift_product_coeffs(row, 3), block)
 
 
 def test_frog_trace_rejects_bad_step():
@@ -151,3 +168,21 @@ def test_values_are_immutable(rng):
     x = random_signal(rng, 8)
     with pytest.raises(ValueError):
         x.values[0] = 0.0
+
+
+def test_non_finite_values_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        for entry in (complex(bad, 0.0), complex(0.0, bad)):
+            values = np.ones(4, dtype=complex)
+            values[1] = entry
+            with pytest.raises(InvalidParametersError):
+                Signal(values)
+        data = np.ones((4, 4))
+        data[2, 3] = bad
+        with pytest.raises(InvalidParametersError):
+            FrogTrace(data, 1)
+
+
+def test_spectrum_keeps_non_finite_values():
+    # a failed recovery may hand back such a spectrum; it is reported, not rejected
+    assert np.isnan(Spectrum([1.0, np.nan]).values[1])
