@@ -1,9 +1,12 @@
 """File formats: JSON for complex vectors and reports, CSV for real grids.
 
 Complex vectors (signals and spectra alike) are stored as
-``{"n": N, "re": [...], "im": [...]}``.  Traces are CSV with header
-``k,m,value`` in row-major order; floats carry 17 significant digits so
-round-trips are exact.
+``{"n": N, "re": [...], "im": [...]}`` with ``n`` a JSON integer.  A trace
+is the header line ``k,m,value`` and then one line ``k,m,value`` per cell
+in row-major order: decimal indices, the value as ``%.17g`` (so round-trips
+are exact), every line ended by ``\r\n``.  The reader also takes ``\n`` or
+``\r`` line ends, spaces around fields and double-quoted fields, but no
+blank lines or comments.
 """
 
 from __future__ import annotations
@@ -54,8 +57,14 @@ def _vector_to_dict(values: np.ndarray) -> dict:
     }
 
 
+def _json_count(n) -> int:
+    if type(n) is not int:  # rejects floats, strings and bools (an int subclass)
+        raise InvalidParametersError(f"'n' must be a JSON integer, got {n!r}")
+    return n
+
+
 def _vector_from_dict(obj: dict) -> np.ndarray:
-    n = int(obj["n"])
+    n = _json_count(obj["n"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n,) or im.shape != (n,):
@@ -72,43 +81,33 @@ def read_signal(path) -> Signal:
         return Signal(_vector_from_dict(_read_json(path)))
 
 
-def write_spectrum(path, spectrum: Spectrum):
-    Path(path).write_text(json.dumps(_vector_to_dict(spectrum.values), sort_keys=True))
-
-
-def read_spectrum(path) -> Spectrum:
-    with _parsing(path):
-        return Spectrum(_vector_from_dict(_read_json(path)))
-
-
 def write_trace(path, trace: FrogTrace):
+    rows = (
+        "".join(map(f"{k},%d,{_FLOAT_FMT}\r\n".__mod__, enumerate(values)))
+        for k, values in enumerate(trace.data.tolist())
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "m", "value"])
-        n, r = trace.data.shape
-        for k in range(n):
-            for m in range(r):
-                writer.writerow([k, m, _FLOAT_FMT % trace.data[k, m]])
+        fh.write("k,m,value\r\n" + "".join(rows))
 
 
 def read_trace(path, l: int) -> FrogTrace:
-    rows = []
-    with open(path, newline="") as fh, _parsing(path):
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header] != ["k", "m", "value"]:
+    with open(path) as fh, _parsing(path):
+        header = [h.strip() for h in fh.readline().split(",")]
+        if header != ["k", "m", "value"]:
             raise InvalidParametersError(f"unexpected trace CSV header: {header}")
-        for k, m, value in reader:
-            rows.append((int(k), int(m), float(value)))
-        cells = np.fromiter(rows, dtype=_TRACE_ROW, count=len(rows))
-    if not rows:
-        raise InvalidParametersError("empty trace CSV")
+        body = fh.read()
+        if not body.strip():
+            raise InvalidParametersError("empty trace CSV")
+        lines = body.removesuffix("\n").split("\n")
+        cells = np.loadtxt(lines, _TRACE_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    if len(cells) != len(lines):  # loadtxt skips blank lines
+        raise InvalidParametersError(f"{path}: blank line in trace CSV")
     k, m = cells["k"], cells["m"]
     if k.min() < 0 or m.min() < 0:
         raise InvalidParametersError(f"{path}: negative trace index")
     n, r = int(k.max()) + 1, int(m.max()) + 1
-    seen = np.zeros(len(rows), dtype=bool)
-    if n * r == len(rows):
+    seen = np.zeros(len(cells), dtype=bool)
+    if n * r == len(cells):
         seen[k * r + m] = True
     if not seen.all():  # with n*r rows, every cell then appears once
         raise InvalidParametersError(f"{path}: trace cells missing or repeated")
@@ -127,7 +126,7 @@ def read_power_spectrum(path) -> np.ndarray:
     with _parsing(path):
         obj = _read_json(path)
         arr = np.asarray(obj["values"], dtype=float)
-        if arr.ndim != 1 or arr.size != int(obj["n"]):
+        if arr.ndim != 1 or arr.size != _json_count(obj["n"]):
             raise InvalidParametersError("power-spectrum JSON length disagrees with n")
     return arr
 

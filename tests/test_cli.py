@@ -196,6 +196,10 @@ def test_malformed_signal_json_is_usage_error(tmp_path):
         '{"n": 2, "re": [1, "x"], "im": [0, 0]}',  # not a number
         '{"n": 2, "re": [1, NaN], "im": [0, 0]}',  # not finite
         "[1, 2]",  # not an object
+        '{"n": 2.5, "re": [1, 2], "im": [0, 0]}',  # n not an integer
+        '{"n": 2.0, "re": [1, 2], "im": [0, 0]}',  # n a float, even a whole one
+        '{"n": true, "re": [1], "im": [0]}',  # n a bool
+        '{"n": "2", "re": [1, 2], "im": [0, 0]}',  # n a string
     ]
     for i, text in enumerate(contents):
         sig = tmp_path / f"s{i}.json"
@@ -207,7 +211,15 @@ def test_malformed_power_spectrum_is_usage_error(tmp_path):
     sig, tr, ps = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "ps.json"
     assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
     assert run_cli("trace", "--signal", sig, "--l", 5, "--out", tr).returncode == 0
-    for text in ('{"values": [1, 2, 3]}', '{"n": 3, "values": [1, 2, 3]'):
+    values = json.dumps((np.abs(dft(io.read_signal(sig)).values) ** 2).tolist())
+    contents = [
+        '{"values": [1, 2, 3]}',  # missing "n"
+        '{"n": 3, "values": [1, 2, 3]',  # truncated JSON
+        '{"n": 15.0, "values": %s}' % values,  # n not an integer
+        '{"n": "15", "values": %s}' % values,  # n a string
+        '{"n": true, "values": [1]}',  # n a bool
+    ]
+    for text in contents:
         ps.write_text(text)
         res = run_cli(
             "recover", "--trace", tr, "--l", 5, "--b", 5, "--power-spectrum", ps,
@@ -222,8 +234,14 @@ def test_malformed_trace_csv_is_usage_error(tmp_path):
         "",  # no header
         "k,m,value\n0,0\n",  # short row
         "k,m,value\n0,zero,1.0\n",  # not an integer
+        "k,m,value\n0,0,1.0\n0,1,2.0\n\n1,0,3.0\n1,1,4.0\n",  # blank line
+        "k,m,value\n0,0,1.0,5\n",  # extra column
+        "k,m,value\n0.0,0,1.0\n",  # float index
+        "k,m,value\n0,0,1.0 # note\n",  # comment
+        "k,m,value\n",  # header only
     ]
     for text in contents:
         tr.write_text(text)
         res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 1, "--out", tmp_path / "r.json")
         assert_usage_error(res)
+    assert res.stderr.strip() == "error: empty trace CSV"

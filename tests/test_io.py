@@ -1,8 +1,15 @@
+import csv
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frogkit import (
     AmbiguityElement,
+    FrogTrace,
     InvalidParametersError,
     RecoverySettings,
     frog_trace,
@@ -56,12 +63,75 @@ def test_trace_csv_rejects_missing_repeated_and_negative_cells(rng, tmp_path):
         "missing": rows[:5] + rows[6:],
         "repeated": rows[:5] + [rows[4]] + rows[6:],
         "negative": ["-1" + rows[0][1:]] + rows[1:],
+        "blank": rows[:5] + [""] + rows[5:],
+        "leading blank": [""] + rows,
+        "trailing blank": rows + [""],
     }
     for name, lines in broken.items():
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join([header, *lines]) + "\n")
         with pytest.raises(InvalidParametersError):
             io.read_trace(path, 2)
+
+
+def test_trace_csv_accepts_quotes_spaces_and_line_ends(tmp_path):
+    path = tmp_path / "t.csv"
+    for text in (
+        'k,m,value\r\n"0",0,1.5\r\n1,"0",2.5\r\n',
+        "k, m, value\n0, 0, 1.5\n1, 0, 2.5",
+        "k,m,value\r0,0,1.5\r1,0,2.5\r",
+    ):
+        path.write_bytes(text.encode())
+        assert np.array_equal(io.read_trace(path, 2).data, [[1.5], [2.5]])
+
+
+def _reference_write_trace(path, trace):
+    """The trace writer as one csv.writer row per cell: the format's reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k", "m", "value"])
+        n, r = trace.data.shape
+        for k in range(n):
+            for m in range(r):
+                writer.writerow([k, m, "%.17g" % trace.data[k, m]])
+
+
+_TRACE_VALUES = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=sys.float_info.min),  # subnormals
+    st.floats(min_value=1e307, max_value=sys.float_info.max),
+    st.sampled_from([0.0, 5e-324, sys.float_info.min, 1e308, sys.float_info.max]),
+)
+
+
+@st.composite
+def _traces(draw):
+    r, l = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return FrogTrace(draw(hnp.arrays(np.float64, (r * l, r), elements=_TRACE_VALUES)), l)
+
+
+_TRACE_SETTINGS = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_TRACE_SETTINGS
+@given(trace=_traces())
+def test_trace_csv_round_trip_is_bitwise_exact(tmp_path, trace):
+    path = tmp_path / "t.csv"
+    io.write_trace(path, trace)
+    back = io.read_trace(path, trace.l)
+    assert back.data.shape == trace.data.shape
+    assert back.data.tobytes() == trace.data.tobytes()
+
+
+@_TRACE_SETTINGS
+@given(trace=_traces())
+def test_trace_csv_bytes_equal_csv_writer(tmp_path, trace):
+    path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    io.write_trace(path, trace)
+    _reference_write_trace(ref, trace)
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_power_spectrum_round_trip(rng, tmp_path):
