@@ -16,6 +16,7 @@ row multiplied by a single unimodular factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,49 +103,31 @@ def _best_rotation_residual(u: np.ndarray, b: np.ndarray) -> tuple[float, float]
     return d2, psi
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimizer of a unimodal function on [lo, hi] to within ``tol``."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _newton_polish(coeffs: np.ndarray, freqs: np.ndarray, s0: float, radius: float):
+    """Sharpen a grid maximizer ``s0`` of ``|sum coeffs*exp(i*freqs*s)|``;
+    returns the shift and the modulus there.
 
-
-def _newton_polish(coeffs: np.ndarray, freqs: np.ndarray, s0: float, radius: float) -> float:
-    """Sharpen a local maximizer of ``|sum coeffs*exp(i*freqs*s)|``.
-
-    Golden section alone stalls at the sqrt(eps) argmax-location floor; the
-    squared modulus is smooth, so Newton on its derivative reaches machine
-    precision.  Falls back to ``s0`` if the iteration leaves the bracket.
+    The squared modulus is smooth, so Newton on its derivative reaches
+    machine precision from a grid point.  Falls back to ``s0`` if the
+    iteration leaves the bracket ``s0 +- radius``.
     """
+    ifreqs = 1j * freqs
+    derivs = np.stack([coeffs, coeffs * ifreqs, coeffs * ifreqs**2])
     s = s0
     for _ in range(60):
-        phase = np.exp(1j * freqs * s)
-        c = np.sum(coeffs * phase)
-        c1 = np.sum(coeffs * (1j * freqs) * phase)
-        c2 = np.sum(coeffs * (1j * freqs) ** 2 * phase)
-        g = 2.0 * np.real(np.conj(c) * c1)
-        h = 2.0 * (np.real(np.conj(c1) * c1) + np.real(np.conj(c) * c2))
-        if h >= 0 or not np.isfinite(g):
+        c, c1, c2 = (derivs @ np.exp(ifreqs * s)).tolist()
+        g = 2.0 * (c.conjugate() * c1).real
+        h = 2.0 * (abs(c1) ** 2 + (c.conjugate() * c2).real)
+        if h >= 0 or not math.isfinite(g):
             break
         delta = -g / h
         if abs(s + delta - s0) > radius:  # left the bracket: distrust Newton
-            return s0
+            s = s0
+            break
         s += delta
         if abs(delta) < 1e-14 * (1.0 + abs(s)):
             break
-    return s
+    return s, abs(np.dot(coeffs, np.exp(ifreqs * s)))
 
 
 def dist_mod_group(
@@ -155,10 +138,15 @@ def dist_mod_group(
     """Minimal relative l2 distance ``||apply(g, a) - b|| / ||b||`` over the
     group, with the minimizing element.
 
-    Without a band the shift ranges over the integers 0..N-1; with a band the
-    shift is continuous (grid of 16N points refined by golden section to
-    1e-10).  The optimal global phase has a closed form per (shift,
-    reflection).  Ties break toward smaller shift, then unreflected.
+    The rotation-optimal squared distance at shift s is
+    ``||a||^2 + ||b||^2 - 2|overlap(s)|`` and the overlap is a DFT of
+    ``a * conj(b)`` (per reflection), so one FFT scores a grid of shifts.
+    Without a band the grid is the integers 0..N-1.  With a band the shift
+    is continuous: the FFT of the band placed at its unwrapped exponents in
+    a buffer of 16N is the overlap at steps of 1/16, and Newton refines every
+    grid peak that may lie next to the best shift to machine precision.  The
+    residual is then evaluated exactly at the candidates within float noise
+    of the best overlap.  Ties break toward smaller shift, then unreflected.
     """
     if a.n != b.n:
         raise InvalidParametersError("spectra must have equal length")
@@ -166,49 +154,39 @@ def dist_mod_group(
     if bnorm == 0.0:
         raise InvalidParametersError("reference spectrum must be nonzero")
     n = a.n
-
-    best: tuple[float, float, int, float] | None = None  # (d2, shift, refl, psi)
-
-    def consider(d2: float, shift: float, refl: int, psi: float):
-        nonlocal best
-        if best is None or (d2, shift, refl) < (best[0], best[1], best[2]):
-            best = (d2, shift, refl, psi)
+    bases = np.stack([a.values, np.conj(a.values)])  # unreflected, reflected
+    # |overlap| rounds at about eps * ||a|| * ||b||
+    noise = 1e-12 * float(np.linalg.norm(a.values)) * bnorm
 
     if band is None:
-        k = np.arange(n)
-        for refl in (0, 1):
-            base = np.conj(a.values) if refl else a.values
-            for shift in range(n):
-                u = base * np.exp(-2j * np.pi * shift * k / n)
-                d2, psi = _best_rotation_residual(u, b.values)
-                consider(d2, float(shift), refl, psi)
+        overlap = np.abs(np.fft.fft(bases * np.conj(b.values), axis=-1)).ravel()
+        refls, shifts = np.repeat([0, 1], n), np.tile(np.arange(n, dtype=float), 2)
     else:
-        exps = band.unwrapped_indices(n)
-        pos = band.indices(n)
+        exps, pos = band.unwrapped_indices(n), band.indices(n)
+        coeffs = bases[:, pos] * np.conj(b.values[pos])
+        # grid point j is shift j/16: exp(-2*pi*i*e*(j/16)/N) = exp(-2*pi*i*e*j/(16N))
+        grid = np.zeros((2, 16 * n), dtype=np.complex128)
+        grid[:, exps] = coeffs
+        on_grid = np.abs(np.fft.fft(grid, axis=-1))
+        # Bernstein: the overlap has exponential type w = pi*(b-1)/N about the
+        # band centre, so the grid point nearest the best shift is within a
+        # factor 1 - w/32 of it; polish every grid peak that high (or argmax)
+        floor = (1.0 - np.pi * (band.b - 1) / (32.0 * n)) * on_grid.max() - noise
+        refls, at = np.nonzero(on_grid >= floor)
+        high = on_grid[refls, at]
+        peak = (high >= on_grid[refls, at - 1]) & (high > on_grid[refls, (at + 1) % (16 * n)])
+        peak[np.argmax(high)] = True
+        refls, at = refls[peak], at[peak]
         freqs = -2.0 * np.pi * exps / n
-        for refl in (0, 1):
-            base = np.conj(a.values) if refl else a.values
-            # the rotation-optimal distance is const - 2*|overlap(s)|, so
-            # maximizing the on-band overlap minimizes the distance
-            coeffs = base[pos] * np.conj(b.values[pos])
+        polished = [_newton_polish(coeffs[r], freqs, j / 16.0, 1.0 / 16.0) for r, j in zip(refls, at)]
+        shifts, overlap = np.array(polished).T
 
-            def overlap(s: float) -> float:
-                return abs(np.sum(coeffs * np.exp(1j * freqs * s)))
-
-            grid = np.linspace(0.0, n, 16 * n, endpoint=False)
-            vals = np.abs(np.exp(1j * np.outer(grid, freqs)) @ coeffs)
-            i0 = int(np.argmax(vals))
-            step = grid[1] - grid[0]
-            s_star = _golden_section(
-                lambda s: -overlap(s), grid[i0] - step, grid[i0] + step, 1e-10
-            )
-            if overlap(s_star) < vals[i0]:
-                s_star = float(grid[i0])
-            s_star = _newton_polish(coeffs, freqs, s_star, step)
-            u = _apply_raw(a.values, 0.0, s_star, bool(refl), band)
-            d2, psi = _best_rotation_residual(u, b.values)
-            consider(d2, float(s_star), refl, psi)
-
-    d2, shift, refl, psi = best
+    candidates = []  # (d2, shift, refl, psi)
+    for i in np.flatnonzero(overlap >= overlap.max() - noise).tolist():
+        refl, shift = int(refls[i]), float(shifts[i])
+        u = _apply_raw(a.values, 0.0, shift, bool(refl), band)
+        d2, psi = _best_rotation_residual(u, b.values)
+        candidates.append((d2, shift, refl, psi))
+    d2, shift, refl, psi = min(candidates, key=lambda c: c[:3])
     g = AmbiguityElement(psi=psi % (2 * np.pi), shift=shift, reflected=bool(refl))
     return float(np.sqrt(max(d2, 0.0)) / bnorm), g

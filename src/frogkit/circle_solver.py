@@ -16,6 +16,7 @@ Both return the achieved residual; callers decide what tolerance means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -28,6 +29,7 @@ from .errors import (
 )
 
 _COINCIDENT_TOL = 1e-14
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,11 @@ class CircleSolution:
 
     @property
     def candidates(self) -> tuple[complex, ...]:
-        if self.kind == "unique":
-            return (self.z,)
-        if self.kind == "pair":
+        """Both points of a pair (one if it collapsed), else ``z``; for kind
+        "none" that is the least-residual point, for callers that prune."""
+        if self.kind == "pair" and self.z_conjugate != self.z:
             return (self.z, self.z_conjugate)
-        return ()
+        return (self.z,)
 
 
 def default_tolerance(radii) -> float:
@@ -112,6 +114,32 @@ def _difference_rows(v: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.n
     return mat, rhs
 
 
+def _least_squares_2(rows, rhs) -> tuple[float, float]:
+    """``np.linalg.lstsq(rows, rhs, rcond=None)`` for s x 2 ``rows``, in floats:
+    Cramer's rule on the normal equations ``A x = g`` (``A = rows^T rows``),
+    each determinant summed over the 2x2 minors of ``rows`` (Cauchy-Binet).
+    Where lstsq's rcond rule makes ``rows`` rank 1, ``A = lam u u^T`` and the
+    minimum-norm solution is ``pinv(A) g = A g / tr(A)^2``.
+    """
+    a11 = a12 = a22 = g1 = g2 = det = num1 = num2 = 0.0
+    for i, ((xi, yi), bi) in enumerate(zip(rows, rhs)):
+        a11 += xi * xi
+        a12 += xi * yi
+        a22 += yi * yi
+        g1 += xi * bi
+        g2 += yi * bi
+        for (xj, yj), bj in zip(rows[:i], rhs[:i]):
+            minor = xj * yi - xi * yj
+            det += minor * minor
+            num1 += minor * (bj * yi - bi * yj)
+            num2 += minor * (xj * bi - xi * bj)
+    tr = a11 + a22
+    lam1 = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+    if det <= (_EPS * max(len(rhs), 2) * lam1) ** 2:
+        return (a11 * g1 + a12 * g2) / tr**2, (a12 * g1 + a22 * g2) / tr**2
+    return num1 / det, num2 / det
+
+
 def _refine_candidate(z: complex, centers: np.ndarray, radii: np.ndarray) -> complex:
     """Iterative refinement of a candidate by Gauss-Newton on the per-circle
     distance errors; keeps the best point seen.
@@ -121,21 +149,25 @@ def _refine_candidate(z: complex, centers: np.ndarray, radii: np.ndarray) -> com
     residual down to the local infeasibility level instead of whatever the
     radical-center point happens to give.
     """
-    best = z
-    best_res = float(np.max(np.abs(np.abs(z - centers) - radii)))
+    pairs = list(zip(centers.tolist(), radii.tolist()))
+
+    def residual(z: complex) -> float:
+        return max(abs(abs(z - c) - r) for c, r in pairs)
+
+    best, best_res = z, residual(z)
     for _ in range(12):
-        d = z - centers
-        dist = np.abs(d)
-        if np.min(dist) < 1e-300:  # sitting on a center: direction undefined
+        d = [(z - c, abs(z - c), r) for c, r in pairs]
+        if min(dist for _, dist, _ in d) < 1e-300:  # on a center: direction undefined
             break
-        f = dist - radii
-        jac = np.column_stack([d.real / dist, d.imag / dist])
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        z = z + complex(step[0], step[1])
-        res = float(np.max(np.abs(np.abs(z - centers) - radii)))
+        dx, dy = _least_squares_2(
+            [(v.real / dist, v.imag / dist) for v, dist, _ in d],
+            [r - dist for _, dist, r in d],
+        )
+        z = z + complex(dx, dy)
+        res = residual(z)
         if res < best_res:
             best, best_res = z, res
-        if np.hypot(step[0], step[1]) < 1e-15 * (1.0 + abs(z)):
+        if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
             break
     return best
 
@@ -168,8 +200,9 @@ def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution
         )
 
     mat, rhs = _difference_rows(v, radii)
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    z = _refine_candidate(complex(sol[0], sol[1]), sys.centers, radii)
+    z = _refine_candidate(
+        complex(*_least_squares_2(mat.tolist(), rhs.tolist())), sys.centers, radii
+    )
     residual = sys.residual_at(z)
     if residual <= tol:
         return CircleSolution("unique", z, None, residual)

@@ -92,7 +92,8 @@ class RecoveryReport:
     band is too short for a fork or the pair collapsed.
     ``x3_branch_residuals`` holds both candidates' residuals at the row that
     separated them.  ``equations_used`` maps band-relative row index to the
-    trace columns read for it.
+    trace columns read for it.  ``success``: every step residual and the
+    worst consistency row past the band (``tail_residual``) within tolerance.
     """
 
     spectrum: Spectrum
@@ -216,15 +217,6 @@ class _Branch:
         )
 
 
-def _pair_candidates(sol: CircleSolution) -> tuple[complex, ...]:
-    """Candidates of a conjugate-pair solve; collapsed pairs give one."""
-    if sol.kind == "pair":
-        if sol.z == sol.z_conjugate:
-            return (sol.z,)
-        return (sol.z, sol.z_conjugate)
-    return (sol.z,)
-
-
 def _solve_collinear(offsets, radii, rot, tol_abs):
     """Offsets on the line through the origin with direction ``rot``: divide
     the direction out and solve the real-center system."""
@@ -279,12 +271,9 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
         if k == 2:
             # reflection gauge: solve_real_centers puts Im >= 0 first
             return [branch.extended(sol.z / x0, rel, k, ms)]
-        cands = _pair_candidates(sol)
-        if len(cands) == 1:
-            return [branch.extended(cands[0] / x0, rel, k, ms, x3_choice=0)]
         return [
             branch.extended(u / x0, rel, k, ms, x3_choice=idx)
-            for idx, u in enumerate(cands)
+            for idx, u in enumerate(sol.candidates)
         ]
 
     # rows 4 and beyond
@@ -320,7 +309,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
     rel = sol.residual / scale
     return [
         branch.extended((w * rot - offsets[0]) / x0, rel, k, ms)
-        for w in _pair_candidates(sol)
+        for w in sol.candidates
     ]
 
 
@@ -499,7 +488,7 @@ def recover(
         x3_branch=x3_branch,
         x3_branch_residuals=x3_pair,
         equations_used={row: list(ms) for row, ms in winner_branch.equations},
-        success=bool(step_residuals.size == 0 or np.max(step_residuals) <= tol),
+        success=bool(np.max(step_residuals, initial=0.0) <= tol and tail_worst <= tol),
         measurement_reads=len(reader.reads),
         tail_residual=float(tail_worst),
     )

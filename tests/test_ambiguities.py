@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from frogkit import (
     AmbiguityElement,
@@ -122,6 +125,21 @@ def test_dist_discrete_orbit(rng):
         assert d <= 1e-12
 
 
+def test_dist_discrete_orbit_with_one_dominant_entry(rng):
+    # |overlap| is the same for every shift up to ~1e-18 of its size, below
+    # its rounding: only the exact residual tells the shifts apart
+    n = 16
+    values = 1e-9 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    values[3] = 1.0
+    a = Spectrum(values)
+    for shift in (0.0, 5.0, 11.0):
+        for reflected in (False, True):
+            g = AmbiguityElement(psi=0.7, shift=shift, reflected=reflected)
+            d, found = dist_mod_group(a, apply(g, a))
+            assert d <= 1e-15
+            assert (found.shift, found.reflected) == (shift, reflected)
+
+
 def test_dist_unrelated_spectra_is_large():
     rng = np.random.default_rng(99)
     lowest = np.inf
@@ -141,3 +159,172 @@ def test_fig2_trace_equalities():
     t_frac = frog_trace(idft(apply(AmbiguityElement(shift=1.5), xhat, band)), 1).data
     assert np.max(np.abs(t0 - t_shift)) <= 1e-10 * np.max(t0)
     assert np.max(np.abs(t0 - t_frac)) <= 1e-10 * np.max(t0)
+
+
+def _reference_golden_max(f, lo, hi, tol):
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def _reference_newton_max(coeffs, freqs, s0, radius):
+    s = s0
+    for _ in range(60):
+        phase = np.exp(1j * freqs * s)
+        c = np.sum(coeffs * phase)
+        c1 = np.sum(coeffs * (1j * freqs) * phase)
+        c2 = np.sum(coeffs * (1j * freqs) ** 2 * phase)
+        g = 2.0 * np.real(np.conj(c) * c1)
+        h = 2.0 * (np.real(np.conj(c1) * c1) + np.real(np.conj(c) * c2))
+        if h >= 0 or not np.isfinite(g):
+            break
+        delta = -g / h
+        if abs(s + delta - s0) > radius:
+            return s0
+        s += delta
+        if abs(delta) < 1e-14 * (1.0 + abs(s)):
+            break
+    return s
+
+
+def _reference_dist_mod_group(a, b, band=None):
+    """The group distance as first written, kept as the reference: a loop
+    over every integer shift, or for a band a 16N-point grid of the overlap
+    refined by golden section to 1e-10 and then by Newton.
+
+    Returns the distance, the element and the distance of the runner-up
+    candidate (the next integer shift or reflection; for a band, the other
+    reflection).
+    """
+    n, bvals = a.n, b.values
+    cands = []
+
+    def score(shift, refl):
+        u = apply(AmbiguityElement(shift=shift, reflected=bool(refl)), a, band).values
+        inner = np.vdot(bvals, u)
+        psi = float(-np.angle(inner)) if inner != 0 else 0.0
+        d2 = float(np.linalg.norm(u * np.exp(1j * psi) - bvals) ** 2)
+        cands.append((d2, shift, refl, psi))
+
+    if band is None:
+        for refl in (0, 1):
+            for shift in range(n):
+                score(float(shift), refl)
+    else:
+        exps, pos = band.unwrapped_indices(n), band.indices(n)
+        freqs = -2.0 * np.pi * exps / n
+        grid = np.linspace(0.0, n, 16 * n, endpoint=False)
+        step = grid[1] - grid[0]
+        for refl in (0, 1):
+            base = np.conj(a.values) if refl else a.values
+            coeffs = base[pos] * np.conj(bvals[pos])
+
+            def overlap(s):
+                return abs(np.sum(coeffs * np.exp(1j * freqs * s)))
+
+            vals = np.abs(np.exp(1j * np.outer(grid, freqs)) @ coeffs)
+            i0 = int(np.argmax(vals))
+            s = _reference_golden_max(overlap, grid[i0] - step, grid[i0] + step, 1e-10)
+            if overlap(s) < vals[i0]:
+                s = float(grid[i0])
+            score(float(_reference_newton_max(coeffs, freqs, s, step)), refl)
+    cands.sort(key=lambda c: c[:3])
+    bnorm = np.linalg.norm(bvals)
+    (d2, shift, refl, psi), runner_up = cands[0], cands[1][0]
+    g = AmbiguityElement(psi=psi % (2 * np.pi), shift=shift, reflected=bool(refl))
+    return np.sqrt(max(d2, 0.0)) / bnorm, g, np.sqrt(max(runner_up, 0.0)) / bnorm
+
+
+def test_dist_matches_reference_search():
+    rng = np.random.default_rng(2024)
+    unique = 0
+    for case in range(160):
+        n = int(rng.integers(3, 33))
+        band = None
+        if case % 2:
+            start = int(rng.integers(0, n))
+            band = BandlimitSpec(int(rng.integers(1, n + 1)), start)  # wraps for most
+        idx = np.arange(n) if band is None else band.indices(n)
+        a = np.zeros(n, complex)
+        a[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        if case % 4 < 2:  # unrelated spectra
+            b = np.zeros(n, complex)
+            b[idx] = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
+        else:  # near an orbit point
+            g = AmbiguityElement(
+                psi=float(rng.uniform(0, 2 * np.pi)),
+                shift=float(rng.uniform(0, n) if band else rng.integers(0, n)),
+                reflected=bool(rng.integers(0, 2)),
+            )
+            b = apply(g, Spectrum(a), band).values.copy()
+            b[idx] += 1e-3 * (rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size))
+        a, b = Spectrum(a), Spectrum(b)
+        d, found = dist_mod_group(a, b, band)
+        d_ref, g_ref, runner_up = _reference_dist_mod_group(a, b, band)
+        assert abs(d - d_ref) <= 1e-12 * (1.0 + np.linalg.norm(a.values) / np.linalg.norm(b.values))
+        if runner_up - d_ref > 1e-6:
+            unique += 1
+            assert found.reflected == g_ref.reflected
+            assert abs(found.shift - g_ref.shift) <= 1e-9
+            assert abs(np.exp(1j * found.psi) - np.exp(1j * g_ref.psi)) <= 1e-9
+    assert unique >= 140
+
+
+@st.composite
+def _planted_elements(draw):
+    """A spectrum, its band (None for integer shifts only) and a group
+    element: an integer shift on a full spectrum, or a fractional shift on a
+    band that starts past 0 and wraps past N."""
+    n = draw(st.integers(2, 32))
+    if draw(st.booleans()):
+        start = draw(st.integers(1, n - 1))
+        band = BandlimitSpec(draw(st.integers(n - start + 1, n)), start)
+        idx = band.indices(n)
+        shift = draw(st.integers(0, n - 1)) + draw(st.floats(0.01, 0.99))
+    else:
+        band, idx = None, np.arange(n)
+        shift = float(draw(st.integers(0, n - 1)))
+    # magnitudes within a factor 100: the overlap's dependence on a
+    # fractional shift is of order |smallest entry|^2, and below float
+    # resolution of the overlap the shift (and the distance) is unresolved
+    mags = draw(hnp.arrays(np.float64, idx.size, elements=st.floats(0.01, 1.0)))
+    phases = draw(hnp.arrays(np.float64, idx.size, elements=st.floats(0.0, 2 * np.pi)))
+    values = np.zeros(n, complex)
+    values[idx] = mags * np.exp(1j * phases)
+    g = AmbiguityElement(
+        psi=draw(st.floats(0.0, 2 * np.pi, exclude_max=True)),
+        shift=shift,
+        reflected=draw(st.booleans()),
+    )
+    return Spectrum(values), band, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted=_planted_elements())
+# the overlap has three near-equal peaks; the best lies midway between grid
+# points and a lower one closer to a grid point tops the grid
+@example(
+    planted=(
+        Spectrum(np.array([1.0, 1.0, 0.03125, 0.03125], dtype=complex)),
+        BandlimitSpec(4, 1),
+        AmbiguityElement(shift=0.96875),
+    )
+)
+def test_dist_recovers_planted_element(planted):
+    xhat, band, g = planted
+    target = apply(g, xhat, band)
+    d, found = dist_mod_group(xhat, target, band)
+    assert d <= 1e-12
+    back = apply(found, xhat, band)
+    assert np.linalg.norm(back.values - target.values) <= 1e-12 * np.linalg.norm(target.values)

@@ -10,7 +10,7 @@ from frogkit import (
     solve_generic,
     solve_real_centers,
 )
-
+from frogkit.circle_solver import _least_squares_2
 
 from conftest import grid_min_residual
 
@@ -140,3 +140,26 @@ def test_system_validation():
         CircleSystem(np.array([1.0 + 0j]), np.array([1.0]))
     with pytest.raises(InvalidParametersError):
         CircleSystem(np.array([0j, 1j]), np.array([1.0, -0.5]))
+
+
+def test_least_squares_step_matches_lstsq():
+    # Gauss-Newton Jacobians: unit rows (z - c_i)/|z - c_i|; centres collinear
+    # with z make them rank 1, where lstsq takes the minimum-norm step
+    rng = np.random.default_rng(5)
+    ranks = set()
+    for _ in range(400):
+        s = int(rng.integers(2, 5))
+        z = complex(*rng.standard_normal(2))
+        d = z - (rng.standard_normal(s) + 1j * rng.standard_normal(s))
+        line = np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.standard_normal(s)
+        for d in (d, line):
+            jac = np.column_stack([d.real, d.imag]) / np.abs(d)[:, None]
+            f = rng.standard_normal(s)
+            ref, _, rank, sv = np.linalg.lstsq(jac, -f, rcond=None)
+            ranks.add(int(rank))
+            step = _least_squares_2(jac.tolist(), (-f).tolist())
+            # a rank-1 step is u * (u.f) / sigma^2; u.f may cancel, so the
+            # scale of its rounding is |f| / sigma_max, not the step itself
+            scale = np.linalg.norm(ref) + np.linalg.norm(f) / sv[0]
+            assert np.linalg.norm(np.subtract(step, ref)) <= 1e-12 * scale
+    assert ranks == {1, 2}

@@ -86,6 +86,19 @@ def test_recover_round_trip(tmp_path):
     assert max(report["step_residuals"]) <= 1e-7
 
 
+def test_recover_with_inconsistent_tail_exits_1(tmp_path):
+    # every step residual of this seed is ~1e-12, but the consistency rows
+    # past the band miss by ~2e-4: a wrong recovery, not a success
+    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100012, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
+    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
+    assert res.returncode == 1, res.stderr
+    report = json.loads(rep.read_text())
+    assert report["success"] is False
+    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
+
+
 def test_recover_r3_without_power_spectrum_is_usage_error(tmp_path):
     sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
     assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
