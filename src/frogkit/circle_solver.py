@@ -56,7 +56,8 @@ class CircleSystem:
         return -self.centers
 
     def residual_at(self, z: complex) -> float:
-        return float(np.max(np.abs(np.abs(z - self.centers) - self.radii)))
+        pairs = zip(self.centers.tolist(), self.radii.tolist())
+        return max(abs(abs(z - c) - r) for c, r in pairs)
 
 
 @dataclass(frozen=True)
@@ -216,24 +217,51 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
     the imaginary part from the first circle.  Returns kind "none" when the
     required squared imaginary part is negative beyond ``tol``.
     """
-    v = sys.offsets
-    radii = sys.radii
-    if np.max(np.abs(v.imag)) > _COINCIDENT_TOL * (1.0 + np.max(np.abs(v))):
+    v = sys.offsets.tolist()
+    radii = sys.radii.tolist()
+    if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
-    vr = v.real
+    vr = [c.real for c in v]
     if tol is None:
         tol = default_tolerance(radii)
 
-    diffs = vr[0] - vr[1:]
-    if np.max(np.abs(diffs)) <= _COINCIDENT_TOL * (1.0 + np.max(np.abs(vr))):
+    diffs = [vr[0] - x for x in vr[1:]]
+    if max(map(abs, diffs)) <= _COINCIDENT_TOL * (1.0 + max(map(abs, vr))):
         raise UnderdeterminedSystemError("all offsets equal: real part unconstrained")
-    rhs = 0.5 * (radii[0] ** 2 - radii[1:] ** 2 + vr[1:] ** 2 - vr[0] ** 2)
-    a = float(np.dot(diffs, rhs) / np.dot(diffs, diffs))
+    rhs = [0.5 * (radii[0] ** 2 - n**2 + x**2 - vr[0] ** 2)
+           for n, x in zip(radii[1:], vr[1:])]
+    a = sum(d * h for d, h in zip(diffs, rhs)) / sum(d * d for d in diffs)
 
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:
         z = complex(a, 0.0)
         return CircleSolution("none", z, None, sys.residual_at(z))
-    b = float(np.sqrt(max(b_sq, 0.0)))
+    b = math.sqrt(max(b_sq, 0.0))
     z = complex(a, b)
     return CircleSolution("pair", z, complex(a, -b), sys.residual_at(z))
+
+
+def solve_collinear(
+    offsets, radii, point: complex, direction: complex, tol=None, solve=None
+) -> CircleSolution:
+    """Solve with offsets on the line ``point + t * direction``.
+
+    In the frame ``w = (z + point) / u``, ``u = direction / |direction|``, the
+    offsets ``(v_i - point) / u`` are real: ``solve`` (default
+    ``solve_real_centers``; a caller may pass its own, wrapped, name for it)
+    gives the pair there, ``Im w >= 0`` first, mapped back.  Coincident offsets
+    or offsets off the line raise ``DegenerateSystemError``."""
+    if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
+        raise DegenerateSystemError("coincident offsets")
+    # rounds as numpy's complex / real did; the recursion amplifies the last bit
+    u = direction * (1.0 / abs(direction))
+    rotated = [(v - point) / u for v in offsets]
+    if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
+        raise DegenerateSystemError("offsets are not on the given line")
+    sys = CircleSystem([-w.real for w in rotated], radii)
+    sol = (solve or solve_real_centers)(sys, tol=tol)
+
+    def back(w):
+        return None if w is None else w * u - point
+
+    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)

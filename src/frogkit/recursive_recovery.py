@@ -11,6 +11,10 @@ with z the unknown entry and v_m the pyramid offset for column m.  Columns
 with w^(k*m) = -1 carry no information about z and are skipped; columns m and
 r-m duplicate each other and only one of the pair is used.
 
+Rows run on Python scalars: the twiddles w^j come from one cached table per
+r, and each column's offset, a sum over the products x_j * x_(k-j) formed
+once per branch and row, is computed at most once per row.
+
 Gauge fixing absorbs the symmetry group: entries 0 and 1 of the band are made
 real nonnegative (rotation and continuous translation), and the reflection
 branch is fixed by requiring a nonnegative imaginary part at entry 2.
@@ -18,23 +22,26 @@ branch is fixed by requiring a nonnegative imaginary part at entry 2.
 Row 3's offsets are collinear through the origin, so it always yields a
 conjugate pair of candidates; the spurious one becomes inconsistent at row 4.
 Any later row with only two usable columns likewise yields a pair, resolved
-by consistency at the following rows.  Rows past the band contain no unknown
-and act as pure consistency checks.  All of this is handled uniformly by
+by consistency at the following rows (rows 2, 3 and these go through
+``solve_collinear``).  Rows past the band contain no unknown and act as pure
+consistency checks.  All of this is handled uniformly by
 carrying candidate branches forward and pruning those whose residual exceeds
 the consistency tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circle_solver import (
-    CircleSolution,
     CircleSystem,
     ratio_is_nonreal,
+    solve_collinear,
     solve_generic,
     solve_real_centers,
 )
@@ -111,49 +118,70 @@ def is_degenerate_column(k: int, m: int, r: int) -> bool:
     return (2 * k * m - r) % (2 * r) == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _twiddles(r: int) -> tuple[complex, ...]:
+    """w^j = exp(2*pi*i*j/r) for j = 0..r-1."""
+    return tuple(np.exp(2j * np.pi * np.arange(r) / r).tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(k: int | None, r: int) -> tuple[int, ...]:
+    """One column per duplicate pair {m, r-m}; for k not None (degeneracy
+    depends on k only through k mod r) also without row k's degenerate ones."""
+    keep: dict[int, None] = {}  # an ordered set
+    for m in range(r):
+        if (k is None or not is_degenerate_column(k, m, r)) and (r - m) % r not in keep:
+            keep[m] = None
+    return tuple(keep)
+
+
 def usable_columns(k: int, r: int) -> list[int]:
     """Columns informative for row k: nondegenerate, one per {m, r-m} pair."""
-    keep: list[int] = []
-    for m in range(r):
-        if is_degenerate_column(k, m, r):
-            continue
-        if m != 0 and (r - m) % r in keep:
-            continue
-        keep.append(m)
-    return keep
+    return list(_columns(k % r, r))
 
 
 def distinct_columns(r: int) -> list[int]:
     """One column per duplicate pair {m, r-m}, no degeneracy filter."""
-    keep: list[int] = []
-    for m in range(r):
-        if m != 0 and (r - m) % r in keep:
-            continue
-        keep.append(m)
-    return keep
+    return list(_columns(None, r))
 
 
-def pyramid_centers(prefix: np.ndarray, k: int, m: int, r: int) -> complex:
+def _twiddled_sum(q, lo: int, m: int, r: int) -> complex:
+    """``sum_i q[i] * w^((lo + i) * m)``: the column-m sum of products
+    ``q[i] = x_(lo+i) * x_(k-lo-i)`` of one trace row."""
+    w = _twiddles(r)
+    return sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j)
+
+
+def pyramid_centers(prefix, k: int, m: int, r: int) -> complex:
     """Offset v_m of row k's circle system, from band entries 0..k-1.
 
     ``v_m = sum_{j=1..k-1} prefix[j] * prefix[k-j] * w^(j*m) / (1 + w^(k*m))``,
     which equals the row-k frequency-domain coefficient (times N, normalized)
     with the unknown entry zeroed out.
     """
-    prefix = np.asarray(prefix, dtype=np.complex128)
-    if prefix.size < k:
+    prefix = np.asarray(prefix, dtype=np.complex128).tolist()
+    if len(prefix) < k:
         raise InvalidParametersError(f"need entries 0..{k - 1} to form row {k} offsets")
     if is_degenerate_column(k, m, r):
         raise InvalidParametersError(
             f"column m={m} is degenerate for row {k} (w^(k*m) = -1)"
         )
-    j = np.arange(1, k)
-    if j.size == 0:
-        return 0j
-    w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
-    s = np.sum(prefix[j] * prefix[k - j] * w_jm)
-    denom = 1.0 + np.exp(2j * np.pi * ((k * m) % r) / r)
-    return complex(s / denom)
+    return _row_offsets(prefix, k, r)(m)
+
+
+def _row_offsets(prefix, k: int, r: int):
+    """Row k's offset v_m as a function of the column, memoised: the products
+    x_j * x_(k-j) are formed once."""
+    q = [prefix[j] * prefix[k - j] for j in range(1, k)]
+    w = _twiddles(r)
+    memo: dict[int, complex] = {}
+
+    def offset(m: int) -> complex:
+        if m not in memo:
+            memo[m] = _twiddled_sum(q, 1, m, r) / (1.0 + w[(k * m) % r])
+        return memo[m]
+
+    return offset
 
 
 def select_equations(k, r, centers_fn, ratio_eps: float | None = None):
@@ -165,9 +193,8 @@ def select_equations(k, r, centers_fn, ratio_eps: float | None = None):
     """
     if r < 4:
         raise InvalidParametersError("a trace-only triple needs r >= 4")
-    cands = usable_columns(k, r)
-    for combo in itertools.combinations(cands, 3):
-        v = np.array([centers_fn(m) for m in combo], dtype=np.complex128)
+    for combo in itertools.combinations(_columns(k % r, r), 3):
+        v = [centers_fn(m) for m in combo]
         try:
             if ratio_is_nonreal(v, 1, 2, eps=ratio_eps):
                 return tuple(combo)
@@ -191,7 +218,7 @@ class _TraceReader:
 
     def magnitude(self, k: int, m: int) -> float:
         self.reads.add((k, m))
-        return float(np.sqrt(self._data[(k + self._shift) % self._n, m]))
+        return math.sqrt(self._data[(k + self._shift) % self._n, m])
 
 
 @dataclass(frozen=True)
@@ -217,22 +244,6 @@ class _Branch:
         )
 
 
-def _solve_collinear(offsets, radii, rot, tol_abs):
-    """Offsets on the line through the origin with direction ``rot``: divide
-    the direction out and solve the real-center system."""
-    rotated = offsets / rot
-    if float(np.max(np.abs(rotated.imag))) > 1e-9 * (
-        1.0 + float(np.max(np.abs(rotated)))
-    ):
-        raise DegenerateSystemError("offsets are not collinear through the origin")
-    sol = solve_real_centers(CircleSystem(-rotated.real.astype(complex), radii), tol=tol_abs)
-
-    def back(z):
-        return None if z is None else z * rot
-
-    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
-
-
 def _solve_row(branch, k, n, reader, settings, ps_radius):
     """Candidate continuations of one branch at row k.
 
@@ -240,89 +251,68 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
     does the fork accounting.
     """
     r = settings.r
-    prefix = np.asarray(branch.coeffs, dtype=np.complex128)
-    x0 = prefix[0].real
-
-    def center(m):
-        return pyramid_centers(prefix, k, m, r)
+    coeffs = branch.coeffs
+    x0 = coeffs[0].real
+    w = _twiddles(r)
+    center = _row_offsets(coeffs, k, r)
 
     def radius(m):
-        norm = abs(1.0 + np.exp(2j * np.pi * ((k * m) % r) / r))
-        return n * reader.magnitude(k, m) / norm
+        return n * reader.magnitude(k, m) / abs(1.0 + w[(k * m) % r])
 
-    cols = usable_columns(k, r)
-
+    cols = _columns(k % r, r)
     if k in (2, 3):
         ms = cols[: settings.max_equations_per_step]
-        offsets = np.array([center(m) for m in ms])
-        radii = np.array([radius(m) for m in ms])
-        scale = 1.0 + float(np.max(radii))
-        if k == 2:
-            rot = 1.0 + 0j  # offsets already real
-        else:
-            x2 = prefix[2]
-            if abs(x2) <= 1e-13 * (1.0 + float(np.max(np.abs(prefix)))):
-                raise DegenerateSignalError(
-                    "band entry 2 vanishes; the row-3 rotation is undefined"
-                )
-            rot = x2 / abs(x2)
-        sol = _solve_collinear(offsets, radii, rot, settings.consistency_tol * scale)
-        rel = sol.residual / scale
-        if k == 2:
-            # reflection gauge: solve_real_centers puts Im >= 0 first
-            return [branch.extended(sol.z / x0, rel, k, ms)]
-        return [
-            branch.extended(u / x0, rel, k, ms, x3_choice=idx)
-            for idx, u in enumerate(sol.candidates)
-        ]
-
-    # rows 4 and beyond
-    if len(cols) >= 3:
+    elif len(cols) >= 3:
         ms = select_equations(k, r, center, settings.ratio_eps)
     else:
-        ms = tuple(cols)
+        ms = cols
     offsets = [center(m) for m in ms]
     radii = [radius(m) for m in ms]
-    if ps_radius is not None:
+    if ps_radius is not None and k > 3:
         offsets.append(0j)
         radii.append(ps_radius(k))
-    offsets = np.array(offsets)
-    radii = np.array(radii)
-    scale = 1.0 + float(np.max(radii))
+    scale = 1.0 + max(radii)
+    tol = settings.consistency_tol * scale
 
-    if offsets.size >= 3:
-        sol = solve_generic(
-            CircleSystem(-offsets, radii), tol=settings.consistency_tol * scale
-        )
+    if len(offsets) >= 3 and k > 3:
+        sol = solve_generic(CircleSystem([-v for v in offsets], radii), tol=tol)
         return [branch.extended(sol.z / x0, sol.residual / scale, k, ms)]
 
-    # two distinct circles: rotate the center line onto the real axis and
-    # solve the conjugate-pair system there
-    delta = offsets[1] - offsets[0]
-    if abs(delta) <= 1e-14 * scale:
-        raise DegenerateSystemError(f"row {k}: coincident offsets")
-    rot = delta / abs(delta)
-    shifted = np.array([0.0, abs(delta)], dtype=complex)
-    sol = solve_real_centers(
-        CircleSystem(-shifted, radii), tol=settings.consistency_tol * scale
-    )
+    # collinear offsets: row 2's are real, row 3's lie on the line through
+    # the origin along x2, and two circles always are
+    if k == 2:
+        point, direction = 0j, 1.0 + 0j
+    elif k == 3:
+        x2 = coeffs[2]
+        if abs(x2) <= 1e-13 * (1.0 + max(map(abs, coeffs))):
+            raise DegenerateSignalError(
+                "band entry 2 vanishes; the row-3 rotation is undefined"
+            )
+        point, direction = 0j, x2
+    else:
+        point, direction = offsets[0], offsets[1] - offsets[0]
+    # this module's name for the solver, so that a wrapper around it sees the call
+    sol = solve_collinear(offsets, radii, point, direction, tol, solve=solve_real_centers)
     rel = sol.residual / scale
+    if k == 2:
+        # reflection gauge: the pair has Im >= 0 first
+        return [branch.extended(sol.z / x0, rel, k, ms)]
     return [
-        branch.extended((w * rot - offsets[0]) / x0, rel, k, ms)
-        for w in sol.candidates
+        branch.extended(u / x0, rel, k, ms, x3_choice=idx if k == 3 else None)
+        for idx, u in enumerate(sol.candidates)
     ]
 
 
 def _tail_residual(branch, k, n, r, reader, b):
     """Consistency mismatch of a fully-known row k >= b (relative)."""
-    prefix = np.asarray(branch.coeffs, dtype=np.complex128)
-    ms = distinct_columns(r)[:3]
-    j = np.arange(max(0, k - b + 1), min(b - 1, k) + 1)
+    coeffs = branch.coeffs
+    lo, hi = max(0, k - b + 1), min(b - 1, k)
+    q = [coeffs[j] * coeffs[k - j] for j in range(lo, hi + 1)]
+    ms = _columns(None, r)[:3]
     worst = 0.0
     scale = 1.0
     for m in ms:
-        w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
-        pred = float(abs(np.sum(prefix[j] * prefix[k - j] * w_jm))) if j.size else 0.0
+        pred = abs(_twiddled_sum(q, lo, m, r))
         meas = n * reader.magnitude(k, m)
         scale = max(scale, 1.0 + meas)
         worst = max(worst, abs(pred - meas))

@@ -213,6 +213,7 @@ def test_criterion_7_gradient_check():
     report(7, ok, f"worst finite-difference mismatch {worst:.3e} over 50 instances")
 
 
+@pytest.mark.slow
 def test_criterion_8_basin_trends():
     start = time.monotonic()
     grid = basin_experiment(

@@ -6,11 +6,12 @@ from frogkit import (
     DegenerateSystemError,
     InvalidParametersError,
     UnderdeterminedSystemError,
+    pyramid_centers,
     ratio_is_nonreal,
     solve_generic,
     solve_real_centers,
 )
-from frogkit.circle_solver import _least_squares_2
+from frogkit.circle_solver import _least_squares_2, solve_collinear
 
 from conftest import grid_min_residual
 
@@ -163,3 +164,45 @@ def test_least_squares_step_matches_lstsq():
             scale = np.linalg.norm(ref) + np.linalg.norm(f) / sv[0]
             assert np.linalg.norm(np.subtract(step, ref)) <= 1e-12 * scale
     assert ranks == {1, 2}
+
+
+def _mirror(z, point, u):
+    """Reflection of z in the line of centres -point - t*u."""
+    return np.conj((z + point) / u) * u - point
+
+
+def test_collinear_planted_pair_off_origin():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        point = complex(*rng.uniform(-2, 2, 2))
+        direction = complex(*rng.uniform(-2, 2, 2))
+        offsets = [point + t * direction for t in (-1.0, 0.5, 2.0)]
+        z = complex(*rng.uniform(-2, 2, 2))
+        radii = [abs(z + v) for v in offsets]
+        sol = solve_collinear(offsets, radii, point, direction)
+        assert sol.kind == "pair"
+        u = direction / abs(direction)
+        got = sorted(sol.candidates, key=lambda c: abs(c - z))
+        assert abs(got[0] - z) <= 1e-10
+        assert abs(got[-1] - _mirror(z, point, u)) <= 1e-10
+        assert ((sol.z + point) / u).imag >= 0
+
+
+def test_collinear_coincident_offsets_rejected():
+    with pytest.raises(DegenerateSystemError):
+        solve_collinear([1 + 1j, 1 + 1j], [1.0, 1.0], 1 + 1j, 1.0)
+    with pytest.raises(DegenerateSystemError):
+        solve_collinear([0j, 1j, 1.0], [1.0] * 3, 0j, 1.0)  # off the line
+
+
+def test_collinear_row3_keeps_upper_candidate_first():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        prefix = [1.3, 0.7] + [complex(*rng.standard_normal(2))]
+        x3 = complex(*rng.standard_normal(2))
+        offsets = [pyramid_centers(prefix, 3, m, 4) for m in (0, 1)]
+        radii = [abs(prefix[0] * x3 + v) for v in offsets]
+        sol = solve_collinear(offsets, radii, 0j, prefix[2])
+        u = prefix[2] / abs(prefix[2])
+        assert (sol.z / u).imag >= 0 and (sol.z_conjugate / u).imag <= 0
+        assert min(abs(c - prefix[0] * x3) for c in sol.candidates) <= 1e-10

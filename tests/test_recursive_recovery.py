@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogkit import (
     AmbiguousBranchError,
@@ -17,7 +19,13 @@ from frogkit import (
     recover,
     select_equations,
 )
-from frogkit.recursive_recovery import distinct_columns, usable_columns
+from frogkit.recursive_recovery import (
+    _Branch,
+    _tail_residual,
+    distinct_columns,
+    is_degenerate_column,
+    usable_columns,
+)
 from conftest import random_band_spectrum
 
 
@@ -75,6 +83,75 @@ class TestPyramidCenters:
                 expected = n * coeffs[k, m] / (1 + omega ** (k * m))
                 got = pyramid_centers(xhat.values[:k], k, m, r)
                 assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
+
+
+def _reference_pyramid_centers(prefix, k, m, r):
+    """The one-column offset as numpy array arithmetic, per call."""
+    prefix = np.asarray(prefix, dtype=np.complex128)
+    j = np.arange(1, k)
+    if j.size == 0:
+        return 0j
+    w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
+    s = np.sum(prefix[j] * prefix[k - j] * w_jm)
+    return complex(s / (1.0 + np.exp(2j * np.pi * ((k * m) % r) / r)))
+
+
+def _reference_tail_residual(coeffs, k, n, r, reader, b):
+    """The tail-row mismatch as numpy array arithmetic, per column."""
+    prefix = np.asarray(coeffs, dtype=np.complex128)
+    ms = distinct_columns(r)[:3]
+    j = np.arange(max(0, k - b + 1), min(b - 1, k) + 1)
+    worst, scale = 0.0, 1.0
+    for m in ms:
+        w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
+        pred = float(abs(np.sum(prefix[j] * prefix[k - j] * w_jm))) if j.size else 0.0
+        meas = n * reader.magnitude(k, m)
+        scale = max(scale, 1.0 + meas)
+        worst = max(worst, abs(pred - meas))
+    return worst / scale, ms
+
+
+def _reference_usable_columns(k, r):
+    keep = []
+    for m in range(r):
+        if not is_degenerate_column(k, m, r) and (m == 0 or (r - m) % r not in keep):
+            keep.append(m)
+    return keep
+
+
+class _ArrayReader:
+    def __init__(self, data):
+        self.data = data
+
+    def magnitude(self, k, m):
+        return float(np.sqrt(self.data[k, m]))
+
+
+_entry = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coeffs=st.lists(_entry, min_size=3, max_size=12),
+    r=st.sampled_from([3, 4, 5, 6, 7, 8, 16, 256]),
+    k=st.integers(0, 600),
+    data=st.data(),
+)
+def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
+    assert usable_columns(k, r) == _reference_usable_columns(k, r)
+    b = len(coeffs)
+    row = data.draw(st.integers(2, b - 1), label="row")
+    for m in usable_columns(row, r):
+        want = _reference_pyramid_centers(coeffs, row, m, r)
+        assert abs(pyramid_centers(coeffs, row, m, r) - want) <= 1e-12 * (1 + abs(want))
+
+    tail_row = data.draw(st.integers(b, 2 * b - 2), label="tail row")
+    n = 2 * b
+    reader = _ArrayReader(np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r)))
+    got, ms = _tail_residual(_Branch(tuple(coeffs), (), ()), tail_row, n, r, reader, b)
+    want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)
+    assert list(ms) == want_ms
+    assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 class TestSelectEquations:
