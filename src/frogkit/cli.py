@@ -23,10 +23,16 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
+    return np.random.default_rng(seed)
+
+
 def _synthesize(args) -> int:
     if args.b > args.n // 2:
         raise InvalidParametersError(f"need b <= N/2 (b={args.b}, N={args.n})")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     values = np.zeros(args.n, dtype=complex)
     band = BandlimitSpec(args.b, args.start)
     idx = band.indices(args.n)
@@ -92,7 +98,7 @@ def _verify(args) -> int:
     signal = io.read_signal(args.signal)
     xhat = dft(signal)
     n = xhat.n
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     psi = float(rng.uniform(0, 2 * np.pi))
     ell = int(rng.integers(1, n))
     checks = [

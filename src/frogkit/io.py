@@ -69,7 +69,9 @@ def _vector_from_dict(obj: dict) -> np.ndarray:
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n,) or im.shape != (n,):
         raise InvalidParametersError("vector JSON lengths disagree with n")
-    return re + 1j * im
+    values = np.empty(n, dtype=np.complex128)
+    values.real, values.imag = re, im  # re + 1j*im would turn -0.0 into 0.0
+    return values
 
 
 def write_signal(path, signal: Signal):

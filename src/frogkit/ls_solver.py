@@ -8,12 +8,15 @@ the objective sequence monotone.
 
 Gradients are with respect to the real and imaginary parts, packaged as one
 complex vector g = df/dRe + i*df/dIm (twice the conjugate-coordinate
-derivative), so a step is plain ``z - t*g``.
+derivative), so a step is plain ``z - t*g``.  ``basin_experiment`` draws
+real signals and real starts; there the imaginary part of the gradient is
+zero, so it runs the same descent in float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -30,7 +33,8 @@ from .signal_model import (
 
 SUCCESS_DISTANCE = 1e-6
 _MIN_STEP = 1e-18  # backtracking gives up below this step
-# Most trace entries (trials x N x r) descended as one stack; bounds memory only.
+# Most trace entries (the sum of N*r over trials) descended as one stack;
+# bounds memory only.
 _BATCH_ENTRIES = 1 << 19
 
 
@@ -62,13 +66,22 @@ class BasinGrid:
     seed: int
 
 
-class _Workspace:
-    """Objective and gradient for one (N, L) on stacks of trials.
+# A descent kernel evaluates a stack of trials against their data:
+#   evaluate(z, data, sub=None, out=None) -> (f, state): objective per trial
+#       and the state the gradient reuses; with ``sub`` (sorted trial indices),
+#       z holds only those trials, and their state is also written into ``out``;
+#   gradient(z, data, state) -> g;  norm2(g) -> squared norm per trial;
+#   keep(data, state, mask) -> (data, state) of the trials in ``mask``.
 
-    ``z`` has shape (T, N) and ``data`` (T, N, r).  Each trial's block is
-    laid out, transformed and summed exactly as a single trial would be, so
-    stacking trials does not change any result bit.
+
+class _Workspace:
+    """Complex trials at one (N, L): ``z`` has shape (T, N), ``data`` (T, N, r).
+
+    Each trial's block is laid out, transformed and summed exactly as a single
+    trial would be, so stacking trials does not change any result bit.
     """
+
+    dtype = np.complex128
 
     def __init__(self, n: int, l: int):
         self.n = n
@@ -79,24 +92,126 @@ class _Workspace:
         m = np.arange(r)[None, :]
         self.bwd = ((p - m * l) % n) * r + m  # flat index of ((p - m*L) mod N, m)
 
-    def evaluate(self, z: np.ndarray, data: np.ndarray):
-        """Objective per trial, with the residual and the model coefficients
-        the gradient at the same point reuses."""
+    def evaluate(self, z, data, sub=None, out=None):
         coeffs = shift_product_coeffs(z, self.l)
-        err = data - np.abs(coeffs) ** 2
+        err = (data if sub is None else data[sub]) - np.abs(coeffs) ** 2
         f = 0.5 * np.add.reduce((err**2).reshape(len(err), -1), axis=1)
-        return f, err, coeffs
+        state = err * coeffs
+        if out is not None:
+            out[sub] = state
+        return f, state
 
-    def gradient(self, z: np.ndarray, err: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        back = self.n * np.fft.ifft(err * coeffs, axis=-2)
+    def gradient(self, z, data, state):
+        back = self.n * np.fft.ifft(state, axis=-2)
         zc = np.conj(z)
         term = zc.take(self.fwd, axis=-1) * back
         term2 = (zc[:, :, None] * back).reshape(len(z), -1).take(self.bwd, axis=-1)
         return -2.0 * np.add.reduce(term + term2, axis=-1)
 
+    def norm2(self, g):
+        return np.array([np.vdot(row, row).real for row in g])
 
-def _workspace_for(trace: FrogTrace) -> _Workspace:
-    return _Workspace(trace.n, trace.l)
+    def keep(self, data, state, mask):
+        return data[mask], state[mask]
+
+
+class _Columns:
+    """Layout of a ragged stack of real trials at one N: column c is the
+    product of trial ``rows[c]`` with its own shift by ``shift[c]`` and stands
+    for ``count[c]`` trace columns; a trial's columns are consecutive.
+    ``own`` and ``fwd`` index entries p and (p + shift) mod N of the column's
+    trial in the flattened (T, N) iterate; ``half`` holds rows 0..N//2 of the
+    trace column."""
+
+    def __init__(self, n, rows, shift, count, half):
+        self.rows, self.shift, self.count, self.half = rows, shift, count, half
+        p = np.arange(n)
+        self.own = rows[:, None] * n + p
+        self.fwd = rows[:, None] * n + (p + shift[:, None]) % n
+
+    def columns_of(self, sub):
+        """The columns of the trials ``sub`` (sorted) and their trial numbers
+        counted within ``sub``."""
+        pick = np.zeros(self.rows[-1] + 1, dtype=bool)
+        pick[sub] = True
+        cols = np.flatnonzero(pick.take(self.rows))
+        return cols, (np.cumsum(pick) - 1).take(self.rows.take(cols))
+
+
+class _RealWorkspace:
+    """Real trials at one N with any mix of steps L, stacked by columns.
+
+    ``z`` is float64 of shape (T, N) and ``data`` a ``_Columns``.  For a real
+    iterate the spectra of the shifted products are conjugate-symmetric, so
+    one ``rfft`` gives rows 0..N//2 of every column, the objective counts each
+    row that stands for a mirrored pair twice, and ``irfft`` gives the
+    gradient.  Every column is transformed and every trial's columns summed
+    as if the trial ran alone, so stacking does not change any result bit.
+    """
+
+    dtype = np.float64
+
+    def __init__(self, n: int):
+        self.n = n
+        self.weight = np.full(n // 2 + 1, 2.0)
+        self.weight[0] = 1.0
+        if n % 2 == 0:
+            self.weight[-1] = 1.0  # the Nyquist row is its own mirror
+
+    def stack(self, steps, traces) -> _Columns:
+        """The layout of trials with steps ``steps`` and (N, N/L) traces.
+
+        Trace columns m and r - m are equal: the product for shift -m*L is the
+        one for m*L rotated by m*L.  So a trial keeps m = 0..r//2, and each
+        column that stands for such a pair counts twice.
+        """
+        steps = np.asarray(steps)
+        r = self.n // steps
+        rows = np.repeat(np.arange(len(steps)), r // 2 + 1)
+        m = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        count = np.where((m == 0) | (2 * m == r.take(rows)), 1.0, 2.0)
+        kept = len(self.weight)
+        half = np.concatenate([np.asarray(tr)[:kept, : k // 2 + 1].T for tr, k in zip(traces, r)])
+        return _Columns(self.n, rows, m * steps.take(rows), count, half)
+
+    def evaluate(self, z, data, sub=None, out=None):
+        rows, shift, count, half = data.rows, data.shift, data.count, data.half
+        if sub is not None:  # the columns of the trials in ``sub``
+            cols, rows = data.columns_of(sub)
+            shift, count, half = shift.take(cols), count.take(cols), half.take(cols, axis=0)
+        # column c multiplies z[rows[c]] by the same row shifted by shift[c],
+        # read from the view windows[t, s] = zz[t, s:s + N] of zz = [z, z]
+        zz = np.concatenate([z, z], axis=1)
+        shape, step = (len(z), self.n + 1, self.n), zz.itemsize
+        windows = np.ndarray(shape, zz.dtype, zz, 0, (zz.strides[0], step, step))
+        coeffs = np.fft.rfft(z.take(rows, axis=0) * windows[rows, shift], axis=-1)
+        err = half - (coeffs.real**2 + coeffs.imag**2)
+        # einsum sums each column on its own, in the same order in any stack
+        f = 0.5 * np.bincount(rows, count * np.einsum("ck,ck,k->c", err, err, self.weight), len(z))
+        err *= count[:, None]
+        state = err * coeffs
+        if out is not None:
+            out[cols] = state
+        return f, state
+
+    def gradient(self, z, data, state):
+        # d/dz_p of |DFT(z * z[. + s])|^2 reaches z_p directly and, through
+        # the shifted factor, z_(p + s); bincount adds both into each trial
+        back = np.fft.irfft(state, self.n, axis=-1)
+        size = z.size
+        g = np.bincount(data.own.ravel(), (z.take(data.fwd) * back).ravel(), size)
+        g += np.bincount(data.fwd.ravel(), (z.take(data.own) * back).ravel(), size)
+        return (-2.0 * self.n) * g.reshape(z.shape)
+
+    def norm2(self, g):
+        return np.add.reduce(g * g, axis=1)
+
+    def keep(self, data, state, mask):
+        cols, rows = data.columns_of(np.flatnonzero(mask))
+        kept = _Columns(
+            self.n, rows, data.shift.take(cols), data.count.take(cols), data.half.take(cols, axis=0)
+        )
+        return kept, state.take(cols, axis=0)
 
 
 def _check_dims(z: Signal, trace: FrogTrace, l: int):
@@ -110,44 +225,46 @@ def ls_objective(z: Signal, trace: FrogTrace, l: int) -> float:
     """Half the squared Frobenius mismatch between the trace of z and the
     measured trace."""
     _check_dims(z, trace, l)
-    f, _, _ = _workspace_for(trace).evaluate(z.values[None], trace.data[None])
+    f, _ = _Workspace(trace.n, l).evaluate(z.values[None], trace.data[None])
     return float(f[0])
 
 
 def ls_gradient(z: Signal, trace: FrogTrace, l: int) -> Signal:
     """Analytic gradient of the objective, as df/dRe + i*df/dIm."""
     _check_dims(z, trace, l)
-    ws = _workspace_for(trace)
-    _, err, coeffs = ws.evaluate(z.values[None], trace.data[None])
-    return Signal(ws.gradient(z.values[None], err, coeffs)[0])
+    ws = _Workspace(trace.n, l)
+    _, state = ws.evaluate(z.values[None], trace.data[None])
+    return Signal(ws.gradient(z.values[None], None, state)[0])
 
 
-def _descend(ws: _Workspace, z0: np.ndarray, data: np.ndarray, opts: LsOptions, on_iterate=None):
+def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
     """Armijo descent of a stack of trials, each exactly as if run alone.
 
-    ``z0`` is (T, N) and ``data`` (T, N, r).  Every trial keeps its own step
-    and its own stop test; a trial that stops leaves the stack.  Returns the
-    final iterates, objectives and iteration counts, in input order.
+    ``ws`` is a descent kernel, ``z0`` (T, N) and ``data`` the kernel's data
+    for the stack.  Every trial keeps its own step and its own stop test; a
+    trial that stops leaves the stack.  Returns the final iterates,
+    objectives and iteration counts, in input order.
     ``on_iterate(trial, iteration, objective)`` is called after each
     accepted step.
     """
-    z = np.array(z0, dtype=np.complex128)
-    f, err, coeffs = ws.evaluate(z, data)
+    z = np.array(z0, dtype=ws.dtype)
+    f, state = ws.evaluate(z, data)
     step = np.full(len(z), float(opts.step0))
     iters = np.zeros(len(z), dtype=np.int64)
     out_z, out_f, out_iters = np.empty_like(z), np.empty_like(f), np.empty_like(iters)
     live = np.arange(len(z))
     while live.size:
-        g = ws.gradient(z, err, coeffs)
-        gnorm2 = np.array([np.vdot(row, row).real for row in g])
+        g = ws.gradient(z, data, state)
+        gnorm2 = ws.norm2(g)
         moving = ~(np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + np.abs(f)))
         # Backtrack from a step that grew after the last success; the first
         # round tries every live trial, later rounds only those still pending.
         # ``t`` is the step array itself: a trial that finds no step stops, so
-        # its entry no longer matters.
+        # its entry no longer matters.  A pending trial's state is written
+        # whether or not its step is accepted: it is read only if it is.
         t = step
         z_new = z - t[:, None] * g
-        f_new, err_new, coeffs_new = ws.evaluate(z_new, data)
+        f_new, state_new = ws.evaluate(z_new, data)
         trying = moving & (t > _MIN_STEP)
         accepted = trying & (f_new <= f - opts.decrease * t * gnorm2)
         pending = np.flatnonzero(trying & ~accepted)
@@ -157,18 +274,17 @@ def _descend(ws: _Workspace, z0: np.ndarray, data: np.ndarray, opts: LsOptions, 
             if not pending.size:
                 break
             z_try = z[pending] - t[pending, None] * g[pending]
-            f_try, err_try, coeffs_try = ws.evaluate(z_try, data[pending])
+            f_try, _ = ws.evaluate(z_try, data, pending, state_new)
             ok = f_try <= f[pending] - opts.decrease * t[pending] * gnorm2[pending]
             won = pending[ok]
             z_new[won], f_new[won] = z_try[ok], f_try[ok]
-            err_new[won], coeffs_new[won] = err_try[ok], coeffs_try[ok]
             accepted[won] = True
             pending = pending[~ok]
 
         stop = ~accepted
         if stop.any():  # no step found: keep the iterate
             z_new[stop], f_new[stop] = z[stop], f[stop]
-        z, f, err, coeffs = z_new, f_new, err_new, coeffs_new
+        z, f, state = z_new, f_new, state_new
         step = t / opts.shrink  # allow the next step to be larger
         iters += accepted
         if on_iterate is not None:
@@ -178,8 +294,8 @@ def _descend(ws: _Workspace, z0: np.ndarray, data: np.ndarray, opts: LsOptions, 
         if stop.any():
             done, keep = live[stop], ~stop
             out_z[done], out_f[done], out_iters[done] = z[stop], f[stop], iters[stop]
-            live, z, f, err, coeffs = live[keep], z[keep], f[keep], err[keep], coeffs[keep]
-            step, iters, data = step[keep], iters[keep], data[keep]
+            data, state = ws.keep(data, state, keep)
+            live, z, f, step, iters = live[keep], z[keep], f[keep], step[keep], iters[keep]
     return out_z, out_f, out_iters
 
 
@@ -200,7 +316,7 @@ def ls_minimize(
     _check_dims(z0, trace, l)
     report = None if on_iterate is None else (lambda _, i, f: on_iterate(i, f))
     z, f, iters = _descend(
-        _workspace_for(trace), z0.values[None], trace.data[None], opts, report
+        _Workspace(trace.n, l), z0.values[None], trace.data[None], opts, report
     )
     return Signal(z[0]), float(f[0]), int(iters[0])
 
@@ -228,31 +344,43 @@ def basin_experiment(
     times a random sign vector, descends, and scores success by the group
     distance threshold of 1e-6.  Every trial derives its own RNG stream from
     (seed, sigma index, L index, trial index), so the grid is reproducible
-    and independent of how trials are batched.  All trials of one L descend
-    together as one stack (split only to bound memory).
+    and independent of how trials are batched.  The whole grid, every L and
+    sigma, descends together as one real stack (split only to bound memory).
     """
     l_values = [int(l) for l in l_values]
     sigma_values = [float(s) for s in sigma_values]
     if n < 1 or trials < 1:
         raise InvalidParametersError(f"need N >= 1 and trials >= 1 (got N={n}, trials={trials})")
+    if not l_values or not sigma_values:
+        raise InvalidParametersError("need at least one L and one sigma")
+    if not all(np.isfinite(sigma_values)):
+        raise InvalidParametersError(f"sigma values must be finite (got {sigma_values})")
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
     for l in l_values:
         if l < 1 or n % l != 0:
             raise InvalidParametersError(f"step L={l} must divide N={n}")
 
+    ws = _RealWorkspace(n)
     wins = np.zeros((len(sigma_values), len(l_values)))
-    runs = [(i, t) for i in range(len(sigma_values)) for t in range(trials)]
-    for j, l in enumerate(l_values):
-        ws = _Workspace(n, l)
-        batch = max(1, _BATCH_ENTRIES // (n * (n // l)))
-        for first in range(0, len(runs), batch):
-            chunk = runs[first:first + batch]
-            draws = [_draw_trial(n, sigma_values[i], (seed, i, j, t)) for i, t in chunk]
-            data = np.array([frog_trace(Signal(x), l).data for x, _ in draws])
-            z0 = np.array([start for _, start in draws], dtype=complex)
-            z_fin, _, _ = _descend(ws, z0, data, opts)
-            for (i, _), (x, _), z in zip(chunk, draws, z_fin):
-                dist, _ = dist_mod_group(dft(Signal(z)), dft(Signal(x)))
-                wins[i, j] += dist <= SUCCESS_DISTANCE
+    runs = [
+        (i, j, t)
+        for j in range(len(l_values))
+        for i in range(len(sigma_values))
+        for t in range(trials)
+    ]
+    # batch b holds the runs whose first trace entry falls in [b, b + 1) * _BATCH_ENTRIES
+    entries = np.array([n * (n // l_values[j]) for _, j, _ in runs])
+    batch_of = (np.cumsum(entries) - entries) // _BATCH_ENTRIES
+    for _, batch in groupby(zip(batch_of, runs), key=lambda pair: pair[0]):
+        chunk = [run for _, run in batch]
+        draws = [_draw_trial(n, sigma_values[i], (seed, i, j, t)) for i, j, t in chunk]
+        steps = [l_values[j] for _, j, _ in chunk]
+        data = ws.stack(steps, [frog_trace(Signal(x), l).data for (x, _), l in zip(draws, steps)])
+        z_fin, _, _ = _descend(ws, np.array([start for _, start in draws]), data, opts)
+        for (i, j, _), (x, _), z in zip(chunk, draws, z_fin):
+            dist, _ = dist_mod_group(dft(Signal(z)), dft(Signal(x)))
+            wins[i, j] += dist <= SUCCESS_DISTANCE
 
     return BasinGrid(
         sigma_values=np.array(sigma_values),

@@ -258,3 +258,33 @@ def test_malformed_trace_csv_is_usage_error(tmp_path):
         res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 1, "--out", tmp_path / "r.json")
         assert_usage_error(res)
     assert res.stderr.strip() == "error: empty trace CSV"
+
+
+def test_negative_seed_is_usage_error(tmp_path):
+    sig = tmp_path / "s.json"
+    res = run_cli("synthesize", "--n", 16, "--b", 4, "--seed", -3, "--out", sig)
+    assert_usage_error(res)
+    assert "seed" in res.stderr and not sig.exists()
+    assert run_cli("synthesize", "--n", 16, "--b", 4, "--seed", 3, "--out", sig).returncode == 0
+    res = run_cli("verify", "--signal", sig, "--l", 4, "--b", 4, "--seed", -3)
+    assert_usage_error(res)
+    assert "seed" in res.stderr
+    out = tmp_path / "g.csv"
+    res = run_cli("experiment", "--n", 8, "--l-list", "1", "--trials", 1, "--seed", -3, "--out", out)
+    assert_usage_error(res)
+    assert "seed" in res.stderr and not out.exists()
+
+
+def test_experiment_bad_grid_is_usage_error(tmp_path):
+    out = tmp_path / "g.csv"
+    for option, value in [
+        ("--sigma-list", "0,nan"),
+        ("--sigma-list", "inf"),
+        ("--sigma-list", "-inf,0.5"),
+        ("--sigma-list", ""),
+        ("--l-list", ""),
+    ]:
+        res = run_cli("experiment", "--n", 8, f"{option}={value}", "--trials", 1, "--out", out)
+        assert_usage_error(res)
+        assert "RuntimeWarning" not in res.stderr
+        assert not out.exists()

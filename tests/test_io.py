@@ -12,6 +12,7 @@ from frogkit import (
     FrogTrace,
     InvalidParametersError,
     RecoverySettings,
+    Signal,
     frog_trace,
     idft,
     recover,
@@ -132,6 +133,40 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path, trace):
     io.write_trace(path, trace)
     _reference_write_trace(ref, trace)
     assert path.read_bytes() == ref.read_bytes()
+
+
+# every finite float, with signed zeros, subnormals and the extremes drawn often
+_FINITE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, sys.float_info.max, -sys.float_info.max]),
+)
+
+
+def _finite_vectors(size=st.integers(1, 12)):
+    return size.flatmap(lambda n: hnp.arrays(np.float64, n, elements=_FINITE_VALUES))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@_TRACE_SETTINGS
+@given(parts=st.integers(1, 12).flatmap(lambda n: st.tuples(*[_finite_vectors(st.just(n))] * 2)))
+def test_signal_json_round_trip_is_bitwise_exact(tmp_path, parts):
+    values = np.empty(len(parts[0]), dtype=np.complex128)
+    values.real, values.imag = parts
+    path = tmp_path / "s.json"
+    io.write_signal(path, Signal(values))
+    assert _same_bits(io.read_signal(path).values, values)
+
+
+@_TRACE_SETTINGS
+@given(values=_finite_vectors())
+def test_power_spectrum_round_trip_is_bitwise_exact(tmp_path, values):
+    path = tmp_path / "ps.json"
+    io.write_power_spectrum(path, values)
+    assert _same_bits(io.read_power_spectrum(path), values)
 
 
 def test_power_spectrum_round_trip(rng, tmp_path):

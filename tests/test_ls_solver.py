@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogkit import (
     AmbiguityElement,
@@ -279,6 +281,88 @@ def test_minimize_reports_every_accepted_step(rng):
     assert seen[-1][1] == f
 
 
+@st.composite
+def _real_stacks(draw):
+    """Real trials at one N, odd or even, each with its own step L."""
+    n = draw(st.sampled_from([1, 2, 5, 6, 7, 9, 12, 15, 16]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    steps = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    traces = [frog_trace(Signal(rng.standard_normal(n)), l) for l in steps]
+    sub = draw(st.lists(st.sampled_from(range(len(steps))), unique=True).map(sorted))
+    return n, steps, traces, rng.standard_normal((len(steps), n)), np.array(sub, dtype=int)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_real_stacks())
+def test_real_stack_matches_complex_objective_and_gradient(stack):
+    n, steps, traces, z, sub = stack
+    ws = ls_solver._RealWorkspace(n)
+    data = ws.stack(steps, [tr.data for tr in traces])
+    f, state = ws.evaluate(z, data)
+    g = ws.gradient(z, data, state)
+    for k, (l, trace) in enumerate(zip(steps, traces)):
+        f_ref = ls_objective(Signal(z[k]), trace, l)
+        g_ref = ls_gradient(Signal(z[k]), trace, l).values
+        assert abs(f[k] - f_ref) <= 1e-12 * f_ref
+        assert np.max(np.abs(g[k] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    # a subset of the stack, as backtracking evaluates it, gives the same bits
+    # and writes its state where the full evaluation keeps it
+    out = np.zeros_like(state)
+    f_sub, _ = ws.evaluate(z[sub], data, sub, out)
+    assert np.array_equal(f_sub, f[sub])
+    picked = np.isin(data.rows, sub)
+    assert np.array_equal(out[picked], state[picked])
+    assert not out[~picked].any()
+
+
+def _stop_reason(n, l, trace, z, f, iters, opts):
+    """Why a real descent that ended at z stopped."""
+    ws = ls_solver._RealWorkspace(n)
+    data = ws.stack([l], [trace.data])
+    _, state = ws.evaluate(z[None], data)
+    g = ws.gradient(z[None], data, state)
+    if np.sqrt(ws.norm2(g)[0]) <= opts.grad_tol * (1.0 + abs(f)):
+        return "at truth" if iters == 0 else "grad_tol"
+    return "max_iters" if iters == opts.max_iters else "step underflow"
+
+
+def _assert_real_stack_matches_alone(n, runs, seed, opts):
+    """Descend real trials (L, sigma, start scale) as one stack and each
+    alone; return why each trial stopped."""
+    starts, traces = [], []
+    for k, (l, sigma, scale) in enumerate(runs):
+        x, z0 = ls_solver._draw_trial(n, sigma, (seed, k))
+        starts.append(scale * z0)
+        traces.append(frog_trace(Signal(x), l))
+    ws = ls_solver._RealWorkspace(n)
+    data = ws.stack([l for l, _, _ in runs], [tr.data for tr in traces])
+    z, f, iters = ls_solver._descend(ws, np.array(starts), data, opts)
+    reasons = []
+    for k, ((l, _, _), trace) in enumerate(zip(runs, traces)):
+        z_one, f_one, iters_one = ls_solver._descend(
+            ws, starts[k][None], ws.stack([l], [trace.data]), opts
+        )
+        assert np.array_equal(z[k], z_one[0])
+        assert f[k] == f_one[0]
+        assert iters[k] == iters_one[0]
+        reasons.append(_stop_reason(n, l, trace, z[k], f[k], iters[k], opts))
+    return reasons
+
+
+def test_real_stack_trials_match_trials_run_alone():
+    runs = [(1, 0.0, 1.0), (2, 0.02, 1.0), (4, 0.3, 1.0), (12, 0.5, 1.0), (3, 1.0, 1.0),
+            (6, 0.0, 1.0), (1, 2.0, 1.0), (2, 0.5, 1.0), (4, 0.01, 1.0), (3, 0.25, 1.0)]
+    # a loose tolerance, so that some trials stop on it before the cap
+    reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300, grad_tol=0.5))
+    assert {"at truth", "grad_tol", "max_iters"} <= set(reasons)
+    # a start scaled by 1e4 finds no step that decreases the objective
+    runs[4] = (3, 1.0, 1e4)
+    reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300))
+    assert reasons[4] == "step underflow"
+    assert {"at truth", "max_iters"} <= set(reasons)
+
+
 def test_basin_rejects_empty_trials_and_signals():
     with pytest.raises(InvalidParametersError):
         basin_experiment(12, [1], [0.0], trials=0, seed=0)
@@ -289,3 +373,17 @@ def test_basin_rejects_empty_trials_and_signals():
 def test_basin_rejects_bad_step():
     with pytest.raises(InvalidParametersError):
         basin_experiment(12, [5], [0.0], trials=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "l_values, sigma_values",
+    [([], [0.0]), ([1], []), ([1, 2], [0.0, np.nan]), ([1], [np.inf]), ([2], [-np.inf, 0.1])],
+)
+def test_basin_rejects_empty_or_nonfinite_grid(l_values, sigma_values):
+    with pytest.raises(InvalidParametersError):
+        basin_experiment(12, l_values, sigma_values, trials=1, seed=0)
+
+
+def test_basin_rejects_negative_seed():
+    with pytest.raises(InvalidParametersError, match="seed"):
+        basin_experiment(12, [1], [0.0], trials=1, seed=-3)
