@@ -81,13 +81,13 @@ def trace_invariant(
     g: AmbiguityElement,
     l: int,
     band: BandlimitSpec | None = None,
-    rel_tol: float = 1e-9,
 ) -> bool:
-    """True iff applying ``g`` leaves the trace unchanged entrywise."""
+    """True iff applying ``g`` leaves the trace unchanged entrywise, to
+    1e-9 of its largest entry."""
     t0 = frog_trace(idft(xhat), l).data
     t1 = frog_trace(idft(apply(g, xhat, band)), l).data
     scale = max(float(np.max(t0)), 1e-300)
-    return bool(np.max(np.abs(t0 - t1)) <= rel_tol * scale)
+    return bool(np.max(np.abs(t0 - t1)) <= 1e-9 * scale)
 
 
 def _best_rotation_residual(u: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -55,9 +55,10 @@ class CircleSystem:
     def offsets(self) -> np.ndarray:
         return -self.centers
 
-    def residual_at(self, z: complex) -> float:
-        pairs = zip(self.centers.tolist(), self.radii.tolist())
-        return max(abs(abs(z - c) - r) for c, r in pairs)
+
+def _max_circle_error(z: complex, pairs) -> float:
+    """Largest ``| |z - center| - radius |`` over (center, radius) pairs."""
+    return max(abs(abs(z - c) - r) for c, r in pairs)
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,12 @@ def default_tolerance(radii) -> float:
     return 1e-8 * (1.0 + float(np.max(radii)))
 
 
-def ratio_is_nonreal(v: np.ndarray, p: int, q: int, eps: float | None = None) -> bool:
-    """True iff (v[0]-v[p])/(v[0]-v[q]) has imaginary part above ``eps``.
+def ratio_is_nonreal(v: np.ndarray, p: int, q: int) -> bool:
+    """True iff (v[0]-v[p])/(v[0]-v[q]) has imaginary part above
+    ``1e-10 * (1 + |ratio|)``.
 
     Equivalent to the three points being non-collinear, which is what makes
-    the difference equations full rank.  Default eps scales with the ratio.
+    the difference equations full rank.
     """
     v = np.asarray(v, dtype=np.complex128)
     dp = v[0] - v[p]
@@ -98,9 +100,7 @@ def ratio_is_nonreal(v: np.ndarray, p: int, q: int, eps: float | None = None) ->
     ):
         raise DegenerateSystemError("coincident offsets: ratio undefined")
     ratio = dp / dq
-    if eps is None:
-        eps = 1e-10 * (1.0 + abs(ratio))
-    return bool(abs(ratio.imag) > eps)
+    return bool(abs(ratio.imag) > 1e-10 * (1.0 + abs(ratio)))
 
 
 def _difference_rows(v: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,21 +141,17 @@ def _least_squares_2(rows, rhs) -> tuple[float, float]:
     return num1 / det, num2 / det
 
 
-def _refine_candidate(z: complex, centers: np.ndarray, radii: np.ndarray) -> complex:
-    """Iterative refinement of a candidate by Gauss-Newton on the per-circle
-    distance errors; keeps the best point seen.
+def _refine_candidate(z: complex, pairs: list) -> tuple[complex, float]:
+    """Iterative refinement of a candidate by Gauss-Newton on the distance
+    errors to the (center, radius) ``pairs``; returns the best point seen
+    and its residual.
 
     For consistent systems this polishes the linear-reduction answer to the
     exact intersection; for inconsistent ones it brings the reported
     residual down to the local infeasibility level instead of whatever the
     radical-center point happens to give.
     """
-    pairs = list(zip(centers.tolist(), radii.tolist()))
-
-    def residual(z: complex) -> float:
-        return max(abs(abs(z - c) - r) for c, r in pairs)
-
-    best, best_res = z, residual(z)
+    best, best_res = z, _max_circle_error(z, pairs)
     for _ in range(12):
         d = [(z - c, abs(z - c), r) for c, r in pairs]
         if min(dist for _, dist, _ in d) < 1e-300:  # on a center: direction undefined
@@ -165,12 +161,12 @@ def _refine_candidate(z: complex, centers: np.ndarray, radii: np.ndarray) -> com
             [r - dist for _, dist, r in d],
         )
         z = z + complex(dx, dy)
-        res = residual(z)
+        res = _max_circle_error(z, pairs)
         if res < best_res:
             best, best_res = z, res
         if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
             break
-    return best
+    return best, best_res
 
 
 def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution:
@@ -201,10 +197,8 @@ def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution
         )
 
     mat, rhs = _difference_rows(v, radii)
-    z = _refine_candidate(
-        complex(*_least_squares_2(mat.tolist(), rhs.tolist())), sys.centers, radii
-    )
-    residual = sys.residual_at(z)
+    z0 = complex(*_least_squares_2(mat.tolist(), rhs.tolist()))
+    z, residual = _refine_candidate(z0, list(zip(sys.centers.tolist(), radii.tolist())))
     if residual <= tol:
         return CircleSolution("unique", z, None, residual)
     return CircleSolution("none", z, None, residual)
@@ -219,6 +213,7 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
     """
     v = sys.offsets.tolist()
     radii = sys.radii.tolist()
+    pairs = list(zip(sys.centers.tolist(), radii))
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
@@ -235,10 +230,10 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:
         z = complex(a, 0.0)
-        return CircleSolution("none", z, None, sys.residual_at(z))
+        return CircleSolution("none", z, None, _max_circle_error(z, pairs))
     b = math.sqrt(max(b_sq, 0.0))
     z = complex(a, b)
-    return CircleSolution("pair", z, complex(a, -b), sys.residual_at(z))
+    return CircleSolution("pair", z, complex(a, -b), _max_circle_error(z, pairs))
 
 
 def solve_collinear(

@@ -30,11 +30,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _synthesize(args) -> int:
+    band = BandlimitSpec(args.b, args.start)
     if args.b > args.n // 2:
         raise InvalidParametersError(f"need b <= N/2 (b={args.b}, N={args.n})")
     rng = _rng(args.seed)
     values = np.zeros(args.n, dtype=complex)
-    band = BandlimitSpec(args.b, args.start)
     idx = band.indices(args.n)
     values[idx] = rng.standard_normal(args.b) + 1j * rng.standard_normal(args.b)
     io.write_signal(args.out, idft(Spectrum(values)))
@@ -50,6 +50,8 @@ def _trace(args) -> int:
 
 
 def _recover(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InvalidParametersError(f"--tol must be finite and positive (got {args.tol})")
     trace = io.read_trace(args.trace, args.l)
     band = BandlimitSpec(args.b, args.start)
     if args.mode == "recursive":
@@ -98,6 +100,8 @@ def _verify(args) -> int:
     signal = io.read_signal(args.signal)
     xhat = dft(signal)
     n = xhat.n
+    if n < 2:
+        raise InvalidParametersError(f"verify needs a signal of N >= 2 samples (got N={n})")
     rng = _rng(args.seed)
     psi = float(rng.uniform(0, 2 * np.pi))
     ell = int(rng.integers(1, n))
@@ -195,7 +199,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow is an outcome here (a failed descent, a trace that is not
+        # finite), reported by the exit code and its one line, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (InvalidParametersError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -336,16 +336,16 @@ def basin_experiment(
     sigma_values,
     trials: int,
     seed: int,
-    opts: LsOptions = LsOptions(),
 ) -> BasinGrid:
     """Empirical success-rate grid of the descent under sign perturbations.
 
     Each trial draws a real standard-normal signal, perturbs it by sigma
-    times a random sign vector, descends, and scores success by the group
-    distance threshold of 1e-6.  Every trial derives its own RNG stream from
-    (seed, sigma index, L index, trial index), so the grid is reproducible
-    and independent of how trials are batched.  The whole grid, every L and
-    sigma, descends together as one real stack (split only to bound memory).
+    times a random sign vector, descends with the default ``LsOptions``, and
+    scores success by the group distance threshold of 1e-6.  Every trial
+    derives its own RNG stream from (seed, sigma index, L index, trial
+    index), so the grid is reproducible and independent of how trials are
+    batched.  The whole grid, every L and sigma, descends together as one
+    real stack (split only to bound memory).
     """
     l_values = [int(l) for l in l_values]
     sigma_values = [float(s) for s in sigma_values]
@@ -377,7 +377,7 @@ def basin_experiment(
         draws = [_draw_trial(n, sigma_values[i], (seed, i, j, t)) for i, j, t in chunk]
         steps = [l_values[j] for _, j, _ in chunk]
         data = ws.stack(steps, [frog_trace(Signal(x), l).data for (x, _), l in zip(draws, steps)])
-        z_fin, _, _ = _descend(ws, np.array([start for _, start in draws]), data, opts)
+        z_fin, _, _ = _descend(ws, np.array([start for _, start in draws]), data, LsOptions())
         for (i, j, _), (x, _), z in zip(chunk, draws, z_fin):
             dist, _ = dist_mod_group(dft(Signal(z)), dft(Signal(x)))
             wins[i, j] += dist <= SUCCESS_DISTANCE

@@ -56,7 +56,7 @@ from .errors import (
 )
 from .signal_model import BandlimitSpec, FrogTrace, Spectrum
 
-_BRANCH_RATIO = 1e2  # required residual separation between fork candidates
+_BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
 _FAIL_FACTOR = 1e3  # best branch above consistency_tol * this => inconsistent
 
 
@@ -69,38 +69,39 @@ class RecoverySettings:
     pruning is comparative (a candidate survives while within a factor 100
     of the best one, or under the tolerance outright), because residuals of
     the true branch degrade continuously as a signal approaches the
-    non-generic set.  ``ratio_eps`` of None means the adaptive default of
-    the ratio test.
+    non-generic set.
     """
 
     r: int
     use_power_spectrum: bool = False
     consistency_tol: float = 1e-7
-    ratio_eps: float | None = None
-    max_equations_per_step: int = 3
 
     def __post_init__(self):
         if self.r < 3 or (self.r == 3 and not self.use_power_spectrum):
             raise InvalidParametersError(
                 "need r >= 4, or r = 3 together with the power spectrum"
             )
-        if self.max_equations_per_step < 2:
-            raise InvalidParametersError("max_equations_per_step must be >= 2")
-        if self.consistency_tol <= 0:
-            raise InvalidParametersError("consistency_tol must be positive")
+        if not (math.isfinite(self.consistency_tol) and self.consistency_tol > 0):
+            raise InvalidParametersError("consistency_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of a recovery run.  Residuals are relative (see settings).
+    """Outcome of a recovery run.  Residuals are relative, and one
+    tolerance bounds two scales: a step residual is divided by 1 + the
+    largest radius of its row's system, the tail residual by 1 + the largest
+    measured N*sqrt(trace) of its three columns.
 
     ``x3_branch`` names the surviving candidate of the entry-3 fork ("first"
-    has the nonnegative imaginary part in the rotated frame); None when the
-    band is too short for a fork or the pair collapsed.
-    ``x3_branch_residuals`` holds both candidates' residuals at the row that
-    separated them.  ``equations_used`` maps band-relative row index to the
-    trace columns read for it.  ``success``: every step residual and the
-    worst consistency row past the band (``tail_residual``) within tolerance.
+    has the nonnegative imaginary part in the rotated frame, and is also the
+    name when the pair collapsed to one point); None when the band is too
+    short for a fork.  ``x3_branch_residuals`` holds each candidate's
+    smallest residual at the row that separated them (inf for a candidate
+    whose branches all raised there); None without a fork or if the pair
+    collapsed.
+    ``equations_used`` maps band-relative row index to the trace columns
+    read for it.  ``success``: every step residual and the worst
+    consistency row past the band (``tail_residual``) within tolerance.
     """
 
     spectrum: Spectrum
@@ -184,7 +185,7 @@ def _row_offsets(prefix, k: int, r: int):
     return offset
 
 
-def select_equations(k, r, centers_fn, ratio_eps: float | None = None):
+def select_equations(k, r, centers_fn):
     """Pick three trace columns for row k whose offsets are not collinear.
 
     Prefers (0, 1, 2); otherwise scans combinations of usable columns in
@@ -196,7 +197,7 @@ def select_equations(k, r, centers_fn, ratio_eps: float | None = None):
     for combo in itertools.combinations(_columns(k % r, r), 3):
         v = [centers_fn(m) for m in combo]
         try:
-            if ratio_is_nonreal(v, 1, 2, eps=ratio_eps):
+            if ratio_is_nonreal(v, 1, 2):
                 return tuple(combo)
         except DegenerateSystemError:
             continue
@@ -261,9 +262,9 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
 
     cols = _columns(k % r, r)
     if k in (2, 3):
-        ms = cols[: settings.max_equations_per_step]
+        ms = cols[:3]
     elif len(cols) >= 3:
-        ms = select_equations(k, r, center, settings.ratio_eps)
+        ms = select_equations(k, r, center)
     else:
         ms = cols
     offsets = [center(m) for m in ms]
@@ -308,6 +309,8 @@ def _tail_residual(branch, k, n, r, reader, b):
     coeffs = branch.coeffs
     lo, hi = max(0, k - b + 1), min(b - 1, k)
     q = [coeffs[j] * coeffs[k - j] for j in range(lo, hi + 1)]
+    # the sum's phases may start at any j: a different start multiplies the
+    # sum by a unit factor w^(shift*m), which abs() removes
     ms = _columns(None, r)[:3]
     worst = 0.0
     scale = 1.0
@@ -342,8 +345,8 @@ def recover(
         power_spectrum = np.asarray(power_spectrum, dtype=np.float64)
         if power_spectrum.shape != (n,):
             raise InvalidParametersError("power spectrum must have length N")
-    elif r == 3:
-        raise InvalidParametersError("r = 3 recovery needs the power spectrum")
+        if not np.all(np.isfinite(power_spectrum) & (power_spectrum >= 0)):
+            raise InvalidParametersError("power spectrum entries must be finite and nonnegative")
     if r == 3:
         # the two shift columns are reflections of each other and must agree
         gap = float(np.max(np.abs(trace.data[:, 1] - trace.data[:, 2])))
@@ -382,31 +385,30 @@ def recover(
         branches = [branches[0].extended(x1, 0.0, 1, (0,))]
 
     tol = settings.consistency_tol
-    fork_events: list[tuple[int, dict[int, float]]] = []
+    x3_pair = None
 
-    def prune(children, row, dead_choices=None):
+    def prune(children, row, raised=()):
         """Keep candidates within the tolerance or within a factor 100 of
-        the best one; log the entry-3 fork-resolution event."""
-        by_choice: dict[int, float] = dict(dead_choices or {})
-        for child in children:
-            if child.x3_choice is not None:
-                res = child.residuals[-1]
-                by_choice[child.x3_choice] = min(
-                    by_choice.get(child.x3_choice, np.inf), res
-                )
+        the best one.  At the row where the kept ones stop holding both
+        entry-3 sides, record each side's smallest residual (inf for a side
+        whose branches all raised)."""
+        nonlocal x3_pair
         best = min(c.residuals[-1] for c in children)
         if best > _FAIL_FACTOR * tol:
             raise InconsistentTraceError(f"no branch fits the trace at row {row}", step=row)
         keep = max(tol, _BRANCH_RATIO * best)
         live = [c for c in children if c.residuals[-1] <= keep]
-        choices_out = {c.x3_choice for c in live} - {None}
-        if len(by_choice) == 2 and len(choices_out) == 1:
-            fork_events.append((row, by_choice))
+        sides = dict.fromkeys(raised, np.inf)
+        for c in children:
+            if c.x3_choice is not None:
+                sides[c.x3_choice] = min(sides.get(c.x3_choice, np.inf), c.residuals[-1])
+        if len(sides) == 2 and len({c.x3_choice for c in live}) == 1:
+            x3_pair = (sides[0], sides[1])
         return live
 
     for k in range(2, b):
         children: list[_Branch] = []
-        dead: dict[int, float] = {}
+        raised: set[int] = set()
         errors: list[Exception] = []
         for br in branches:
             try:
@@ -417,7 +419,7 @@ def recover(
                 UnderdeterminedSystemError,
             ) as exc:
                 if br.x3_choice is not None:
-                    dead[br.x3_choice] = np.inf
+                    raised.add(br.x3_choice)
                 errors.append(exc)
         if not children:
             if errors and all(isinstance(e, EquationSelectionError) for e in errors):
@@ -425,7 +427,7 @@ def recover(
             raise InconsistentTraceError(
                 f"every branch degenerated at row {k}", step=k
             ) from (errors[0] if errors else None)
-        branches = prune(children, k, dead)
+        branches = prune(children, k, raised)
 
     for k in range(b, 2 * b - 1):
         checked = []
@@ -433,52 +435,29 @@ def recover(
             res, ms = _tail_residual(br, k, n, r, reader, b)
             checked.append(br.checked(res, k, ms))
         branches = prune(checked, k)
-    tail_worst = 0.0
-    if branches and len(branches[0].residuals) > b:
-        tail_worst = max(max(br.residuals[b:]) for br in branches)
 
-    # fork accounting: residual separation between the entry-3 candidates
-    x3_branch = None
-    x3_pair = None
-    survivor_choices = {br.x3_choice for br in branches} - {None}
-    if b >= 4:
-        if len(survivor_choices) > 1:
-            raise AmbiguousBranchError(
-                "both entry-3 candidates remain consistent with the trace"
-            )
-        if fork_events:
-            row, by_choice = fork_events[-1]
-            winner = next(iter(survivor_choices), None)
-            if winner is None:
-                winner = min(by_choice, key=by_choice.get)
-            loser = 1 - winner
-            if by_choice[loser] < _BRANCH_RATIO * max(by_choice[winner], 1e-300):
-                raise AmbiguousBranchError(
-                    f"entry-3 candidates separated by less than {_BRANCH_RATIO:g}x "
-                    f"at row {row} ({by_choice[loser]:.3e} vs {by_choice[winner]:.3e})"
-                )
-            x3_branch = "first" if winner == 0 else "second"
-            x3_pair = (by_choice.get(0, np.inf), by_choice.get(1, np.inf))
-        elif len(survivor_choices) == 1:
-            x3_branch = "first" if next(iter(survivor_choices)) == 0 else "second"
-
+    if len({br.x3_choice for br in branches}) > 1:
+        raise AmbiguousBranchError(
+            "both entry-3 candidates remain consistent with the trace"
+        )
     if len(branches) > 1:
         raise AmbiguousBranchError(
             f"{len(branches)} branches remain consistent with the trace"
         )
 
-    winner_branch = branches[0]
+    winner = branches[0]
     values = np.zeros(n, dtype=np.complex128)
-    values[band.indices(n)] = np.asarray(winner_branch.coeffs, dtype=np.complex128)
-    step_residuals = np.asarray(winner_branch.residuals[:b], dtype=float)
+    values[band.indices(n)] = np.asarray(winner.coeffs, dtype=np.complex128)
+    step_residuals = np.asarray(winner.residuals[:b], dtype=float)
+    tail = max(winner.residuals[b:], default=0.0)
 
     return RecoveryReport(
         spectrum=Spectrum(values),
         step_residuals=step_residuals,
-        x3_branch=x3_branch,
+        x3_branch=None if winner.x3_choice is None else ("first", "second")[winner.x3_choice],
         x3_branch_residuals=x3_pair,
-        equations_used={row: list(ms) for row, ms in winner_branch.equations},
-        success=bool(np.max(step_residuals, initial=0.0) <= tol and tail_worst <= tol),
+        equations_used={row: list(ms) for row, ms in winner.equations},
+        success=bool(np.max(step_residuals, initial=0.0) <= tol and tail <= tol),
         measurement_reads=len(reader.reads),
-        tail_residual=float(tail_worst),
+        tail_residual=float(tail),
     )

@@ -1,11 +1,18 @@
+import contextlib
+import io as stdio
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frogkit import AmbiguityElement, Signal, apply, dft, idft
+from frogkit import AmbiguityElement, Signal, Spectrum, apply, dft, frog_trace, idft
 from frogkit import io
+from frogkit.cli import main
 from conftest import fig2_spectrum
 
 
@@ -288,3 +295,143 @@ def test_experiment_bad_grid_is_usage_error(tmp_path):
         assert_usage_error(res)
         assert "RuntimeWarning" not in res.stderr
         assert not out.exists()
+
+
+def test_bad_power_spectrum_values_are_usage_errors(tmp_path):
+    sig, tr, ps = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "ps.json"
+    assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 5, "--out", tr).returncode == 0
+    for bad in (float("nan"), float("inf"), -1.0):
+        values = np.abs(dft(io.read_signal(sig)).values) ** 2
+        values[4] = bad
+        io.write_power_spectrum(ps, values)
+        res = run_cli(
+            "recover", "--trace", tr, "--l", 5, "--b", 5, "--power-spectrum", ps,
+            "--out", tmp_path / "r.json",
+        )
+        assert_usage_error(res)
+        assert "power spectrum" in res.stderr
+
+
+def test_bad_tol_is_usage_error_in_both_modes(tmp_path):
+    sig, tr, out = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli("synthesize", "--n", 12, "--b", 3, "--seed", 0, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
+    recover = ("recover", "--trace", tr, "--l", 1, "--b", 3, "--out", out)
+    for tol in ("nan", "inf", "-1"):
+        res = run_cli(*recover, f"--tol={tol}")
+        assert_usage_error(res)
+        assert "--tol" in res.stderr
+    for tol in ("nan", "-1"):  # the descent starts at the answer
+        res = run_cli(*recover, "--mode", "ls", "--init", sig, f"--tol={tol}")
+        assert_usage_error(res)
+        assert "--tol" in res.stderr
+
+
+def test_verify_one_sample_signal_is_usage_error(tmp_path):
+    sig = tmp_path / "s.json"
+    io.write_signal(sig, Signal(np.ones(1)))
+    res = run_cli("verify", "--signal", sig, "--l", 1)
+    assert_usage_error(res)
+
+
+def test_synthesize_nonpositive_sizes_are_usage_errors(tmp_path):
+    for n, b in ((-1, -1), (0, 0), (4, 0)):
+        assert_usage_error(run_cli("synthesize", f"--n={n}", f"--b={b}", "--out", tmp_path / "s.json"))
+
+
+# Property: whatever the argv and the input files, the CLI exits 0, 1 or 2
+# with at most one line on stderr, or argparse rejects the argv.
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Valid and malformed input files, and output paths that can or cannot
+    be written."""
+    d = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(12)
+    for n, b in ((1, 1), (2, 1), (12, 3), (15, 5), (16, 4)):
+        values = np.zeros(n, dtype=complex)
+        values[:b] = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+        signal = idft(Spectrum(values))
+        io.write_signal(d / f"sig{n}.json", signal)
+        io.write_power_spectrum(d / f"ps{n}.json", np.abs(values) ** 2)
+        for l in {1, n // 4 or 1, n // 3 or 1}:
+            if n % l == 0:
+                io.write_trace(d / f"trace{n}_l{l}.csv", frog_trace(signal, l))
+    (d / "ps_nan.json").write_text('{"n": 15, "values": %s}' % json.dumps([float("nan")] * 15))
+    (d / "ps_neg.json").write_text('{"n": 16, "values": %s}' % json.dumps([-1.0] * 16))
+    (d / "truncated.json").write_text('{"n": 2, "re": [1, 2')
+    (d / "nan_signal.json").write_text('{"n": 2, "re": [1, NaN], "im": [0, 0]}')
+    (d / "huge_signal.json").write_text('{"n": 4, "re": [1e200, 1, 2, 3], "im": [0, 0, 0, 1e300]}')
+    (d / "zero_signal.json").write_text('{"n": 4, "re": [0, 0, 0, 0], "im": [0, 0, 0, 0]}')
+    (d / "empty.csv").write_text("")
+    (d / "short.csv").write_text("k,m,value\n0,0\n")
+    (d / "negative.csv").write_text("k,m,value\n0,0,-1.0\n")
+    inputs = sorted(str(p) for p in d.iterdir()) + [str(d / "missing.json")]
+    outputs = [str(d / "out"), str(d), str(d / "missing" / "out")]
+    return inputs, outputs
+
+
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e-6", "0.5", "2", "1e300"])
+
+
+@st.composite
+def _argv(draw, inputs, outputs):
+    """One subcommand with its required options and some of its optional ones,
+    each passed as ``--flag=value`` so that values starting with '-' stay
+    values.  Sizes and iteration counts are always given and small, so that
+    no call runs long."""
+
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    path = st.sampled_from(inputs)
+    out = [("--out", draw(st.sampled_from(outputs)))]
+    command = draw(st.sampled_from(["synthesize", "trace", "recover", "experiment", "verify"]))
+    if command == "synthesize":
+        required = [("--n", num(-2, 32)), ("--b", num(-2, 17))] + out
+        optional = [("--start", num(-3, 40)), ("--seed", num(-2, 3))]
+    elif command == "trace":
+        required = [("--signal", draw(path)), ("--l", num(-1, 17))] + out
+        optional = []
+    elif command == "recover":
+        required = [("--trace", draw(path)), ("--l", num(-1, 17)), ("--b", num(-2, 9))]
+        required += [("--max-iters", num(-1, 50))] + out
+        optional = [
+            ("--start", num(-3, 20)),
+            ("--mode", draw(st.sampled_from(["recursive", "ls"]))),
+            ("--power-spectrum", draw(path)),
+            ("--init", draw(path)),
+            ("--tol", draw(_FLOATS)),
+        ]
+    elif command == "experiment":
+        required = [("--n", num(-2, 12)), ("--trials", num(-1, 2))] + out
+        optional = [
+            ("--l-list", ",".join(draw(st.lists(st.integers(-1, 5).map(str), max_size=2)))),
+            ("--sigma-list", ",".join(draw(st.lists(_FLOATS, max_size=2)))),
+            ("--seed", num(-2, 3)),
+        ]
+    else:
+        required = [("--signal", draw(path)), ("--l", num(-1, 17))]
+        optional = [("--b", num(-2, 9)), ("--start", num(-3, 20)), ("--seed", num(-2, 3))]
+    chosen = required + [pair for pair in optional if draw(st.booleans())]
+    return [command] + [f"{flag}={value}" for flag, value in chosen]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_exits_cleanly_on_any_argv_and_input(cli_files, data):
+    argv = data.draw(_argv(*cli_files))
+    err = stdio.StringIO()
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the argv
+                assert exc.code == 2, argv
+                return
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert len(lines) <= 1, (argv, lines)

@@ -51,6 +51,11 @@ class TestSettings:
         with pytest.raises(InvalidParametersError):
             RecoverySettings(r=2, use_power_spectrum=True)
 
+    def test_tolerance_must_be_finite_and_positive(self):
+        for tol in (float("nan"), float("inf"), 0.0, -1e-7):
+            with pytest.raises(InvalidParametersError, match="consistency_tol"):
+                RecoverySettings(r=4, consistency_tol=tol)
+
     def test_band_too_wide_rejected(self, rng):
         xhat, _ = random_band_spectrum(rng, 16, 4)
         with pytest.raises(InvalidParametersError):
@@ -231,6 +236,15 @@ class TestRecover:
         xhat, band = random_band_spectrum(rng, 15, 5)
         with pytest.raises(InvalidParametersError):
             recover(trace_of(xhat, 5), band, RecoverySettings(r=4))
+
+    def test_bad_power_spectrum_values_rejected(self, rng):
+        xhat, band = random_band_spectrum(rng, 15, 5)
+        settings = RecoverySettings(r=3, use_power_spectrum=True)
+        for bad in (np.nan, np.inf, -1.0):
+            power = np.abs(xhat.values) ** 2
+            power[7] = bad  # outside the band: no row reads it
+            with pytest.raises(InvalidParametersError, match="power spectrum"):
+                recover(trace_of(xhat, 5), band, settings, power)
 
     def test_r3_unequal_duplicate_columns_rejected(self, rng):
         from frogkit import FrogTrace
