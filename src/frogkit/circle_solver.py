@@ -1,8 +1,10 @@
 """Phaseless linear systems |z + v_i| = n_i.
 
 Geometrically these are circle-intersection problems in the complex plane:
-equation i is the circle of radius n_i centered at -v_i.  ``CircleSystem``
-stores the geometric centers (-v_i).  Two solver regimes:
+equation i is the circle of radius n_i centered at -v_i.  ``CircleSystem`` is
+the public, validating type for the centers (-v_i); the solvers also take a
+``(centers, radii)`` pair of Python lists, taken as valid, which is how the
+recursion feeds them its Python scalars.  Two solver regimes:
 
 * generic complex centers, at least three equations, some center-difference
   ratio nonreal: the pairwise differences of the squared equations form a
@@ -16,7 +18,9 @@ Both return the achieved residual; callers decide what tolerance means.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -51,14 +55,12 @@ class CircleSystem:
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", n)
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return -self.centers
 
-
-def _max_circle_error(z: complex, pairs) -> float:
-    """Largest ``| |z - center| - radius |`` over (center, radius) pairs."""
-    return max(abs(abs(z - c) - r) for c, r in pairs)
+def _lists(sys) -> tuple[list, list]:
+    """Centers and radii of a ``CircleSystem`` or a ``(centers, radii)`` pair."""
+    if isinstance(sys, CircleSystem):
+        return sys.centers.tolist(), sys.radii.tolist()
+    return sys
 
 
 @dataclass(frozen=True)
@@ -84,23 +86,32 @@ def default_tolerance(radii) -> float:
     return 1e-8 * (1.0 + float(np.max(radii)))
 
 
-def ratio_is_nonreal(v: np.ndarray, p: int, q: int) -> bool:
+def ratio_is_nonreal(v, p: int, q: int) -> bool:
     """True iff (v[0]-v[p])/(v[0]-v[q]) has imaginary part above
     ``1e-10 * (1 + |ratio|)``.
 
     Equivalent to the three points being non-collinear, which is what makes
     the difference equations full rank.
     """
-    v = np.asarray(v, dtype=np.complex128)
     dp = v[0] - v[p]
     dq = v[0] - v[q]
     scale = max(abs(dp), abs(dq))
-    if abs(dp) <= _COINCIDENT_TOL * (1.0 + scale) or abs(dq) <= _COINCIDENT_TOL * (
-        1.0 + scale
-    ):
+    if min(abs(dp), abs(dq)) <= _COINCIDENT_TOL * (1.0 + scale):
         raise DegenerateSystemError("coincident offsets: ratio undefined")
     ratio = dp / dq
     return bool(abs(ratio.imag) > 1e-10 * (1.0 + abs(ratio)))
+
+
+def any_nonreal(v, pairs) -> bool:
+    """True iff ``ratio_is_nonreal(v, p, q)`` for some (p, q) in ``pairs``;
+    coincident offsets count as collinear."""
+    for p, q in pairs:
+        try:
+            if ratio_is_nonreal(v, p, q):
+                return True
+        except DegenerateSystemError:
+            pass
+    return False
 
 
 def _difference_rows(v: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,17 +134,19 @@ def _least_squares_2(rows, rhs) -> tuple[float, float]:
     minimum-norm solution is ``pinv(A) g = A g / tr(A)^2``.
     """
     a11 = a12 = a22 = g1 = g2 = det = num1 = num2 = 0.0
-    for i, ((xi, yi), bi) in enumerate(zip(rows, rhs)):
+    seen = []  # rows j < i, for the minors (j, i)
+    for (xi, yi), bi in zip(rows, rhs):
         a11 += xi * xi
         a12 += xi * yi
         a22 += yi * yi
         g1 += xi * bi
         g2 += yi * bi
-        for (xj, yj), bj in zip(rows[:i], rhs[:i]):
+        for xj, yj, bj in seen:
             minor = xj * yi - xi * yj
             det += minor * minor
             num1 += minor * (bj * yi - bi * yj)
             num2 += minor * (xj * bi - xi * bj)
+        seen.append((xi, yi, bi))
     tr = a11 + a22
     lam1 = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
     if det <= (_EPS * max(len(rhs), 2) * lam1) ** 2:
@@ -141,27 +154,29 @@ def _least_squares_2(rows, rhs) -> tuple[float, float]:
     return num1 / det, num2 / det
 
 
-def _refine_candidate(z: complex, pairs: list) -> tuple[complex, float]:
-    """Iterative refinement of a candidate by Gauss-Newton on the distance
-    errors to the (center, radius) ``pairs``; returns the best point seen
-    and its residual.
+def _refine_candidate(z: complex, centers: list, radii: list) -> tuple[complex, float]:
+    """Gauss-Newton refinement of a candidate on its distance errors to the
+    circles; returns the best point seen and its residual.
 
     For consistent systems this polishes the linear-reduction answer to the
     exact intersection; for inconsistent ones it brings the reported
     residual down to the local infeasibility level instead of whatever the
     radical-center point happens to give.
     """
-    best, best_res = z, _max_circle_error(z, pairs)
+    diffs = [z - c for c in centers]
+    dists = list(map(abs, diffs))
+    best, best_res = z, max(map(abs, map(operator.sub, dists, radii)))
     for _ in range(12):
-        d = [(z - c, abs(z - c), r) for c, r in pairs]
-        if min(dist for _, dist, _ in d) < 1e-300:  # on a center: direction undefined
+        if min(dists) < 1e-300:  # on a center: direction undefined
             break
         dx, dy = _least_squares_2(
-            [(v.real / dist, v.imag / dist) for v, dist, _ in d],
-            [r - dist for _, dist, r in d],
+            [(v.real / dist, v.imag / dist) for v, dist in zip(diffs, dists)],
+            list(map(operator.sub, radii, dists)),
         )
         z = z + complex(dx, dy)
-        res = _max_circle_error(z, pairs)
+        diffs = [z - c for c in centers]
+        dists = list(map(abs, diffs))
+        res = max(map(abs, map(operator.sub, dists, radii)))
         if res < best_res:
             best, best_res = z, res
         if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
@@ -173,32 +188,22 @@ def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution
     """Solve with s >= 3 complex offsets whose difference ratios are not all
     real.  Returns the unique candidate if its residual passes ``tol``,
     otherwise kind "none" (with the residual)."""
-    v = sys.offsets
-    radii = sys.radii
-    if v.size < 3:
+    centers, radii = _lists(sys)
+    v = [-c for c in centers]
+    if len(v) < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
     if tol is None:
         tol = default_tolerance(radii)
 
-    nonreal = False
-    for p in range(1, v.size):
-        for q in range(p + 1, v.size):
-            try:
-                if ratio_is_nonreal(v, p, q):
-                    nonreal = True
-                    break
-            except DegenerateSystemError:
-                continue
-        if nonreal:
-            break
-    if not nonreal:
+    if not any_nonreal(v, itertools.combinations(range(1, len(v)), 2)):
         raise DegenerateSystemError(
             "all offset-difference ratios are real (collinear centers)"
         )
 
-    mat, rhs = _difference_rows(v, radii)
+    # numpy's |v|^2: Python's abs() can differ in the last bit, which the recursion amplifies
+    mat, rhs = _difference_rows(np.array(v), np.array(radii))
     z0 = complex(*_least_squares_2(mat.tolist(), rhs.tolist()))
-    z, residual = _refine_candidate(z0, list(zip(sys.centers.tolist(), radii.tolist())))
+    z, residual = _refine_candidate(z0, centers, radii)
     if residual <= tol:
         return CircleSolution("unique", z, None, residual)
     return CircleSolution("none", z, None, residual)
@@ -211,9 +216,8 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
     the imaginary part from the first circle.  Returns kind "none" when the
     required squared imaginary part is negative beyond ``tol``.
     """
-    v = sys.offsets.tolist()
-    radii = sys.radii.tolist()
-    pairs = list(zip(sys.centers.tolist(), radii))
+    centers, radii = _lists(sys)
+    v = [-c for c in centers]
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
@@ -229,11 +233,12 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
 
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:
-        z = complex(a, 0.0)
-        return CircleSolution("none", z, None, _max_circle_error(z, pairs))
-    b = math.sqrt(max(b_sq, 0.0))
-    z = complex(a, b)
-    return CircleSolution("pair", z, complex(a, -b), _max_circle_error(z, pairs))
+        kind, z, z_conjugate = "none", complex(a, 0.0), None
+    else:
+        b = math.sqrt(max(b_sq, 0.0))
+        kind, z, z_conjugate = "pair", complex(a, b), complex(a, -b)
+    residual = max([abs(abs(z - c) - r) for c, r in zip(centers, radii)])
+    return CircleSolution(kind, z, z_conjugate, residual)
 
 
 def solve_collinear(
@@ -253,8 +258,10 @@ def solve_collinear(
     rotated = [(v - point) / u for v in offsets]
     if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
         raise DegenerateSystemError("offsets are not on the given line")
-    sys = CircleSystem([-w.real for w in rotated], radii)
-    sol = (solve or solve_real_centers)(sys, tol=tol)
+    radii = [float(n) for n in radii]
+    if min(radii) < 0:
+        raise InvalidParametersError("radii must be nonnegative")
+    sol = (solve or solve_real_centers)(([-float(w.real) for w in rotated], radii), tol=tol)
 
     def back(w):
         return None if w is None else w * u - point

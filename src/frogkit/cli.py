@@ -112,6 +112,7 @@ def _verify(args) -> int:
     ]
     if args.b is not None:
         band = BandlimitSpec(args.b, args.start)
+        band.indices(n)  # a band wider than N is a usage error before any verdict
         checks.append(("fractional shift", AmbiguityElement(shift=0.37), band, True))
     else:
         full = BandlimitSpec(n, 0)

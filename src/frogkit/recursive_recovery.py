@@ -34,17 +34,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_solver import (
-    CircleSystem,
-    ratio_is_nonreal,
-    solve_collinear,
-    solve_generic,
-    solve_real_centers,
-)
+from .circle_solver import any_nonreal, solve_collinear, solve_generic, solve_real_centers
 from .errors import (
     AmbiguousBranchError,
     DegenerateSignalError,
@@ -195,12 +189,8 @@ def select_equations(k, r, centers_fn):
     if r < 4:
         raise InvalidParametersError("a trace-only triple needs r >= 4")
     for combo in itertools.combinations(_columns(k % r, r), 3):
-        v = [centers_fn(m) for m in combo]
-        try:
-            if ratio_is_nonreal(v, 1, 2):
-                return tuple(combo)
-        except DegenerateSystemError:
-            continue
+        if any_nonreal([centers_fn(m) for m in combo], [(1, 2)]):
+            return tuple(combo)
     raise EquationSelectionError(f"no admissible column triple for row {k} with r={r}")
 
 
@@ -238,10 +228,11 @@ class _Branch:
         )
 
     def checked(self, res, row, ms):
-        return replace(
-            self,
-            residuals=self.residuals + (float(res),),
-            equations=self.equations + ((row, tuple(ms)),),
+        return _Branch(
+            self.coeffs,
+            self.residuals + (float(res),),
+            self.equations + ((row, tuple(ms)),),
+            self.x3_choice,
         )
 
 
@@ -276,7 +267,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
     tol = settings.consistency_tol * scale
 
     if len(offsets) >= 3 and k > 3:
-        sol = solve_generic(CircleSystem([-v for v in offsets], radii), tol=tol)
+        sol = solve_generic(([-v for v in offsets], radii), tol=tol)
         return [branch.extended(sol.z / x0, sol.residual / scale, k, ms)]
 
     # collinear offsets: row 2's are real, row 3's lie on the line through

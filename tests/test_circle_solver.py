@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogkit import (
     CircleSystem,
@@ -11,7 +15,15 @@ from frogkit import (
     solve_generic,
     solve_real_centers,
 )
-from frogkit.circle_solver import _least_squares_2, solve_collinear
+from frogkit.circle_solver import (
+    _COINCIDENT_TOL,
+    _EPS,
+    CircleSolution,
+    _difference_rows,
+    _least_squares_2,
+    default_tolerance,
+    solve_collinear,
+)
 
 from conftest import grid_min_residual
 
@@ -206,3 +218,173 @@ def test_collinear_row3_keeps_upper_candidate_first():
         u = prefix[2] / abs(prefix[2])
         assert (sol.z / u).imag >= 0 and (sol.z_conjugate / u).imag <= 0
         assert min(abs(c - prefix[0] * x3) for c in sol.candidates) <= 1e-10
+
+
+# The solvers as they were when each solve built a CircleSystem and its
+# numpy arrays.  The scalar solvers must reproduce them bit for bit: the
+# recursion amplifies a one-ulp change tenfold per row.
+
+
+def _reference_max_error(z, pairs):
+    return max(abs(abs(z - c) - r) for c, r in pairs)
+
+
+def _reference_least_squares_2(rows, rhs):
+    a11 = a12 = a22 = g1 = g2 = det = num1 = num2 = 0.0
+    for i, ((xi, yi), bi) in enumerate(zip(rows, rhs)):
+        a11 += xi * xi
+        a12 += xi * yi
+        a22 += yi * yi
+        g1 += xi * bi
+        g2 += yi * bi
+        for (xj, yj), bj in zip(rows[:i], rhs[:i]):
+            minor = xj * yi - xi * yj
+            det += minor * minor
+            num1 += minor * (bj * yi - bi * yj)
+            num2 += minor * (xj * bi - xi * bj)
+    tr = a11 + a22
+    lam1 = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+    if det <= (_EPS * max(len(rhs), 2) * lam1) ** 2:
+        return (a11 * g1 + a12 * g2) / tr**2, (a12 * g1 + a22 * g2) / tr**2
+    return num1 / det, num2 / det
+
+
+def _reference_refine_candidate(z, pairs):
+    best, best_res = z, _reference_max_error(z, pairs)
+    for _ in range(12):
+        d = [(z - c, abs(z - c), r) for c, r in pairs]
+        if min(dist for _, dist, _ in d) < 1e-300:
+            break
+        dx, dy = _reference_least_squares_2(
+            [(v.real / dist, v.imag / dist) for v, dist, _ in d],
+            [r - dist for _, dist, r in d],
+        )
+        z = z + complex(dx, dy)
+        res = _reference_max_error(z, pairs)
+        if res < best_res:
+            best, best_res = z, res
+        if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
+            break
+    return best, best_res
+
+
+def _reference_solve_generic(sys, tol=None):
+    v = -sys.centers
+    radii = sys.radii
+    if v.size < 3:
+        raise InvalidParametersError("generic solve needs at least 3 equations")
+    if tol is None:
+        tol = default_tolerance(radii)
+    nonreal = False
+    for p in range(1, v.size):
+        for q in range(p + 1, v.size):
+            try:
+                if ratio_is_nonreal(v, p, q):
+                    nonreal = True
+                    break
+            except DegenerateSystemError:
+                continue
+        if nonreal:
+            break
+    if not nonreal:
+        raise DegenerateSystemError("collinear centers")
+    mat, rhs = _difference_rows(v, radii)
+    z0 = complex(*_reference_least_squares_2(mat.tolist(), rhs.tolist()))
+    pairs = list(zip(sys.centers.tolist(), radii.tolist()))
+    z, residual = _reference_refine_candidate(z0, pairs)
+    return CircleSolution("unique" if residual <= tol else "none", z, None, residual)
+
+
+def _reference_solve_real_centers(sys, tol=None):
+    v = (-sys.centers).tolist()
+    radii = sys.radii.tolist()
+    pairs = list(zip(sys.centers.tolist(), radii))
+    if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
+        raise InvalidParametersError("offsets must be real for this solver")
+    vr = [c.real for c in v]
+    if tol is None:
+        tol = default_tolerance(radii)
+    diffs = [vr[0] - x for x in vr[1:]]
+    if max(map(abs, diffs)) <= _COINCIDENT_TOL * (1.0 + max(map(abs, vr))):
+        raise UnderdeterminedSystemError("all offsets equal")
+    rhs = [0.5 * (radii[0] ** 2 - n**2 + x**2 - vr[0] ** 2)
+           for n, x in zip(radii[1:], vr[1:])]
+    a = sum(d * h for d, h in zip(diffs, rhs)) / sum(d * d for d in diffs)
+    b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
+    if b_sq < -tol:
+        z = complex(a, 0.0)
+        return CircleSolution("none", z, None, _reference_max_error(z, pairs))
+    b = math.sqrt(max(b_sq, 0.0))
+    z = complex(a, b)
+    return CircleSolution("pair", z, complex(a, -b), _reference_max_error(z, pairs))
+
+
+def _reference_solve_collinear(offsets, radii, point, direction, tol=None):
+    if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
+        raise DegenerateSystemError("coincident offsets")
+    u = direction * (1.0 / abs(direction))
+    rotated = [(v - point) / u for v in offsets]
+    if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
+        raise DegenerateSystemError("offsets are not on the given line")
+    sol = _reference_solve_real_centers(CircleSystem([-w.real for w in rotated], radii), tol=tol)
+
+    def back(w):
+        return None if w is None else w * u - point
+
+    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
+
+
+def _bits(call):
+    """A solve's outcome with every float as its exact bits."""
+    try:
+        sol = call()
+    except Exception as exc:  # the reference's exception type must match too
+        return type(exc)
+    exact = [None if w is None else (w.real.hex(), w.imag.hex()) for w in (sol.z, sol.z_conjugate)]
+    return sol.kind, *exact, sol.residual.hex()
+
+
+_coord = st.floats(-4.0, 4.0, allow_subnormal=False)
+_point = st.builds(complex, _coord, _coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.sampled_from([3, 4]),
+    z=_point,
+    offsets=st.lists(_point, min_size=4, max_size=4),
+    factors=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+    perturb=st.booleans(),
+    tol=st.sampled_from([None, 1e-7]),
+)
+def test_generic_solve_matches_reference_bitwise(s, z, offsets, factors, perturb, tol):
+    v = offsets[:s]
+    radii = [abs(z + c) * (f if perturb else 1.0) for c, f in zip(v, factors)]
+    centers = [-c for c in v]
+    ref = _bits(lambda: _reference_solve_generic(CircleSystem(centers, radii), tol))
+    assert _bits(lambda: solve_generic(CircleSystem(centers, radii), tol)) == ref
+    assert _bits(lambda: solve_generic((centers, radii), tol)) == ref  # the recursion's input
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    s=st.sampled_from([3, 4]),
+    z=_point,
+    xs=st.lists(_coord, min_size=4, max_size=4),
+    factors=st.lists(st.floats(0.5, 2.0), min_size=4, max_size=4),
+    perturb=st.booleans(),
+    line=st.tuples(_point, st.floats(0.0, 2 * np.pi)),
+)
+def test_real_and_collinear_solves_match_reference_bitwise(s, z, xs, factors, perturb, line):
+    radii = [abs(z + x) * (f if perturb else 1.0) for x, f in zip(xs[:s], factors)]
+    centers = [complex(-x) for x in xs[:s]]
+    ref = _bits(lambda: _reference_solve_real_centers(CircleSystem(centers, radii)))
+    assert _bits(lambda: solve_real_centers(CircleSystem(centers, radii))) == ref
+    assert _bits(lambda: solve_real_centers((centers, radii))) == ref
+
+    # the same offsets on the line point + t * direction
+    point, angle = line
+    direction = complex(math.cos(angle), math.sin(angle))
+    offsets = [point + x * direction for x in xs[:s]]
+    ref = _bits(lambda: _reference_solve_collinear(offsets, radii, point, direction, 1e-7))
+    assert _bits(lambda: solve_collinear(offsets, radii, point, direction, 1e-7)) == ref

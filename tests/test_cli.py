@@ -335,6 +335,15 @@ def test_verify_one_sample_signal_is_usage_error(tmp_path):
     assert_usage_error(res)
 
 
+def test_verify_band_wider_than_signal_fails_before_any_verdict(tmp_path):
+    sig = tmp_path / "s.json"
+    assert run_cli("synthesize", "--n", 16, "--b", 4, "--seed", 9, "--out", sig).returncode == 0
+    res = run_cli("verify", "--signal", sig, "--l", 4, "--b", 20)
+    assert_usage_error(res)
+    assert res.stdout == ""
+    assert "b=20 exceeds N=16" in res.stderr
+
+
 def test_synthesize_nonpositive_sizes_are_usage_errors(tmp_path):
     for n, b in ((-1, -1), (0, 0), (4, 0)):
         assert_usage_error(run_cli("synthesize", f"--n={n}", f"--b={b}", "--out", tmp_path / "s.json"))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from frogkit import (
     AmbiguousBranchError,
     BandlimitSpec,
     DegenerateSignalError,
+    FrogkitError,
+    FrogTrace,
     InconsistentTraceError,
     InvalidParametersError,
     RecoverySettings,
@@ -337,3 +341,19 @@ class TestRecover:
             if d <= 1e-6:
                 wins += 1
         assert wins >= 59
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-32, 1e-16, 1.0, 1e100, 1e250, 1e307])
+    def test_extreme_trace_scales_report_or_raise_frogkit_error(self, scale):
+        # Python floats raise ZeroDivisionError or OverflowError where numpy
+        # returned inf; neither, nor a numpy warning, may escape recover.
+        # Whether a scaled trace recovers is a separate matter (scale is not
+        # yet invariant), so only the kind of outcome is pinned here.
+        for seed in range(3):
+            xhat, band = random_band_spectrum(np.random.default_rng(seed), 16, 4)
+            trace = FrogTrace(trace_of(xhat, 4).data * scale, 4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    recover(trace, band, RecoverySettings(r=4))
+                except FrogkitError:
+                    pass
