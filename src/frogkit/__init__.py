@@ -31,9 +31,7 @@ from .ls_solver import (
 from .recursive_recovery import (
     RecoveryReport,
     RecoverySettings,
-    pyramid_centers,
     recover,
-    select_equations,
 )
 from .signal_model import (
     BandlimitSpec,
@@ -44,7 +42,6 @@ from .signal_model import (
     frog_freq_coeffs,
     frog_trace,
     idft,
-    product_signal,
 )
 
 __all__ = [
@@ -78,11 +75,8 @@ __all__ = [
     "ls_gradient",
     "ls_minimize",
     "ls_objective",
-    "product_signal",
-    "pyramid_centers",
     "ratio_is_nonreal",
     "recover",
-    "select_equations",
     "solve_generic",
     "solve_real_centers",
     "trace_invariant",

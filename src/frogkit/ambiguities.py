@@ -164,9 +164,9 @@ def dist_mod_group(
     else:
         exps, pos = band.unwrapped_indices(n), band.indices(n)
         coeffs = bases[:, pos] * np.conj(b.values[pos])
-        # grid point j is shift j/16: exp(-2*pi*i*e*(j/16)/N) = exp(-2*pi*i*e*j/(16N))
+        # grid point j is shift j/16: exp(-2*pi*i*e*j/(16N)), of period 16N in e
         grid = np.zeros((2, 16 * n), dtype=np.complex128)
-        grid[:, exps] = coeffs
+        grid[:, exps % (16 * n)] = coeffs
         on_grid = np.abs(np.fft.fft(grid, axis=-1))
         # Bernstein: the overlap has exponential type w = pi*(b-1)/N about the
         # band centre, so the grid point nearest the best shift is within a

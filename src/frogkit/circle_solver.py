@@ -239,31 +239,3 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
         kind, z, z_conjugate = "pair", complex(a, b), complex(a, -b)
     residual = max([abs(abs(z - c) - r) for c, r in zip(centers, radii)])
     return CircleSolution(kind, z, z_conjugate, residual)
-
-
-def solve_collinear(
-    offsets, radii, point: complex, direction: complex, tol=None, solve=None
-) -> CircleSolution:
-    """Solve with offsets on the line ``point + t * direction``.
-
-    In the frame ``w = (z + point) / u``, ``u = direction / |direction|``, the
-    offsets ``(v_i - point) / u`` are real: ``solve`` (default
-    ``solve_real_centers``; a caller may pass its own, wrapped, name for it)
-    gives the pair there, ``Im w >= 0`` first, mapped back.  Coincident offsets
-    or offsets off the line raise ``DegenerateSystemError``."""
-    if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
-        raise DegenerateSystemError("coincident offsets")
-    # rounds as numpy's complex / real did; the recursion amplifies the last bit
-    u = direction * (1.0 / abs(direction))
-    rotated = [(v - point) / u for v in offsets]
-    if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
-        raise DegenerateSystemError("offsets are not on the given line")
-    radii = [float(n) for n in radii]
-    if min(radii) < 0:
-        raise InvalidParametersError("radii must be nonnegative")
-    sol = (solve or solve_real_centers)(([-float(w.real) for w in rotated], radii), tol=tol)
-
-    def back(w):
-        return None if w is None else w * u - point
-
-    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambiguities import AmbiguityElement
 from .errors import InvalidParametersError
 from .ls_solver import BasinGrid
 from .recursive_recovery import RecoveryReport
@@ -131,16 +130,6 @@ def read_power_spectrum(path) -> np.ndarray:
         if arr.ndim != 1 or arr.size != _json_count(obj["n"]):
             raise InvalidParametersError("power-spectrum JSON length disagrees with n")
     return arr
-
-
-def element_to_dict(g: AmbiguityElement) -> dict:
-    return {"psi": float(g.psi), "shift": float(g.shift), "reflected": bool(g.reflected)}
-
-
-def element_from_dict(obj: dict) -> AmbiguityElement:
-    return AmbiguityElement(
-        psi=float(obj["psi"]), shift=float(obj["shift"]), reflected=bool(obj["reflected"])
-    )
 
 
 def report_to_dict(report: RecoveryReport) -> dict:

@@ -33,6 +33,8 @@ from .signal_model import (
 
 SUCCESS_DISTANCE = 1e-6
 _MIN_STEP = 1e-18  # backtracking gives up below this step
+_SHRINK = 0.5  # backtracking step factor
+_DECREASE = 1e-4  # Armijo sufficient-decrease constant
 # Most trace entries (the sum of N*r over trials) descended as one stack;
 # bounds memory only.
 _BATCH_ENTRIES = 1 << 19
@@ -43,16 +45,12 @@ class LsOptions:
     max_iters: int = 2000
     grad_tol: float = 1e-9
     step0: float = 1.0
-    shrink: float = 0.5
-    decrease: float = 1e-4  # Armijo sufficient-decrease constant
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidParametersError("max_iters must be >= 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidParametersError("shrink factor must lie in (0, 1)")
-        if self.step0 <= 0 or self.decrease <= 0:
-            raise InvalidParametersError("step0 and decrease must be positive")
+        if self.step0 <= 0:
+            raise InvalidParametersError("step0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -266,16 +264,16 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
         z_new = z - t[:, None] * g
         f_new, state_new = ws.evaluate(z_new, data)
         trying = moving & (t > _MIN_STEP)
-        accepted = trying & (f_new <= f - opts.decrease * t * gnorm2)
+        accepted = trying & (f_new <= f - _DECREASE * t * gnorm2)
         pending = np.flatnonzero(trying & ~accepted)
         while pending.size:
-            t[pending] *= opts.shrink
+            t[pending] *= _SHRINK
             pending = pending[t[pending] > _MIN_STEP]
             if not pending.size:
                 break
             z_try = z[pending] - t[pending, None] * g[pending]
             f_try, _ = ws.evaluate(z_try, data, pending, state_new)
-            ok = f_try <= f[pending] - opts.decrease * t[pending] * gnorm2[pending]
+            ok = f_try <= f[pending] - _DECREASE * t[pending] * gnorm2[pending]
             won = pending[ok]
             z_new[won], f_new[won] = z_try[ok], f_try[ok]
             accepted[won] = True
@@ -285,7 +283,7 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
         if stop.any():  # no step found: keep the iterate
             z_new[stop], f_new[stop] = z[stop], f[stop]
         z, f, state = z_new, f_new, state_new
-        step = t / opts.shrink  # allow the next step to be larger
+        step = t / _SHRINK  # allow the next step to be larger
         iters += accepted
         if on_iterate is not None:
             for k in np.flatnonzero(accepted):

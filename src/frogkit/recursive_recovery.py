@@ -23,7 +23,7 @@ Row 3's offsets are collinear through the origin, so it always yields a
 conjugate pair of candidates; the spurious one becomes inconsistent at row 4.
 Any later row with only two usable columns likewise yields a pair, resolved
 by consistency at the following rows (rows 2, 3 and these go through
-``solve_collinear``).  Rows past the band contain no unknown and act as pure
+``_solve_collinear``).  Rows past the band contain no unknown and act as pure
 consistency checks.  All of this is handled uniformly by
 carrying candidate branches forward and pruning those whose residual exceeds
 the consistency tolerance.
@@ -38,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_solver import any_nonreal, solve_collinear, solve_generic, solve_real_centers
+from .circle_solver import (
+    _COINCIDENT_TOL, CircleSolution, any_nonreal, solve_generic, solve_real_centers,
+)
 from .errors import (
     AmbiguousBranchError,
     DegenerateSignalError,
@@ -108,11 +110,6 @@ class RecoveryReport:
     tail_residual: float
 
 
-def is_degenerate_column(k: int, m: int, r: int) -> bool:
-    """True iff w^(k*m) = -1, i.e. column m says nothing about row k's entry."""
-    return (2 * k * m - r) % (2 * r) == 0
-
-
 @functools.lru_cache(maxsize=None)
 def _twiddles(r: int) -> tuple[complex, ...]:
     """w^j = exp(2*pi*i*j/r) for j = 0..r-1."""
@@ -121,23 +118,14 @@ def _twiddles(r: int) -> tuple[complex, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _columns(k: int | None, r: int) -> tuple[int, ...]:
-    """One column per duplicate pair {m, r-m}; for k not None (degeneracy
-    depends on k only through k mod r) also without row k's degenerate ones."""
+    """One column per duplicate pair {m, r-m}; for k not None also without
+    row k's degenerate ones, those with w^(k*m) = -1, which say nothing about
+    row k's entry (degeneracy depends on k only through k mod r)."""
     keep: dict[int, None] = {}  # an ordered set
     for m in range(r):
-        if (k is None or not is_degenerate_column(k, m, r)) and (r - m) % r not in keep:
+        if (k is None or (2 * k * m - r) % (2 * r)) and (r - m) % r not in keep:
             keep[m] = None
     return tuple(keep)
-
-
-def usable_columns(k: int, r: int) -> list[int]:
-    """Columns informative for row k: nondegenerate, one per {m, r-m} pair."""
-    return list(_columns(k % r, r))
-
-
-def distinct_columns(r: int) -> list[int]:
-    """One column per duplicate pair {m, r-m}, no degeneracy filter."""
-    return list(_columns(None, r))
 
 
 def _twiddled_sum(q, lo: int, m: int, r: int) -> complex:
@@ -147,26 +135,14 @@ def _twiddled_sum(q, lo: int, m: int, r: int) -> complex:
     return sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j)
 
 
-def pyramid_centers(prefix, k: int, m: int, r: int) -> complex:
-    """Offset v_m of row k's circle system, from band entries 0..k-1.
+def _row_offsets(prefix, k: int, r: int):
+    """Row k's offset v_m as a function of the column, from band entries
+    0..k-1, memoised: the products x_j * x_(k-j) are formed once.
 
     ``v_m = sum_{j=1..k-1} prefix[j] * prefix[k-j] * w^(j*m) / (1 + w^(k*m))``,
     which equals the row-k frequency-domain coefficient (times N, normalized)
     with the unknown entry zeroed out.
     """
-    prefix = np.asarray(prefix, dtype=np.complex128).tolist()
-    if len(prefix) < k:
-        raise InvalidParametersError(f"need entries 0..{k - 1} to form row {k} offsets")
-    if is_degenerate_column(k, m, r):
-        raise InvalidParametersError(
-            f"column m={m} is degenerate for row {k} (w^(k*m) = -1)"
-        )
-    return _row_offsets(prefix, k, r)(m)
-
-
-def _row_offsets(prefix, k: int, r: int):
-    """Row k's offset v_m as a function of the column, memoised: the products
-    x_j * x_(k-j) are formed once."""
     q = [prefix[j] * prefix[k - j] for j in range(1, k)]
     w = _twiddles(r)
     memo: dict[int, complex] = {}
@@ -179,15 +155,13 @@ def _row_offsets(prefix, k: int, r: int):
     return offset
 
 
-def select_equations(k, r, centers_fn):
+def _select_columns(k, r, centers_fn):
     """Pick three trace columns for row k whose offsets are not collinear.
 
     Prefers (0, 1, 2); otherwise scans combinations of usable columns in
     increasing order.  Columns summing to r are never paired (they duplicate
     each other).
     """
-    if r < 4:
-        raise InvalidParametersError("a trace-only triple needs r >= 4")
     for combo in itertools.combinations(_columns(k % r, r), 3):
         if any_nonreal([centers_fn(m) for m in combo], [(1, 2)]):
             return tuple(combo)
@@ -220,20 +194,37 @@ class _Branch:
     x3_choice: int | None = None
 
     def extended(self, z, res, row, ms, x3_choice=None):
+        """This branch with row ``row`` read: entry ``z`` appended, or none
+        for a consistency row."""
         return _Branch(
-            self.coeffs + (complex(z),),
+            self.coeffs if z is None else self.coeffs + (complex(z),),
             self.residuals + (float(res),),
             self.equations + ((row, tuple(ms)),),
             self.x3_choice if x3_choice is None else x3_choice,
         )
 
-    def checked(self, res, row, ms):
-        return _Branch(
-            self.coeffs,
-            self.residuals + (float(res),),
-            self.equations + ((row, tuple(ms)),),
-            self.x3_choice,
-        )
+
+def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
+    """Solve ``|z + v_i| = n_i`` with the offsets on the line ``point + t * direction``.
+
+    In the frame ``w = (z + point) / u``, ``u = direction / |direction|``, the
+    offsets ``(v_i - point) / u`` are real: ``solve_real_centers`` gives the
+    pair there, ``Im w >= 0`` first, mapped back.  Coincident offsets or
+    offsets off the line raise ``DegenerateSystemError``."""
+    if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
+        raise DegenerateSystemError("coincident offsets")
+    # rounds as numpy's complex / real did; the recursion amplifies the last bit
+    u = direction * (1.0 / abs(direction))
+    rotated = [(v - point) / u for v in offsets]
+    if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
+        raise DegenerateSystemError("offsets are not on the given line")
+    # the module global, as for every solve here, so that a wrapper sees the call
+    sol = solve_real_centers(([-w.real for w in rotated], radii), tol=tol)
+
+    def back(w):
+        return None if w is None else w * u - point
+
+    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
 
 
 def _solve_row(branch, k, n, reader, settings, ps_radius):
@@ -255,7 +246,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
     if k in (2, 3):
         ms = cols[:3]
     elif len(cols) >= 3:
-        ms = select_equations(k, r, center)
+        ms = _select_columns(k, r, center)
     else:
         ms = cols
     offsets = [center(m) for m in ms]
@@ -283,8 +274,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
         point, direction = 0j, x2
     else:
         point, direction = offsets[0], offsets[1] - offsets[0]
-    # this module's name for the solver, so that a wrapper around it sees the call
-    sol = solve_collinear(offsets, radii, point, direction, tol, solve=solve_real_centers)
+    sol = _solve_collinear(offsets, radii, point, direction, tol)
     rel = sol.residual / scale
     if k == 2:
         # reflection gauge: the pair has Im >= 0 first
@@ -424,7 +414,7 @@ def recover(
         checked = []
         for br in branches:
             res, ms = _tail_residual(br, k, n, r, reader, b)
-            checked.append(br.checked(res, k, ms))
+            checked.append(br.extended(None, res, k, ms))
         branches = prune(checked, k)
 
     if len({br.x3_choice for br in branches}) > 1:

@@ -86,16 +86,6 @@ class BandlimitSpec:
             raise InvalidParametersError(f"bandlimit b={self.b} exceeds N={n}")
         return self.start + np.arange(self.b)
 
-    def conforms(self, spectrum: Spectrum, rel_tol: float = 1e-12) -> bool:
-        """True iff all coefficients outside the band are (numerically) zero."""
-        n = spectrum.n
-        if self.b >= n:
-            return True
-        mask = np.ones(n, dtype=bool)
-        mask[self.indices(n)] = False
-        scale = np.max(np.abs(spectrum.values))
-        return bool(np.all(np.abs(spectrum.values[mask]) <= rel_tol * max(scale, 1e-300)))
-
 
 @dataclass(frozen=True)
 class FrogTrace:
@@ -156,14 +146,6 @@ def shift_product_table(n: int, l: int) -> np.ndarray:
     idx = (p + m * l) % n
     idx.flags.writeable = False
     return idx
-
-
-def product_signal(x: Signal, m: int, l: int) -> Signal:
-    """Pointwise product of the signal with its own cyclic shift by m*L."""
-    r = _check_step(x.n, l)
-    if not 0 <= m < r:
-        raise InvalidParametersError(f"shift index m={m} outside 0..{r - 1}")
-    return Signal(x.values * np.roll(x.values, -m * l))
 
 
 def shift_product_coeffs(values: np.ndarray, l: int) -> np.ndarray:

@@ -328,3 +328,17 @@ def test_dist_recovers_planted_element(planted):
     assert d <= 1e-12
     back = apply(found, xhat, band)
     assert np.linalg.norm(back.values - target.values) <= 1e-12 * np.linalg.norm(target.values)
+
+
+@pytest.mark.parametrize("start", [511, 512, 1000, -600])
+@pytest.mark.parametrize("reflected", [False, True])
+def test_dist_recovers_fractional_shift_at_far_band_start(start, reflected):
+    # exponents start..start+b-1 beyond the 16N grid: they wrap onto it mod 16N
+    n, b = 32, 4
+    xhat, band = random_band_spectrum(np.random.default_rng(abs(start)), n, b, start=start)
+    g = AmbiguityElement(psi=0.7, shift=5.3, reflected=reflected)
+    target = apply(g, xhat, band)
+    d, found = dist_mod_group(xhat, target, band)
+    assert d <= 1e-12
+    back = apply(found, xhat, band)
+    assert np.linalg.norm(back.values - target.values) <= 1e-12 * np.linalg.norm(target.values)

@@ -10,7 +10,6 @@ from frogkit import (
     DegenerateSystemError,
     InvalidParametersError,
     UnderdeterminedSystemError,
-    pyramid_centers,
     ratio_is_nonreal,
     solve_generic,
     solve_real_centers,
@@ -22,8 +21,8 @@ from frogkit.circle_solver import (
     _difference_rows,
     _least_squares_2,
     default_tolerance,
-    solve_collinear,
 )
+from frogkit.recursive_recovery import _row_offsets, _solve_collinear
 
 from conftest import grid_min_residual
 
@@ -191,7 +190,7 @@ def test_collinear_planted_pair_off_origin():
         offsets = [point + t * direction for t in (-1.0, 0.5, 2.0)]
         z = complex(*rng.uniform(-2, 2, 2))
         radii = [abs(z + v) for v in offsets]
-        sol = solve_collinear(offsets, radii, point, direction)
+        sol = _solve_collinear(offsets, radii, point, direction, None)
         assert sol.kind == "pair"
         u = direction / abs(direction)
         got = sorted(sol.candidates, key=lambda c: abs(c - z))
@@ -202,9 +201,9 @@ def test_collinear_planted_pair_off_origin():
 
 def test_collinear_coincident_offsets_rejected():
     with pytest.raises(DegenerateSystemError):
-        solve_collinear([1 + 1j, 1 + 1j], [1.0, 1.0], 1 + 1j, 1.0)
+        _solve_collinear([1 + 1j, 1 + 1j], [1.0, 1.0], 1 + 1j, 1.0, None)
     with pytest.raises(DegenerateSystemError):
-        solve_collinear([0j, 1j, 1.0], [1.0] * 3, 0j, 1.0)  # off the line
+        _solve_collinear([0j, 1j, 1.0], [1.0] * 3, 0j, 1.0, None)  # off the line
 
 
 def test_collinear_row3_keeps_upper_candidate_first():
@@ -212,9 +211,9 @@ def test_collinear_row3_keeps_upper_candidate_first():
     for _ in range(20):
         prefix = [1.3, 0.7] + [complex(*rng.standard_normal(2))]
         x3 = complex(*rng.standard_normal(2))
-        offsets = [pyramid_centers(prefix, 3, m, 4) for m in (0, 1)]
+        offsets = [_row_offsets(prefix, 3, 4)(m) for m in (0, 1)]
         radii = [abs(prefix[0] * x3 + v) for v in offsets]
-        sol = solve_collinear(offsets, radii, 0j, prefix[2])
+        sol = _solve_collinear(offsets, radii, 0j, prefix[2], None)
         u = prefix[2] / abs(prefix[2])
         assert (sol.z / u).imag >= 0 and (sol.z_conjugate / u).imag <= 0
         assert min(abs(c - prefix[0] * x3) for c in sol.candidates) <= 1e-10
@@ -387,4 +386,4 @@ def test_real_and_collinear_solves_match_reference_bitwise(s, z, xs, factors, pe
     direction = complex(math.cos(angle), math.sin(angle))
     offsets = [point + x * direction for x in xs[:s]]
     ref = _bits(lambda: _reference_solve_collinear(offsets, radii, point, direction, 1e-7))
-    assert _bits(lambda: solve_collinear(offsets, radii, point, direction, 1e-7)) == ref
+    assert _bits(lambda: _solve_collinear(offsets, radii, point, direction, 1e-7)) == ref

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from frogkit import (
-    AmbiguityElement,
     FrogTrace,
     InvalidParametersError,
     RecoverySettings,
@@ -174,11 +173,6 @@ def test_power_spectrum_round_trip(rng, tmp_path):
     path = tmp_path / "ps.json"
     io.write_power_spectrum(path, ps)
     assert np.array_equal(io.read_power_spectrum(path), ps)
-
-
-def test_element_dict_round_trip():
-    g = AmbiguityElement(psi=1.25, shift=3.5, reflected=True)
-    assert io.element_from_dict(io.element_to_dict(g)) == g
 
 
 def test_report_json_shape(rng, tmp_path):

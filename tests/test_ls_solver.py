@@ -240,12 +240,12 @@ def _reference_minimize(z, data, l, opts):
         while t > 1e-18:
             z_new = z - t * g
             f_new = objective(z_new)
-            if f_new <= f - opts.decrease * t * gnorm2:
+            if f_new <= f - 1e-4 * t * gnorm2:
                 break
-            t *= opts.shrink
+            t *= 0.5
         else:
             break
-        z, f, step, iters = z_new, f_new, t / opts.shrink, iters + 1
+        z, f, step, iters = z_new, f_new, t / 0.5, iters + 1
     return z, f, iters
 
 

@@ -19,16 +19,14 @@ from frogkit import (
     frog_freq_coeffs,
     frog_trace,
     idft,
-    pyramid_centers,
     recover,
-    select_equations,
 )
 from frogkit.recursive_recovery import (
     _Branch,
+    _columns,
+    _row_offsets,
+    _select_columns,
     _tail_residual,
-    distinct_columns,
-    is_degenerate_column,
-    usable_columns,
 )
 from conftest import random_band_spectrum
 
@@ -66,17 +64,16 @@ class TestSettings:
             recover(trace_of(xhat, 4), BandlimitSpec(9, 0), RecoverySettings(r=4))
 
 
+def _offset(prefix, k, m, r):
+    """Offset v_m of row k from band entries 0..k-1, as the recursion forms it."""
+    return _row_offsets(list(map(complex, prefix)), k, r)(m)
+
+
 class TestPyramidCenters:
     def test_row4_column0_hand_value(self, rng):
         prefix = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = pyramid_centers(prefix, 4, 0, 8)
+        got = _offset(prefix, 4, 0, 8)
         assert abs(got - (prefix[1] * prefix[3] + prefix[2] ** 2 / 2)) < 1e-12
-
-    def test_degenerate_column_rejected(self, rng):
-        prefix = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        # for r=8 and row 4, odd columns have w^(4m) = -1
-        with pytest.raises(InvalidParametersError):
-            pyramid_centers(prefix, 4, 1, 8)
 
     def test_matches_frequency_domain_oracle(self, rng):
         # offsets equal the zeroed-entry row coefficients, renormalized
@@ -88,9 +85,9 @@ class TestPyramidCenters:
             zeroed = xhat.values.copy()
             zeroed[k] = 0.0
             coeffs = frog_freq_coeffs(Spectrum(zeroed), l)
-            for m in usable_columns(k, r):
+            for m in _columns(k % r, r):
                 expected = n * coeffs[k, m] / (1 + omega ** (k * m))
-                got = pyramid_centers(xhat.values[:k], k, m, r)
+                got = _offset(xhat.values[:k], k, m, r)
                 assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
@@ -108,7 +105,7 @@ def _reference_pyramid_centers(prefix, k, m, r):
 def _reference_tail_residual(coeffs, k, n, r, reader, b):
     """The tail-row mismatch as numpy array arithmetic, per column."""
     prefix = np.asarray(coeffs, dtype=np.complex128)
-    ms = distinct_columns(r)[:3]
+    ms = list(range(r // 2 + 1))[:3]  # one column per pair {m, r-m}
     j = np.arange(max(0, k - b + 1), min(b - 1, k) + 1)
     worst, scale = 0.0, 1.0
     for m in ms:
@@ -123,7 +120,8 @@ def _reference_tail_residual(coeffs, k, n, r, reader, b):
 def _reference_usable_columns(k, r):
     keep = []
     for m in range(r):
-        if not is_degenerate_column(k, m, r) and (m == 0 or (r - m) % r not in keep):
+        degenerate = (2 * k * m - r) % (2 * r) == 0  # w^(k*m) = -1
+        if not degenerate and (m == 0 or (r - m) % r not in keep):
             keep.append(m)
     return keep
 
@@ -147,12 +145,12 @@ _entry = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=F
     data=st.data(),
 )
 def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
-    assert usable_columns(k, r) == _reference_usable_columns(k, r)
+    assert list(_columns(k % r, r)) == _reference_usable_columns(k, r)
     b = len(coeffs)
     row = data.draw(st.integers(2, b - 1), label="row")
-    for m in usable_columns(row, r):
+    for m in _columns(row % r, r):
         want = _reference_pyramid_centers(coeffs, row, m, r)
-        assert abs(pyramid_centers(coeffs, row, m, r) - want) <= 1e-12 * (1 + abs(want))
+        assert abs(_offset(coeffs, row, m, r) - want) <= 1e-12 * (1 + abs(want))
 
     tail_row = data.draw(st.integers(b, 2 * b - 2), label="tail row")
     n = 2 * b
@@ -167,28 +165,28 @@ class TestSelectEquations:
     def centers(self, rng, k, r):
         prefix = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         prefix[0] = 1.0
-        return lambda m: pyramid_centers(prefix, k, m, r)
+        return _row_offsets(prefix.tolist(), k, r)
 
     def test_r5_prefers_first_three(self, rng):
-        assert select_equations(4, 5, self.centers(rng, 4, 5)) == (0, 1, 2)
+        assert _select_columns(4, 5, self.centers(rng, 4, 5)) == (0, 1, 2)
 
     def test_r8_avoids_degenerate_columns(self, rng):
-        triple = select_equations(4, 8, self.centers(rng, 4, 8))
+        triple = _select_columns(4, 8, self.centers(rng, 4, 8))
         assert triple == (0, 2, 4)
         for m in triple:
             assert m not in (1, 3, 5, 7)
 
     def test_r16_avoids_column_two(self, rng):
-        triple = select_equations(4, 16, self.centers(rng, 4, 16))
+        triple = _select_columns(4, 16, self.centers(rng, 4, 16))
         assert 2 not in triple
         assert triple == (0, 1, 3)
 
     def test_no_pair_sums_to_r(self, rng):
         for r in (5, 6, 7, 8, 12, 16):
             for k in (4, 5, 6):
-                if len(usable_columns(k, r)) < 3:
+                if len(_columns(k % r, r)) < 3:
                     continue
-                triple = select_equations(k, r, self.centers(rng, k, r))
+                triple = _select_columns(k, r, self.centers(rng, k, r))
                 for i in range(3):
                     for j in range(i + 1, 3):
                         assert (triple[i] + triple[j]) % r != 0 or triple[i] == triple[j] == 0
@@ -196,12 +194,12 @@ class TestSelectEquations:
 
 class TestUsableColumns:
     def test_duplicate_halves_dropped(self):
-        assert usable_columns(4, 4) == [0, 1, 2]
-        assert usable_columns(5, 4) == [0, 1]
-        assert usable_columns(2, 4) == [0, 2]
-        assert usable_columns(3, 4) == [0, 1]
-        assert distinct_columns(3) == [0, 1]
-        assert distinct_columns(4) == [0, 1, 2]
+        assert _columns(4, 4) == (0, 1, 2)
+        assert _columns(5, 4) == (0, 1)
+        assert _columns(2, 4) == (0, 2)
+        assert _columns(3, 4) == (0, 1)
+        assert _columns(None, 3) == (0, 1)
+        assert _columns(None, 4) == (0, 1, 2)
 
 
 class TestRecover:

@@ -10,7 +10,6 @@ from frogkit import (
     frog_freq_coeffs,
     frog_trace,
     idft,
-    product_signal,
 )
 from frogkit.signal_model import shift_product_coeffs
 from conftest import random_band_spectrum, random_signal
@@ -35,30 +34,6 @@ def test_dft_round_trip(rng):
     x = random_signal(rng, 16)
     back = idft(dft(x)).values
     assert np.max(np.abs(back - x.values)) <= 1e-12 * np.max(np.abs(x.values))
-
-
-def test_product_signal_delta_cases():
-    d = delta(4)
-    assert np.allclose(product_signal(d, 0, 1).values, d.values)
-    assert np.allclose(product_signal(d, 1, 1).values, 0.0)
-
-
-def test_product_signal_constant():
-    x = Signal(np.ones(4))
-    assert np.allclose(product_signal(x, 1, 2).values, 1.0)
-
-
-def test_product_signal_matches_definition(rng):
-    x = random_signal(rng, 12)
-    l, m = 3, 2
-    out = product_signal(x, m, l).values
-    expected = np.array([x.values[n] * x.values[(n + m * l) % 12] for n in range(12)])
-    assert np.allclose(out, expected)
-
-
-def test_product_signal_rejects_bad_step():
-    with pytest.raises(InvalidParametersError):
-        product_signal(delta(4), 0, 3)
 
 
 def test_frog_trace_delta():
@@ -154,14 +129,6 @@ def test_column_zero_energy_identity(rng):
     lhs = np.sum(tr.data[:, 0])
     rhs = 12 * np.sum(np.abs(x.values) ** 4)
     assert abs(lhs - rhs) <= 1e-9 * rhs
-
-
-def test_bandlimit_conformance(rng):
-    xhat, band = random_band_spectrum(rng, 16, 5, start=14)
-    assert band.conforms(xhat)
-    bad = xhat.values.copy()
-    bad[8] = 1.0
-    assert not band.conforms(Spectrum(bad))
 
 
 def test_values_are_immutable(rng):
