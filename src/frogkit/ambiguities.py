@@ -62,7 +62,6 @@ def _apply_raw(
                 )
             exps = band.unwrapped_indices(n)
             phase = np.exp(-2j * np.pi * shift * exps / n)
-            out = out.copy()
             out[band.indices(n)] *= phase
     if psi != 0.0:
         out = out * np.exp(1j * psi)

@@ -3,8 +3,8 @@
 Geometrically these are circle-intersection problems in the complex plane:
 equation i is the circle of radius n_i centered at -v_i.  ``CircleSystem`` is
 the public, validating type for the centers (-v_i); the solvers also take a
-``(centers, radii)`` pair of Python lists, taken as valid, which is how the
-recursion feeds them its Python scalars.  Two solver regimes:
+``(centers, radii)`` pair of Python lists, checked as ``CircleSystem`` is,
+which is how the recursion feeds them its Python scalars.  Two solver regimes:
 
 * generic complex centers, at least three equations, some center-difference
   ratio nonreal: the pairwise differences of the squared equations form a
@@ -60,7 +60,12 @@ def _lists(sys) -> tuple[list, list]:
     """Centers and radii of a ``CircleSystem`` or a ``(centers, radii)`` pair."""
     if isinstance(sys, CircleSystem):
         return sys.centers.tolist(), sys.radii.tolist()
-    return sys
+    centers, radii = sys
+    if len(centers) != len(radii) or len(radii) < 2:
+        raise InvalidParametersError("need s >= 2 centers with matching radii")
+    if min(radii) < 0:
+        raise InvalidParametersError("radii must be nonnegative")
+    return centers, radii
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ def _trace(args) -> int:
 def _recover(args) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise InvalidParametersError(f"--tol must be finite and positive (got {args.tol})")
+    for flag in {"recursive": ("--init", "--max-iters"), "ls": ("--power-spectrum",)}[args.mode]:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise InvalidParametersError(f"{flag} does not apply to --mode {args.mode}")
     trace = io.read_trace(args.trace, args.l)
     band = BandlimitSpec(args.b, args.start)
     if args.mode == "recursive":
@@ -72,7 +75,8 @@ def _recover(args) -> int:
     if args.init is None:
         raise InvalidParametersError("mode=ls needs --init (starting signal file)")
     z0 = io.read_signal(args.init)
-    z_fin, objective, iters = ls_minimize(z0, trace, args.l, LsOptions(max_iters=args.max_iters))
+    opts = LsOptions() if args.max_iters is None else LsOptions(max_iters=args.max_iters)
+    z_fin, objective, iters = ls_minimize(z0, trace, args.l, opts)
     mismatch = float(
         np.max(np.abs(frog_trace(z_fin, args.l).data - trace.data))
         / max(np.max(trace.data), 1e-300)
@@ -164,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True, help="band width")
     p.add_argument("--start", type=int, default=0, help="band start index (default 0)")
     p.add_argument("--mode", choices=("recursive", "ls"), default="recursive")
-    p.add_argument("--power-spectrum", default=None, help="power-spectrum JSON (needed for r=3)")
+    p.add_argument("--power-spectrum", default=None, help="power-spectrum JSON, recursive mode (needed for r=3)")
     p.add_argument("--init", default=None, help="starting signal JSON for mode=ls")
     p.add_argument("--tol", type=float, default=1e-6, help="success tolerance (default 1e-6)")
-    p.add_argument("--max-iters", type=int, default=2000, help="descent iteration cap")
+    p.add_argument("--max-iters", type=int, default=None, help="mode=ls iteration cap (default 2000)")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.set_defaults(func=_recover)
 

@@ -11,7 +11,6 @@ blank lines or comments.
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -166,18 +165,11 @@ def write_ls_result(path, spectrum: Spectrum, objective: float, iterations: int,
 
 
 def write_basin_grid(path, grid: BasinGrid):
+    rows = (
+        f"{_FLOAT_FMT % sigma},{int(l)},{grid.trials},"
+        f"{int(round(rate * grid.trials))},{_FLOAT_FMT % rate}\r\n"
+        for sigma, rates in zip(grid.sigma_values, grid.success_rate)
+        for l, rate in zip(grid.l_values, rates)
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "L", "trials", "successes", "rate"])
-        for i, sigma in enumerate(grid.sigma_values):
-            for j, l in enumerate(grid.l_values):
-                rate = grid.success_rate[i, j]
-                writer.writerow(
-                    [
-                        _FLOAT_FMT % sigma,
-                        int(l),
-                        grid.trials,
-                        int(round(rate * grid.trials)),
-                        _FLOAT_FMT % rate,
-                    ]
-                )
+        fh.write("sigma,L,trials,successes,rate\r\n" + "".join(rows))

@@ -32,6 +32,8 @@ from .signal_model import (
 )
 
 SUCCESS_DISTANCE = 1e-6
+_GRAD_TOL = 1e-9  # stop when |grad| <= this * (1 + objective)
+_STEP0 = 1.0  # first trial step
 _MIN_STEP = 1e-18  # backtracking gives up below this step
 _SHRINK = 0.5  # backtracking step factor
 _DECREASE = 1e-4  # Armijo sufficient-decrease constant
@@ -43,14 +45,10 @@ _BATCH_ENTRIES = 1 << 19
 @dataclass(frozen=True)
 class LsOptions:
     max_iters: int = 2000
-    grad_tol: float = 1e-9
-    step0: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidParametersError("max_iters must be >= 1")
-        if self.step0 <= 0:
-            raise InvalidParametersError("step0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,14 +245,14 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
     """
     z = np.array(z0, dtype=ws.dtype)
     f, state = ws.evaluate(z, data)
-    step = np.full(len(z), float(opts.step0))
+    step = np.full(len(z), _STEP0)
     iters = np.zeros(len(z), dtype=np.int64)
     out_z, out_f, out_iters = np.empty_like(z), np.empty_like(f), np.empty_like(iters)
     live = np.arange(len(z))
     while live.size:
         g = ws.gradient(z, data, state)
         gnorm2 = ws.norm2(g)
-        moving = ~(np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + np.abs(f)))
+        moving = ~(np.sqrt(gnorm2) <= _GRAD_TOL * (1.0 + np.abs(f)))
         # Backtrack from a step that grew after the last success; the first
         # round tries every live trial, later rounds only those still pending.
         # ``t`` is the step array itself: a trial that finds no step stops, so

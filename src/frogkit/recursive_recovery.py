@@ -227,7 +227,7 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
     return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
 
 
-def _solve_row(branch, k, n, reader, settings, ps_radius):
+def _solve_row(branch, k, n, reader, settings, ps_radii):
     """Candidate continuations of one branch at row k.
 
     Children above tolerance are produced too; the caller prunes them and
@@ -251,9 +251,9 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
         ms = cols
     offsets = [center(m) for m in ms]
     radii = [radius(m) for m in ms]
-    if ps_radius is not None and k > 3:
+    if ps_radii is not None and k > 3:
         offsets.append(0j)
-        radii.append(ps_radius(k))
+        radii.append(ps_radii[k])
     scale = 1.0 + max(radii)
     tol = settings.consistency_tol * scale
 
@@ -285,8 +285,9 @@ def _solve_row(branch, k, n, reader, settings, ps_radius):
     ]
 
 
-def _tail_residual(branch, k, n, r, reader, b):
-    """Consistency mismatch of a fully-known row k >= b (relative)."""
+def _check_row(branch, k, n, r, reader, b):
+    """The branch with row k >= b read as a pure consistency check: its
+    relative mismatch over three columns is the row's residual."""
     coeffs = branch.coeffs
     lo, hi = max(0, k - b + 1), min(b - 1, k)
     q = [coeffs[j] * coeffs[k - j] for j in range(lo, hi + 1)]
@@ -300,7 +301,7 @@ def _tail_residual(branch, k, n, r, reader, b):
         meas = n * reader.magnitude(k, m)
         scale = max(scale, 1.0 + meas)
         worst = max(worst, abs(pred - meas))
-    return worst / scale, ms
+    return branch.extended(None, worst / scale, k, ms)
 
 
 def recover(
@@ -312,14 +313,17 @@ def recover(
     """Recover the band entries of a spectrum from its trace.
 
     The power spectrum (squared spectrum magnitudes at every physical index)
-    is required for r = 3 and optional otherwise; when present it contributes
-    one extra circle centered at the origin per row from 4 on.
+    is required for r = 3 and optional otherwise, and is given exactly when
+    ``settings.use_power_spectrum`` is set; it contributes one extra circle
+    centered at the origin per row from 4 on.
     """
     n, r, b = trace.n, trace.r, band.b
     if settings.r != r:
         raise InvalidParametersError(f"settings r={settings.r} but trace has r={r}")
     if b > n // 2:
         raise InvalidParametersError(f"recovery requires b <= N/2 (b={b}, N={n})")
+    if power_spectrum is not None and not settings.use_power_spectrum:
+        raise InvalidParametersError("a power spectrum was given: set use_power_spectrum")
     if settings.use_power_spectrum:
         if power_spectrum is None:
             raise InvalidParametersError("settings request a power spectrum: none given")
@@ -349,14 +353,9 @@ def recover(
     if x0 <= tiny:
         raise DegenerateSignalError("leading band entry vanishes")
 
+    ps_radii = None
     if settings.use_power_spectrum:
-        start = band.start
-
-        def ps_radius(k):
-            return x0 * float(np.sqrt(power_spectrum[(start + k) % n]))
-
-    else:
-        ps_radius = None
+        ps_radii = (x0 * np.sqrt(power_spectrum[band.indices(n)])).tolist()
 
     branches = [_Branch((complex(x0),), (0.0,), ((0, (0,)),))]
     if b >= 2:
@@ -367,33 +366,17 @@ def recover(
 
     tol = settings.consistency_tol
     x3_pair = None
-
-    def prune(children, row, raised=()):
-        """Keep candidates within the tolerance or within a factor 100 of
-        the best one.  At the row where the kept ones stop holding both
-        entry-3 sides, record each side's smallest residual (inf for a side
-        whose branches all raised)."""
-        nonlocal x3_pair
-        best = min(c.residuals[-1] for c in children)
-        if best > _FAIL_FACTOR * tol:
-            raise InconsistentTraceError(f"no branch fits the trace at row {row}", step=row)
-        keep = max(tol, _BRANCH_RATIO * best)
-        live = [c for c in children if c.residuals[-1] <= keep]
-        sides = dict.fromkeys(raised, np.inf)
-        for c in children:
-            if c.x3_choice is not None:
-                sides[c.x3_choice] = min(sides.get(c.x3_choice, np.inf), c.residuals[-1])
-        if len(sides) == 2 and len({c.x3_choice for c in live}) == 1:
-            x3_pair = (sides[0], sides[1])
-        return live
-
-    for k in range(2, b):
+    # rows 2..b-1 each add an entry; rows b..2b-2 hold none and only check
+    for k in range(2, 2 * b - 1):
         children: list[_Branch] = []
         raised: set[int] = set()
         errors: list[Exception] = []
         for br in branches:
+            if k >= b:
+                children.append(_check_row(br, k, n, r, reader, b))
+                continue
             try:
-                children.extend(_solve_row(br, k, n, reader, settings, ps_radius))
+                children.extend(_solve_row(br, k, n, reader, settings, ps_radii))
             except (
                 DegenerateSystemError,
                 EquationSelectionError,
@@ -408,14 +391,21 @@ def recover(
             raise InconsistentTraceError(
                 f"every branch degenerated at row {k}", step=k
             ) from (errors[0] if errors else None)
-        branches = prune(children, k, raised)
-
-    for k in range(b, 2 * b - 1):
-        checked = []
-        for br in branches:
-            res, ms = _tail_residual(br, k, n, r, reader, b)
-            checked.append(br.extended(None, res, k, ms))
-        branches = prune(checked, k)
+        # keep candidates within the tolerance or within a factor 100 of the
+        # best one; at the row where the kept ones stop holding both entry-3
+        # sides, record each side's smallest residual (inf for a side whose
+        # branches all raised)
+        best = min(c.residuals[-1] for c in children)
+        if best > _FAIL_FACTOR * tol:
+            raise InconsistentTraceError(f"no branch fits the trace at row {k}", step=k)
+        keep = max(tol, _BRANCH_RATIO * best)
+        branches = [c for c in children if c.residuals[-1] <= keep]
+        sides = dict.fromkeys(raised, np.inf)
+        for c in children:
+            if c.x3_choice is not None:
+                sides[c.x3_choice] = min(sides.get(c.x3_choice, np.inf), c.residuals[-1])
+        if len(sides) == 2 and len({c.x3_choice for c in branches}) == 1:
+            x3_pair = (sides[0], sides[1])
 
     if len({br.x3_choice for br in branches}) > 1:
         raise AmbiguousBranchError(

@@ -75,9 +75,7 @@ class BandlimitSpec:
 
     def indices(self, n: int) -> np.ndarray:
         """Cyclic positions of the band inside a length-``n`` spectrum."""
-        if self.b > n:
-            raise InvalidParametersError(f"bandlimit b={self.b} exceeds N={n}")
-        return (self.start + np.arange(self.b)) % n
+        return self.unwrapped_indices(n) % n
 
     def unwrapped_indices(self, n: int) -> np.ndarray:
         """Integer exponents ``start .. start+b-1`` used for continuous

@@ -154,6 +154,31 @@ def test_system_validation():
         CircleSystem(np.array([0j, 1j]), np.array([1.0, -0.5]))
 
 
+# The (centers, radii) list form is checked as CircleSystem is.
+
+
+def test_list_form_with_a_center_too_many_rejected_by_real_solver():
+    with pytest.raises(InvalidParametersError, match="matching radii"):
+        solve_real_centers(([0j, 1 + 0j, 2 + 0j], [1.0, 1.0]))
+
+
+def test_list_form_with_a_center_too_many_rejected_by_generic_solver():
+    with pytest.raises(InvalidParametersError, match="matching radii"):
+        solve_generic(([0j, 1 + 0j, 1j, 1 + 1j], [1.0, 1.0, 1.0]))
+
+
+def test_list_form_with_one_circle_rejected():
+    for solve in (solve_generic, solve_real_centers):
+        with pytest.raises(InvalidParametersError, match="s >= 2"):
+            solve(([1 + 0j], [1.0]))
+
+
+def test_list_form_negative_radius_rejected():
+    for solve, centers in ((solve_generic, [0j, 2 + 0j, 1j]), (solve_real_centers, [0j, 2 + 0j, 3 + 0j])):
+        with pytest.raises(InvalidParametersError, match="nonnegative"):
+            solve((centers, [1.0, 1.0, -0.5]))
+
+
 def test_least_squares_step_matches_lstsq():
     # Gauss-Newton Jacobians: unit rows (z - c_i)/|z - c_i|; centres collinear
     # with z make them rank 1, where lstsq takes the minimum-norm step

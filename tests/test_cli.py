@@ -328,6 +328,37 @@ def test_bad_tol_is_usage_error_in_both_modes(tmp_path):
         assert "--tol" in res.stderr
 
 
+@pytest.fixture
+def recover_files(tmp_path):
+    """A bandlimited signal, its trace and its power spectrum."""
+    sig, tr, ps = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "ps.json"
+    assert run_cli("synthesize", "--n", 12, "--b", 3, "--seed", 0, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
+    io.write_power_spectrum(ps, np.abs(dft(io.read_signal(sig)).values) ** 2)
+    return sig, ps, ("recover", "--trace", tr, "--l", 1, "--b", 3, "--out", tmp_path / "r.json")
+
+
+def test_recursive_mode_rejects_init(recover_files):
+    sig, _, recover = recover_files
+    res = run_cli(*recover, "--init", sig)
+    assert_usage_error(res)
+    assert "--init does not apply to --mode recursive" in res.stderr
+
+
+def test_recursive_mode_rejects_max_iters(recover_files):
+    _, _, recover = recover_files
+    res = run_cli(*recover, "--max-iters", 5)
+    assert_usage_error(res)
+    assert "--max-iters does not apply to --mode recursive" in res.stderr
+
+
+def test_ls_mode_rejects_power_spectrum(recover_files):
+    sig, ps, recover = recover_files
+    res = run_cli(*recover, "--mode", "ls", "--init", sig, "--power-spectrum", ps)
+    assert_usage_error(res)
+    assert "--power-spectrum does not apply to --mode ls" in res.stderr
+
+
 def test_verify_one_sample_signal_is_usage_error(tmp_path):
     sig = tmp_path / "s.json"
     io.write_signal(sig, Signal(np.ones(1)))
@@ -405,11 +436,15 @@ def _argv(draw, inputs, outputs):
         required = [("--signal", draw(path)), ("--l", num(-1, 17))] + out
         optional = []
     elif command == "recover":
-        required = [("--trace", draw(path)), ("--l", num(-1, 17)), ("--b", num(-2, 9))]
-        required += [("--max-iters", num(-1, 50))] + out
+        required = [("--trace", draw(path)), ("--l", num(-1, 17)), ("--b", num(-2, 9))] + out
+        # --max-iters belongs to mode ls, where it is always given
+        mode = draw(st.sampled_from(["default", "recursive", "ls"]))
+        if mode != "default":
+            required += [("--mode", mode)]
+        if mode == "ls":
+            required += [("--max-iters", num(-1, 50))]
         optional = [
             ("--start", num(-3, 20)),
-            ("--mode", draw(st.sampled_from(["recursive", "ls"]))),
             ("--power-spectrum", draw(path)),
             ("--init", draw(path)),
             ("--tol", draw(_FLOATS)),

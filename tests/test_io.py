@@ -213,3 +213,51 @@ def test_basin_grid_csv(tmp_path):
     assert len(lines) == 5
     assert lines[1].split(",") == ["0", "1", "4", "4", "1"]
     assert lines[4].split(",") == ["0.5", "2", "4", "1", "0.25"]
+
+
+def _reference_write_basin_grid(path, grid):
+    """The basin-grid writer as one csv.writer row per cell: the format's reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sigma", "L", "trials", "successes", "rate"])
+        for i, sigma in enumerate(grid.sigma_values):
+            for j, l in enumerate(grid.l_values):
+                rate = grid.success_rate[i, j]
+                writer.writerow(
+                    [
+                        "%.17g" % sigma,
+                        int(l),
+                        grid.trials,
+                        int(round(rate * grid.trials)),
+                        "%.17g" % rate,
+                    ]
+                )
+
+
+_SIGMAS = st.one_of(
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),  # subnormals
+    st.integers(-10, 10).map(float),
+    st.floats(min_value=1e300, max_value=sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _basin_grids(draw):
+    from frogkit import BasinGrid
+
+    sigmas = draw(st.lists(_SIGMAS, min_size=1, max_size=4))
+    l_values = draw(st.lists(st.integers(1, 64), min_size=1, max_size=4))
+    trials = draw(st.integers(1, 1000))
+    shape = (len(sigmas), len(l_values))
+    wins = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, trials)))
+    return BasinGrid(np.array(sigmas), np.array(l_values), trials, wins / trials, seed=0)
+
+
+@_TRACE_SETTINGS
+@given(grid=_basin_grids())
+def test_basin_grid_bytes_equal_csv_writer(tmp_path, grid):
+    path, ref = tmp_path / "grid.csv", tmp_path / "ref.csv"
+    io.write_basin_grid(path, grid)
+    _reference_write_basin_grid(ref, grid)
+    assert path.read_bytes() == ref.read_bytes()

@@ -187,9 +187,10 @@ def _assert_batch_matches_serial(n, l, sigmas, seed, opts):
     return iters
 
 
-def test_batched_descent_matches_serial_on_mixed_batch():
+def test_batched_descent_matches_serial_on_mixed_batch(monkeypatch):
     # a loose tolerance, so that some trials stop on it before the cap
-    opts = LsOptions(max_iters=400, grad_tol=0.5)
+    monkeypatch.setattr(ls_solver, "_GRAD_TOL", 0.5)
+    opts = LsOptions(max_iters=400)
     sigmas = [0.0, 0.02, 0.3, 0.0, 1.0, 2.0, 0.01, 0.5]
     iters = _assert_batch_matches_serial(12, 2, sigmas, 3, opts)
     assert iters[0] == 0 and iters[3] == 0  # sigma = 0 starts at the truth
@@ -197,7 +198,7 @@ def test_batched_descent_matches_serial_on_mixed_batch():
     assert np.any(iters == opts.max_iters)
 
 
-def test_batched_descent_when_all_trials_stop_together():
+def test_batched_descent_when_all_trials_stop_together(monkeypatch):
     # all at the truth: every trial stops at iteration 0
     iters = _assert_batch_matches_serial(12, 3, [0.0] * 4, 5, LsOptions())
     assert np.all(iters == 0)
@@ -206,7 +207,8 @@ def test_batched_descent_when_all_trials_stop_together():
     iters = _assert_batch_matches_serial(12, 3, [2.0] * 4, 5, opts)
     assert np.all(iters == opts.max_iters)
     # a first step below the backtracking floor: every trial gives up at once
-    iters = _assert_batch_matches_serial(12, 3, [2.0] * 4, 5, LsOptions(step0=1e-19))
+    monkeypatch.setattr(ls_solver, "_STEP0", 1e-19)
+    iters = _assert_batch_matches_serial(12, 3, [2.0] * 4, 5, LsOptions())
     assert np.all(iters == 0)
 
 
@@ -230,11 +232,11 @@ def _reference_minimize(z, data, l, opts):
         term2 = (np.conj(z)[:, None] * back)[bwd, np.arange(r)[None, :]]
         return -2.0 * np.sum(np.conj(z[fwd]) * back + term2, axis=1)
 
-    f, step, iters = objective(z), opts.step0, 0
+    f, step, iters = objective(z), ls_solver._STEP0, 0
     for _ in range(opts.max_iters):
         g = gradient(z)
         gnorm2 = float(np.vdot(g, g).real)
-        if np.sqrt(gnorm2) <= opts.grad_tol * (1.0 + abs(f)):
+        if np.sqrt(gnorm2) <= ls_solver._GRAD_TOL * (1.0 + abs(f)):
             break
         t = step
         while t > 1e-18:
@@ -249,18 +251,19 @@ def _reference_minimize(z, data, l, opts):
     return z, f, iters
 
 
-def test_minimize_matches_reference_loop():
-    loose = LsOptions(max_iters=300, grad_tol=0.5)
-    cases = [  # (L, sigma, start scale, options): every way a descent stops
-        (1, 0.1, 1.0, LsOptions(max_iters=300)),  # iteration cap
-        (8, 0.25, 1.0, LsOptions(max_iters=300)),  # iteration cap
-        (2, 0.02, 1.0, loose),  # gradient tolerance, mid-run
-        (4, 1.0, 1.0, loose),  # gradient tolerance, early
-        (3, 0.0, 1.0, loose),  # at the truth
-        (4, 1.0, 1e4, LsOptions(max_iters=300)),  # no step decreases enough: underflow
+def test_minimize_matches_reference_loop(monkeypatch):
+    opts = LsOptions(max_iters=300)
+    cases = [  # (L, sigma, start scale, gradient tolerance): every way a descent stops
+        (1, 0.1, 1.0, 1e-9),  # iteration cap
+        (8, 0.25, 1.0, 1e-9),  # iteration cap
+        (2, 0.02, 1.0, 0.5),  # gradient tolerance, mid-run
+        (4, 1.0, 1.0, 0.5),  # gradient tolerance, early
+        (3, 0.0, 1.0, 0.5),  # at the truth
+        (4, 1.0, 1e4, 1e-9),  # no step decreases enough: underflow
     ]
     stops = set()
-    for l, sigma, scale, opts in cases:
+    for l, sigma, scale, grad_tol in cases:
+        monkeypatch.setattr(ls_solver, "_GRAD_TOL", grad_tol)
         starts, traces = _batch_inputs(24, l, [sigma], 17)
         z, f, iters = ls_minimize(Signal(scale * starts[0]), traces[0], l, opts)
         z_ref, f_ref, iters_ref = _reference_minimize(scale * starts[0], traces[0].data, l, opts)
@@ -322,7 +325,7 @@ def _stop_reason(n, l, trace, z, f, iters, opts):
     data = ws.stack([l], [trace.data])
     _, state = ws.evaluate(z[None], data)
     g = ws.gradient(z[None], data, state)
-    if np.sqrt(ws.norm2(g)[0]) <= opts.grad_tol * (1.0 + abs(f)):
+    if np.sqrt(ws.norm2(g)[0]) <= ls_solver._GRAD_TOL * (1.0 + abs(f)):
         return "at truth" if iters == 0 else "grad_tol"
     return "max_iters" if iters == opts.max_iters else "step underflow"
 
@@ -350,12 +353,14 @@ def _assert_real_stack_matches_alone(n, runs, seed, opts):
     return reasons
 
 
-def test_real_stack_trials_match_trials_run_alone():
+def test_real_stack_trials_match_trials_run_alone(monkeypatch):
     runs = [(1, 0.0, 1.0), (2, 0.02, 1.0), (4, 0.3, 1.0), (12, 0.5, 1.0), (3, 1.0, 1.0),
             (6, 0.0, 1.0), (1, 2.0, 1.0), (2, 0.5, 1.0), (4, 0.01, 1.0), (3, 0.25, 1.0)]
     # a loose tolerance, so that some trials stop on it before the cap
-    reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300, grad_tol=0.5))
+    monkeypatch.setattr(ls_solver, "_GRAD_TOL", 0.5)
+    reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300))
     assert {"at truth", "grad_tol", "max_iters"} <= set(reasons)
+    monkeypatch.undo()
     # a start scaled by 1e4 finds no step that decreases the objective
     runs[4] = (3, 1.0, 1e4)
     reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300))

@@ -23,10 +23,10 @@ from frogkit import (
 )
 from frogkit.recursive_recovery import (
     _Branch,
+    _check_row,
     _columns,
     _row_offsets,
     _select_columns,
-    _tail_residual,
 )
 from conftest import random_band_spectrum
 
@@ -155,7 +155,9 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     tail_row = data.draw(st.integers(b, 2 * b - 2), label="tail row")
     n = 2 * b
     reader = _ArrayReader(np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r)))
-    got, ms = _tail_residual(_Branch(tuple(coeffs), (), ()), tail_row, n, r, reader, b)
+    checked = _check_row(_Branch(tuple(coeffs), (), ()), tail_row, n, r, reader, b)
+    (got,), ((row, ms),) = checked.residuals, checked.equations
+    assert checked.coeffs == tuple(coeffs) and row == tail_row
     want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)
     assert list(ms) == want_ms
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
@@ -247,6 +249,12 @@ class TestRecover:
             power[7] = bad  # outside the band: no row reads it
             with pytest.raises(InvalidParametersError, match="power spectrum"):
                 recover(trace_of(xhat, 5), band, settings, power)
+
+    def test_power_spectrum_without_its_setting_rejected(self, rng):
+        xhat, band = random_band_spectrum(rng, 16, 4)
+        for power in (np.full(16, -5.0), np.abs(xhat.values) ** 2):
+            with pytest.raises(InvalidParametersError, match="use_power_spectrum"):
+                recover(trace_of(xhat, 4), band, RecoverySettings(r=4), power)
 
     def test_r3_unequal_duplicate_columns_rejected(self, rng):
         from frogkit import FrogTrace
