@@ -18,6 +18,7 @@ Both return the achieved residual; callers decide what tolerance means.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -46,26 +47,31 @@ class CircleSystem:
     def __post_init__(self):
         c = np.array(self.centers, dtype=np.complex128)
         n = np.array(self.radii, dtype=np.float64)
-        if c.ndim != 1 or n.shape != c.shape or c.size < 2:
+        if c.ndim != 1 or n.ndim != 1:
             raise InvalidParametersError("need s >= 2 centers with matching radii")
-        if np.min(n) < 0:
-            raise InvalidParametersError("radii must be nonnegative")
+        _check(c, n)
         c.flags.writeable = False
         n.flags.writeable = False
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "radii", n)
 
 
+def _check(centers, radii):
+    """The rules every circle system obeys, in either input form."""
+    if len(centers) != len(radii) or len(radii) < 2:
+        raise InvalidParametersError("need s >= 2 centers with matching radii")
+    if not (all(map(cmath.isfinite, centers)) and all(map(math.isfinite, radii))):
+        raise InvalidParametersError("centers and radii must be finite")
+    if min(radii) < 0:
+        raise InvalidParametersError("radii must be nonnegative")
+
+
 def _lists(sys) -> tuple[list, list]:
     """Centers and radii of a ``CircleSystem`` or a ``(centers, radii)`` pair."""
     if isinstance(sys, CircleSystem):
         return sys.centers.tolist(), sys.radii.tolist()
-    centers, radii = sys
-    if len(centers) != len(radii) or len(radii) < 2:
-        raise InvalidParametersError("need s >= 2 centers with matching radii")
-    if min(radii) < 0:
-        raise InvalidParametersError("radii must be nonnegative")
-    return centers, radii
+    _check(*sys)
+    return sys
 
 
 @dataclass(frozen=True)

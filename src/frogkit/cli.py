@@ -68,7 +68,7 @@ def _recover(args) -> int:
         )
         report = recover(trace, band, settings, power)
         io.write_report(args.out, report)
-        worst = float(np.max(report.step_residuals)) if report.step_residuals.size else 0.0
+        worst = float(np.max(report.step_residuals))
         print(f"recovered {band.b} entries, max step residual {worst:.3e}")
         return EXIT_OK if report.success else EXIT_FAILURE
     # least-squares mode
@@ -76,7 +76,7 @@ def _recover(args) -> int:
         raise InvalidParametersError("mode=ls needs --init (starting signal file)")
     z0 = io.read_signal(args.init)
     opts = LsOptions() if args.max_iters is None else LsOptions(max_iters=args.max_iters)
-    z_fin, objective, iters = ls_minimize(z0, trace, args.l, opts)
+    z_fin, objective, iters = ls_minimize(z0, trace, opts)
     mismatch = float(
         np.max(np.abs(frog_trace(z_fin, args.l).data - trace.data))
         / max(np.max(trace.data), 1e-300)

@@ -25,6 +25,7 @@ from .errors import InvalidParametersError
 from .signal_model import (
     FrogTrace,
     Signal,
+    _check_step,
     dft,
     frog_trace,
     shift_product_coeffs,
@@ -210,38 +211,34 @@ class _RealWorkspace:
         return kept, state.take(cols, axis=0)
 
 
-def _check_dims(z: Signal, trace: FrogTrace, l: int):
-    if l != trace.l:
-        raise InvalidParametersError(f"step L={l} does not match the trace (L={trace.l})")
+def _check_dims(z: Signal, trace: FrogTrace):
     if z.n != trace.n:
         raise InvalidParametersError("signal length does not match the trace")
 
 
-def ls_objective(z: Signal, trace: FrogTrace, l: int) -> float:
+def ls_objective(z: Signal, trace: FrogTrace) -> float:
     """Half the squared Frobenius mismatch between the trace of z and the
-    measured trace."""
-    _check_dims(z, trace, l)
-    f, _ = _Workspace(trace.n, l).evaluate(z.values[None], trace.data[None])
+    measured trace (at the trace's step L)."""
+    _check_dims(z, trace)
+    f, _ = _Workspace(trace.n, trace.l).evaluate(z.values[None], trace.data[None])
     return float(f[0])
 
 
-def ls_gradient(z: Signal, trace: FrogTrace, l: int) -> Signal:
+def ls_gradient(z: Signal, trace: FrogTrace) -> Signal:
     """Analytic gradient of the objective, as df/dRe + i*df/dIm."""
-    _check_dims(z, trace, l)
-    ws = _Workspace(trace.n, l)
+    _check_dims(z, trace)
+    ws = _Workspace(trace.n, trace.l)
     _, state = ws.evaluate(z.values[None], trace.data[None])
     return Signal(ws.gradient(z.values[None], None, state)[0])
 
 
-def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
+def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
     """Armijo descent of a stack of trials, each exactly as if run alone.
 
     ``ws`` is a descent kernel, ``z0`` (T, N) and ``data`` the kernel's data
     for the stack.  Every trial keeps its own step and its own stop test; a
     trial that stops leaves the stack.  Returns the final iterates,
     objectives and iteration counts, in input order.
-    ``on_iterate(trial, iteration, objective)`` is called after each
-    accepted step.
     """
     z = np.array(z0, dtype=ws.dtype)
     f, state = ws.evaluate(z, data)
@@ -283,9 +280,6 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
         z, f, state = z_new, f_new, state_new
         step = t / _SHRINK  # allow the next step to be larger
         iters += accepted
-        if on_iterate is not None:
-            for k in np.flatnonzero(accepted):
-                on_iterate(int(live[k]), int(iters[k]), float(f[k]))
         stop |= iters >= opts.max_iters
         if stop.any():
             done, keep = live[stop], ~stop
@@ -296,24 +290,16 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions, on_iterate=None):
 
 
 def ls_minimize(
-    z0: Signal,
-    trace: FrogTrace,
-    l: int,
-    opts: LsOptions = LsOptions(),
-    on_iterate=None,
+    z0: Signal, trace: FrogTrace, opts: LsOptions = LsOptions()
 ) -> tuple[Signal, float, int]:
     """Gradient descent with backtracking from z0.
 
     Terminates on the gradient tolerance (relative to 1 + objective), step
     underflow, or the iteration cap; non-convergence is an outcome, not an
-    error.  ``on_iterate(iteration, objective)`` is called after each
-    accepted step.
+    error.
     """
-    _check_dims(z0, trace, l)
-    report = None if on_iterate is None else (lambda _, i, f: on_iterate(i, f))
-    z, f, iters = _descend(
-        _Workspace(trace.n, l), z0.values[None], trace.data[None], opts, report
-    )
+    _check_dims(z0, trace)
+    z, f, iters = _descend(_Workspace(trace.n, trace.l), z0.values[None], trace.data[None], opts)
     return Signal(z[0]), float(f[0]), int(iters[0])
 
 
@@ -354,8 +340,7 @@ def basin_experiment(
     if seed < 0:
         raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
     for l in l_values:
-        if l < 1 or n % l != 0:
-            raise InvalidParametersError(f"step L={l} must divide N={n}")
+        _check_step(n, l)
 
     ws = _RealWorkspace(n)
     wins = np.zeros((len(sigma_values), len(l_values)))

@@ -137,7 +137,7 @@ def _twiddled_sum(q, lo: int, m: int, r: int) -> complex:
 
 def _row_offsets(prefix, k: int, r: int):
     """Row k's offset v_m as a function of the column, from band entries
-    0..k-1, memoised: the products x_j * x_(k-j) are formed once.
+    0..k-1; the products x_j * x_(k-j) are formed once.
 
     ``v_m = sum_{j=1..k-1} prefix[j] * prefix[k-j] * w^(j*m) / (1 + w^(k*m))``,
     which equals the row-k frequency-domain coefficient (times N, normalized)
@@ -145,26 +145,28 @@ def _row_offsets(prefix, k: int, r: int):
     """
     q = [prefix[j] * prefix[k - j] for j in range(1, k)]
     w = _twiddles(r)
-    memo: dict[int, complex] = {}
 
     def offset(m: int) -> complex:
-        if m not in memo:
-            memo[m] = _twiddled_sum(q, 1, m, r) / (1.0 + w[(k * m) % r])
-        return memo[m]
+        return _twiddled_sum(q, 1, m, r) / (1.0 + w[(k * m) % r])
 
     return offset
 
 
-def _select_columns(k, r, centers_fn):
-    """Pick three trace columns for row k whose offsets are not collinear.
+def _select_columns(k, r, offset):
+    """Three trace columns for row k whose offsets are not collinear, and
+    those offsets.
 
     Prefers (0, 1, 2); otherwise scans combinations of usable columns in
-    increasing order.  Columns summing to r are never paired (they duplicate
-    each other).
+    increasing order, computing each column's offset once.  Columns summing
+    to r are never paired (they duplicate each other).
     """
-    for combo in itertools.combinations(_columns(k % r, r), 3):
-        if any_nonreal([centers_fn(m) for m in combo], [(1, 2)]):
-            return tuple(combo)
+    cols = _columns(k % r, r)
+    seen: list[complex] = []  # offsets of cols[:len(seen)]
+    for combo in itertools.combinations(range(len(cols)), 3):
+        seen.extend(offset(m) for m in cols[len(seen) : combo[-1] + 1])
+        offsets = [seen[i] for i in combo]
+        if any_nonreal(offsets, [(1, 2)]):
+            return [cols[i] for i in combo], offsets
     raise EquationSelectionError(f"no admissible column triple for row {k} with r={r}")
 
 
@@ -237,20 +239,14 @@ def _solve_row(branch, k, n, reader, settings, ps_radii):
     coeffs = branch.coeffs
     x0 = coeffs[0].real
     w = _twiddles(r)
-    center = _row_offsets(coeffs, k, r)
-
-    def radius(m):
-        return n * reader.magnitude(k, m) / abs(1.0 + w[(k * m) % r])
-
+    offset = _row_offsets(coeffs, k, r)
     cols = _columns(k % r, r)
-    if k in (2, 3):
-        ms = cols[:3]
-    elif len(cols) >= 3:
-        ms = _select_columns(k, r, center)
+    if k > 3 and len(cols) >= 3:
+        ms, offsets = _select_columns(k, r, offset)
     else:
-        ms = cols
-    offsets = [center(m) for m in ms]
-    radii = [radius(m) for m in ms]
+        ms = cols[:3]
+        offsets = [offset(m) for m in ms]
+    radii = [n * reader.magnitude(k, m) / abs(1.0 + w[(k * m) % r]) for m in ms]
     if ps_radii is not None and k > 3:
         offsets.append(0j)
         radii.append(ps_radii[k])
@@ -262,16 +258,11 @@ def _solve_row(branch, k, n, reader, settings, ps_radii):
         return [branch.extended(sol.z / x0, sol.residual / scale, k, ms)]
 
     # collinear offsets: row 2's are real, row 3's lie on the line through
-    # the origin along x2, and two circles always are
+    # the origin along x2 (which ``recover`` checked), and two circles always are
     if k == 2:
         point, direction = 0j, 1.0 + 0j
     elif k == 3:
-        x2 = coeffs[2]
-        if abs(x2) <= 1e-13 * (1.0 + max(map(abs, coeffs))):
-            raise DegenerateSignalError(
-                "band entry 2 vanishes; the row-3 rotation is undefined"
-            )
-        point, direction = 0j, x2
+        point, direction = 0j, coeffs[2]
     else:
         point, direction = offsets[0], offsets[1] - offsets[0]
     sol = _solve_collinear(offsets, radii, point, direction, tol)
@@ -368,8 +359,9 @@ def recover(
     x3_pair = None
     # rows 2..b-1 each add an entry; rows b..2b-2 hold none and only check
     for k in range(2, 2 * b - 1):
+        if k == 3 and b > 3 and abs(branches[0].coeffs[2]) <= tiny:
+            raise DegenerateSignalError("band entry 2 vanishes; the row-3 rotation is undefined")
         children: list[_Branch] = []
-        raised: set[int] = set()
         errors: list[Exception] = []
         for br in branches:
             if k >= b:
@@ -382,8 +374,6 @@ def recover(
                 EquationSelectionError,
                 UnderdeterminedSystemError,
             ) as exc:
-                if br.x3_choice is not None:
-                    raised.add(br.x3_choice)
                 errors.append(exc)
         if not children:
             if errors and all(isinstance(e, EquationSelectionError) for e in errors):
@@ -392,20 +382,20 @@ def recover(
                 f"every branch degenerated at row {k}", step=k
             ) from (errors[0] if errors else None)
         # keep candidates within the tolerance or within a factor 100 of the
-        # best one; at the row where the kept ones stop holding both entry-3
-        # sides, record each side's smallest residual (inf for a side whose
-        # branches all raised)
+        # best one; at the row where the parents hold both entry-3 sides and
+        # the kept children one, record each side's smallest residual (inf
+        # for a side whose branches all raised)
         best = min(c.residuals[-1] for c in children)
         if best > _FAIL_FACTOR * tol:
             raise InconsistentTraceError(f"no branch fits the trace at row {k}", step=k)
         keep = max(tol, _BRANCH_RATIO * best)
-        branches = [c for c in children if c.residuals[-1] <= keep]
-        sides = dict.fromkeys(raised, np.inf)
-        for c in children:
-            if c.x3_choice is not None:
-                sides[c.x3_choice] = min(sides.get(c.x3_choice, np.inf), c.residuals[-1])
-        if len(sides) == 2 and len({c.x3_choice for c in branches}) == 1:
-            x3_pair = (sides[0], sides[1])
+        kept = [c for c in children if c.residuals[-1] <= keep]
+        if len({br.x3_choice for br in branches}) == 2 and len({c.x3_choice for c in kept}) == 1:
+            x3_pair = tuple(
+                min((c.residuals[-1] for c in children if c.x3_choice == side), default=np.inf)
+                for side in (0, 1)
+            )
+        branches = kept
 
     if len({br.x3_choice for br in branches}) > 1:
         raise AmbiguousBranchError(

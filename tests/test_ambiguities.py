@@ -94,6 +94,12 @@ def test_dist_rejects_zero_reference(rng):
         dist_mod_group(a, Spectrum(np.zeros(8)))
 
 
+def test_dist_rejects_unequal_lengths(rng):
+    a = Spectrum(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    with pytest.raises(InvalidParametersError, match="equal length"):
+        dist_mod_group(a, Spectrum(np.ones(9)))
+
+
 def test_dist_recovers_group_element_on_orbit(rng):
     n, b = 16, 6
     for _ in range(100):

@@ -179,6 +179,29 @@ def test_list_form_negative_radius_rejected():
             solve((centers, [1.0, 1.0, -0.5]))
 
 
+@pytest.mark.parametrize("solve", [solve_generic, solve_real_centers])
+@pytest.mark.parametrize("as_system", [False, True], ids=["lists", "system"])
+@pytest.mark.parametrize(
+    "centers, radii",
+    [
+        ([0j, 1 + 0j, 2 + 0j], [1.0, math.inf, 1.0]),
+        ([0j, 1 + 0j, 2 + 0j], [math.nan, 1.0, 1.0]),
+        ([0j, complex(math.nan, 0.0), 2 + 0j], [1.0, 1.0, 1.0]),
+        ([0j, 1 + 0j, complex(math.inf, 0.0)], [1.0, 1.0, 1.0]),
+    ],
+    ids=["inf radius", "nan radius", "nan center", "inf center"],
+)
+def test_nonfinite_systems_rejected(solve, as_system, centers, radii):
+    # the list form is checked as CircleSystem is: both fail before any solve
+    with pytest.raises(InvalidParametersError, match="finite"):
+        solve(CircleSystem(np.array(centers), np.array(radii)) if as_system else (centers, radii))
+
+
+def test_generic_solve_needs_three_circles():
+    with pytest.raises(InvalidParametersError, match="at least 3"):
+        solve_generic(([0j, 1 + 0j], [1.0, 1.0]))
+
+
 def test_least_squares_step_matches_lstsq():
     # Gauss-Newton Jacobians: unit rows (z - c_i)/|z - c_i|; centres collinear
     # with z make them rank 1, where lstsq takes the minimum-norm step

@@ -1,6 +1,7 @@
 import contextlib
 import io as stdio
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -106,6 +107,16 @@ def test_recover_with_inconsistent_tail_exits_1(tmp_path):
     assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
 
 
+def test_recover_that_raises_exits_1_with_one_line(tmp_path):
+    values = np.zeros(16, dtype=complex)
+    values[1:4] = [1.0, 1.0 - 0.5j, 0.3 + 0.2j]  # entry 0 of the band is zero
+    tr = tmp_path / "t.csv"
+    io.write_trace(tr, frog_trace(idft(Spectrum(values)), 4))
+    res = run_cli("recover", "--trace", tr, "--l", 4, "--b", 4, "--out", tmp_path / "r.json")
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines() == ["failure: leading band entry vanishes"]
+
+
 def test_recover_r3_without_power_spectrum_is_usage_error(tmp_path):
     sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
     assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
@@ -195,6 +206,15 @@ def test_verify_full_band_reports_noninvariance(tmp_path):
     res = run_cli("verify", "--signal", sig, "--l", 3)
     assert res.returncode == 0
     assert "NOT invariant" in res.stdout
+
+
+def test_verify_fractional_shift_of_a_full_band_signal_fails(tmp_path):
+    rng = np.random.default_rng(6)
+    sig = tmp_path / "s.json"
+    io.write_signal(sig, Signal(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+    res = run_cli("verify", "--signal", sig, "--l", 1, "--b", 4)
+    assert res.returncode == 1
+    assert re.search(r"^fractional shift +NOT invariant$", res.stdout, re.MULTILINE), res.stdout
 
 
 def assert_usage_error(res):

@@ -22,7 +22,7 @@ from frogkit import ls_solver
 from conftest import random_signal
 
 
-def finite_difference_gradient(z, trace, l):
+def finite_difference_gradient(z, trace):
     n = z.n
     out = np.zeros(n, dtype=complex)
     for p in range(n):
@@ -32,7 +32,7 @@ def finite_difference_gradient(z, trace, l):
             zm = z.values.copy()
             zp[p] += direction * h
             zm[p] -= direction * h
-            diff = (ls_objective(Signal(zp), trace, l) - ls_objective(Signal(zm), trace, l)) / (2 * h)
+            diff = (ls_objective(Signal(zp), trace) - ls_objective(Signal(zm), trace)) / (2 * h)
             out[p] += direction * diff
     return out
 
@@ -41,37 +41,35 @@ def test_objective_zero_at_truth(rng):
     x = random_signal(rng, 12)
     trace = frog_trace(x, 3)
     scale = 0.5 * np.sum(trace.data**2)
-    assert ls_objective(x, trace, 3) <= 1e-18 * scale
+    assert ls_objective(x, trace) <= 1e-18 * scale
 
 
 def test_objective_invariant_under_group(rng):
     x = random_signal(rng, 12)
     trace = frog_trace(x, 3)
     z = random_signal(rng, 12)
-    f0 = ls_objective(z, trace, 3)
+    f0 = ls_objective(z, trace)
     for g in (
         AmbiguityElement(psi=1.2),
         AmbiguityElement(shift=4.0),
         AmbiguityElement(reflected=True),
     ):
         zt = idft(apply(g, dft(z)))
-        assert abs(ls_objective(zt, trace, 3) - f0) <= 1e-10 * (1 + f0)
+        assert abs(ls_objective(zt, trace) - f0) <= 1e-10 * (1 + f0)
 
 
 def test_objective_at_zero_is_half_sum_of_squares(rng):
     x = random_signal(rng, 8)
     trace = frog_trace(x, 2)
     z0 = Signal(np.zeros(8, dtype=complex))
-    assert np.isclose(ls_objective(z0, trace, 2), 0.5 * np.sum(trace.data**2))
+    assert np.isclose(ls_objective(z0, trace), 0.5 * np.sum(trace.data**2))
 
 
 def test_objective_dimension_mismatch(rng):
     x = random_signal(rng, 8)
     trace = frog_trace(x, 2)
     with pytest.raises(InvalidParametersError):
-        ls_objective(random_signal(rng, 6), trace, 2)
-    with pytest.raises(InvalidParametersError):
-        ls_objective(x, trace, 4)
+        ls_objective(random_signal(rng, 6), trace)
 
 
 def test_gradient_matches_finite_differences(rng):
@@ -80,16 +78,16 @@ def test_gradient_matches_finite_differences(rng):
         l = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
         z = random_signal(rng, n)
         trace = frog_trace(random_signal(rng, n), l)
-        g = ls_gradient(z, trace, l).values
-        fd = finite_difference_gradient(z, trace, l)
+        g = ls_gradient(z, trace).values
+        fd = finite_difference_gradient(z, trace)
         assert np.max(np.abs(g - fd)) <= 1e-5 * (1 + np.max(np.abs(fd)))
 
 
 def test_gradient_vanishes_at_truth(rng):
     x = random_signal(rng, 10)
     trace = frog_trace(x, 2)
-    g = ls_gradient(x, trace, 2).values
-    scale = 1 + ls_objective(Signal(2 * x.values), trace, 2)
+    g = ls_gradient(x, trace).values
+    scale = 1 + ls_objective(Signal(2 * x.values), trace)
     assert np.linalg.norm(g) <= 1e-9 * scale
 
 
@@ -97,30 +95,40 @@ def test_gradient_real_restriction(rng):
     # for real signals, the derivative along real perturbations is Re(g)
     x = Signal(rng.standard_normal(8).astype(complex))
     trace = frog_trace(Signal(rng.standard_normal(8)), 2)
-    g = ls_gradient(x, trace, 2).values
+    g = ls_gradient(x, trace).values
     for p in range(8):
         h = 1e-6
         zp, zm = x.values.copy(), x.values.copy()
         zp[p] += h
         zm[p] -= h
-        fd = (ls_objective(Signal(zp), trace, 2) - ls_objective(Signal(zm), trace, 2)) / (2 * h)
+        fd = (ls_objective(Signal(zp), trace) - ls_objective(Signal(zm), trace)) / (2 * h)
         assert abs(fd - g[p].real) <= 1e-5 * (1 + abs(fd))
 
 
 def test_minimize_stops_immediately_at_truth(rng):
     x = random_signal(rng, 12)
     trace = frog_trace(x, 3)
-    z, f, iters = ls_minimize(x, trace, 3)
+    z, f, iters = ls_minimize(x, trace)
     assert iters == 0
     assert np.array_equal(z.values, x.values)
 
 
-def test_minimize_monotone_objective(rng):
+def test_minimize_monotone_objective(rng, monkeypatch):
     x = Signal(rng.standard_normal(16))
     trace = frog_trace(x, 4)
     z0 = Signal(x.values + 0.5 * (rng.integers(0, 2, 16) * 2 - 1))
-    history = []
-    ls_minimize(z0, trace, 4, LsOptions(max_iters=300), on_iterate=lambda i, f: history.append(f))
+    # the descent takes one gradient per accepted iterate, the start included
+    iterates = []
+    gradient = ls_solver._Workspace.gradient
+
+    def spy(ws, z, data, state):
+        iterates.append(Signal(z[0].copy()))
+        return gradient(ws, z, data, state)
+
+    monkeypatch.setattr(ls_solver._Workspace, "gradient", spy)
+    _, f, iters = ls_minimize(z0, trace, LsOptions(max_iters=300))
+    assert len(iterates) == iters == 300
+    history = [ls_objective(z, trace) for z in iterates] + [f]
     assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
 
@@ -131,7 +139,7 @@ def test_minimize_small_perturbation_recovers(rng):
         x = Signal(srng.standard_normal(24))
         trace = frog_trace(x, 1)
         z0 = Signal(x.values + 0.01 * (srng.integers(0, 2, 24) * 2 - 1))
-        z, f, _ = ls_minimize(z0, trace, 1)
+        z, f, _ = ls_minimize(z0, trace)
         d, _ = dist_mod_group(dft(z), dft(x))
         if d <= 1e-6:
             wins += 1
@@ -145,7 +153,7 @@ def test_minimize_far_start_often_stalls(rng):
         x = Signal(srng.standard_normal(16))
         trace = frog_trace(x, 8)
         z0 = Signal(srng.standard_normal(16) * 3.0)
-        _, f, _ = ls_minimize(z0, trace, 8, LsOptions(max_iters=400))
+        _, f, _ = ls_minimize(z0, trace, LsOptions(max_iters=400))
         if f > 1e-10:
             stuck += 1
     assert stuck >= 1
@@ -180,7 +188,7 @@ def _assert_batch_matches_serial(n, l, sigmas, seed, opts):
     data = np.array([tr.data for tr in traces])
     z, f, iters = ls_solver._descend(ls_solver._Workspace(n, l), starts, data, opts)
     for k, trace in enumerate(traces):
-        z_ref, f_ref, iters_ref = ls_minimize(Signal(starts[k]), trace, l, opts)
+        z_ref, f_ref, iters_ref = ls_minimize(Signal(starts[k]), trace, opts)
         assert np.array_equal(z[k], z_ref.values)
         assert f[k] == f_ref
         assert iters[k] == iters_ref
@@ -265,23 +273,13 @@ def test_minimize_matches_reference_loop(monkeypatch):
     for l, sigma, scale, grad_tol in cases:
         monkeypatch.setattr(ls_solver, "_GRAD_TOL", grad_tol)
         starts, traces = _batch_inputs(24, l, [sigma], 17)
-        z, f, iters = ls_minimize(Signal(scale * starts[0]), traces[0], l, opts)
+        z, f, iters = ls_minimize(Signal(scale * starts[0]), traces[0], opts)
         z_ref, f_ref, iters_ref = _reference_minimize(scale * starts[0], traces[0].data, l, opts)
         assert np.array_equal(z.values, z_ref)
         assert f == f_ref
         assert iters == iters_ref
         stops.add("cap" if iters == opts.max_iters else "start" if iters == 0 else "mid")
     assert stops == {"cap", "start", "mid"}
-
-
-def test_minimize_reports_every_accepted_step(rng):
-    x = Signal(rng.standard_normal(12))
-    trace = frog_trace(x, 2)
-    z0 = Signal(x.values + 0.3 * (rng.integers(0, 2, 12) * 2 - 1))
-    seen = []
-    _, f, iters = ls_minimize(z0, trace, 2, LsOptions(max_iters=50), on_iterate=lambda i, v: seen.append((i, v)))
-    assert [i for i, _ in seen] == list(range(1, iters + 1))
-    assert seen[-1][1] == f
 
 
 @st.composite
@@ -305,8 +303,8 @@ def test_real_stack_matches_complex_objective_and_gradient(stack):
     f, state = ws.evaluate(z, data)
     g = ws.gradient(z, data, state)
     for k, (l, trace) in enumerate(zip(steps, traces)):
-        f_ref = ls_objective(Signal(z[k]), trace, l)
-        g_ref = ls_gradient(Signal(z[k]), trace, l).values
+        f_ref = ls_objective(Signal(z[k]), trace)
+        g_ref = ls_gradient(Signal(z[k]), trace).values
         assert abs(f[k] - f_ref) <= 1e-12 * f_ref
         assert np.max(np.abs(g[k] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
     # a subset of the stack, as backtracking evaluates it, gives the same bits
@@ -366,6 +364,11 @@ def test_real_stack_trials_match_trials_run_alone(monkeypatch):
     reasons = _assert_real_stack_matches_alone(12, runs, 23, LsOptions(max_iters=300))
     assert reasons[4] == "step underflow"
     assert {"at truth", "max_iters"} <= set(reasons)
+
+
+def test_options_reject_an_empty_iteration_cap():
+    with pytest.raises(InvalidParametersError, match="max_iters"):
+        LsOptions(max_iters=0)
 
 
 def test_basin_rejects_empty_trials_and_signals():

@@ -9,6 +9,8 @@ from frogkit import (
     AmbiguousBranchError,
     BandlimitSpec,
     DegenerateSignalError,
+    DegenerateSystemError,
+    EquationSelectionError,
     FrogkitError,
     FrogTrace,
     InconsistentTraceError,
@@ -21,6 +23,7 @@ from frogkit import (
     idft,
     recover,
 )
+from frogkit import recursive_recovery
 from frogkit.recursive_recovery import (
     _Branch,
     _check_row,
@@ -164,22 +167,26 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
 
 
 class TestSelectEquations:
-    def centers(self, rng, k, r):
+    def select(self, rng, k, r):
+        """The selected triple; its offsets must be the row's own, bitwise."""
         prefix = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         prefix[0] = 1.0
-        return _row_offsets(prefix.tolist(), k, r)
+        offset = _row_offsets(prefix.tolist(), k, r)
+        triple, offsets = _select_columns(k, r, offset)
+        assert offsets == [offset(m) for m in triple]
+        return tuple(triple)
 
     def test_r5_prefers_first_three(self, rng):
-        assert _select_columns(4, 5, self.centers(rng, 4, 5)) == (0, 1, 2)
+        assert self.select(rng, 4, 5) == (0, 1, 2)
 
     def test_r8_avoids_degenerate_columns(self, rng):
-        triple = _select_columns(4, 8, self.centers(rng, 4, 8))
+        triple = self.select(rng, 4, 8)
         assert triple == (0, 2, 4)
         for m in triple:
             assert m not in (1, 3, 5, 7)
 
     def test_r16_avoids_column_two(self, rng):
-        triple = _select_columns(4, 16, self.centers(rng, 4, 16))
+        triple = self.select(rng, 4, 16)
         assert 2 not in triple
         assert triple == (0, 1, 3)
 
@@ -188,7 +195,7 @@ class TestSelectEquations:
             for k in (4, 5, 6):
                 if len(_columns(k % r, r)) < 3:
                     continue
-                triple = _select_columns(k, r, self.centers(rng, k, r))
+                triple = self.select(rng, k, r)
                 for i in range(3):
                     for j in range(i + 1, 3):
                         assert (triple[i] + triple[j]) % r != 0 or triple[i] == triple[j] == 0
@@ -202,6 +209,13 @@ class TestUsableColumns:
         assert _columns(3, 4) == (0, 1)
         assert _columns(None, 3) == (0, 1)
         assert _columns(None, 4) == (0, 1, 2)
+
+
+def _without_third_entry(seed, b):
+    xhat, band = random_band_spectrum(np.random.default_rng(seed), 16, b)
+    values = xhat.values.copy()
+    values[2] = 0.0
+    return Spectrum(values), band
 
 
 class TestRecover:
@@ -249,6 +263,19 @@ class TestRecover:
             power[7] = bad  # outside the band: no row reads it
             with pytest.raises(InvalidParametersError, match="power spectrum"):
                 recover(trace_of(xhat, 5), band, settings, power)
+
+    @pytest.mark.parametrize(
+        "power, message", [(None, "none given"), (np.ones(15), "length N")]
+    )
+    def test_missing_or_short_power_spectrum_rejected(self, rng, power, message):
+        xhat, band = random_band_spectrum(rng, 16, 4)
+        settings = RecoverySettings(r=4, use_power_spectrum=True)
+        with pytest.raises(InvalidParametersError, match=message):
+            recover(trace_of(xhat, 4), band, settings, power)
+
+    def test_all_zero_trace_is_degenerate(self):
+        with pytest.raises(DegenerateSignalError, match="identically zero"):
+            recover(FrogTrace(np.zeros((16, 4)), 4), BandlimitSpec(4, 0), RecoverySettings(r=4))
 
     def test_power_spectrum_without_its_setting_rejected(self, rng):
         xhat, band = random_band_spectrum(rng, 16, 4)
@@ -328,6 +355,21 @@ class TestRecover:
         with pytest.raises(DegenerateSignalError):
             recover(trace, BandlimitSpec(4, 0), RecoverySettings(r=4))
 
+    def test_vanishing_third_entry(self):
+        # row 2 recovers x2 from squared magnitudes, so a zero x2 comes back
+        # at the sqrt(eps) scale; it must read as degenerate, as x0 and x1 do
+        for seed in range(5):
+            xhat, band = _without_third_entry(seed, 4)
+            with pytest.raises(DegenerateSignalError, match="band entry 2"):
+                recover(trace_of(xhat, 4), band, RecoverySettings(r=4))
+
+    def test_vanishing_third_entry_of_a_three_entry_band(self):
+        # with b = 3 no row divides by x2, so the band still recovers
+        for seed in range(3):
+            xhat, band = _without_third_entry(seed, 3)
+            report, d = roundtrip(xhat, band, 4, 4)
+            assert report.success and d <= 1e-6
+
     def test_inconsistent_trace_raises(self, rng):
         xhat, band = random_band_spectrum(rng, 16, 4)
         data = trace_of(xhat, 4).data.copy()
@@ -363,3 +405,73 @@ class TestRecover:
                     recover(trace, band, RecoverySettings(r=4))
                 except FrogkitError:
                     pass
+
+
+class TestBranchAccounting:
+    """The fork and failure bookkeeping of the row loop, driven by a
+    ``_solve_row`` that raises or duplicates at chosen rows."""
+
+    def _patch(self, monkeypatch, hook):
+        original = recursive_recovery._solve_row
+
+        def patched(branch, k, *args):
+            return hook(branch, k, lambda: original(branch, k, *args))
+
+        monkeypatch.setattr(recursive_recovery, "_solve_row", patched)
+
+    def _input(self):
+        xhat, band = random_band_spectrum(np.random.default_rng(3), 20, 5)
+        return trace_of(xhat, 5), band, RecoverySettings(r=4)
+
+    def test_side_whose_branches_all_raise_reads_inf(self, monkeypatch):
+        trace, band, settings = self._input()
+        plain = recover(trace, band, settings)
+        winner = ("first", "second").index(plain.x3_branch)
+
+        def hook(branch, k, solve):
+            if k == 4 and branch.x3_choice != winner:
+                raise DegenerateSystemError("planted")
+            return solve()
+
+        self._patch(monkeypatch, hook)
+        report = recover(trace, band, settings)
+        want = [float(plain.step_residuals[4])] * 2
+        want[1 - winner] = np.inf
+        assert report.x3_branch == plain.x3_branch
+        assert report.x3_branch_residuals == tuple(want)
+
+    def test_selection_failure_on_every_branch_is_reraised(self, monkeypatch):
+        trace, band, settings = self._input()
+
+        def hook(branch, k, solve):
+            if k == 4:
+                raise EquationSelectionError("planted")
+            return solve()
+
+        self._patch(monkeypatch, hook)
+        with pytest.raises(EquationSelectionError, match="planted"):
+            recover(trace, band, settings)
+
+    def test_mixed_failures_on_every_branch_are_inconsistent(self, monkeypatch):
+        trace, band, settings = self._input()
+
+        def hook(branch, k, solve):
+            if k == 4:
+                error = EquationSelectionError if branch.x3_choice else DegenerateSystemError
+                raise error("planted")
+            return solve()
+
+        self._patch(monkeypatch, hook)
+        with pytest.raises(InconsistentTraceError, match="every branch degenerated at row 4") as info:
+            recover(trace, band, settings)
+        assert info.value.step == 4
+
+    def test_two_branches_on_one_side_are_ambiguous(self, monkeypatch):
+        trace, band, settings = self._input()
+
+        def hook(branch, k, solve):
+            return solve() * 2 if k == 4 else solve()
+
+        self._patch(monkeypatch, hook)
+        with pytest.raises(AmbiguousBranchError, match="^2 branches remain consistent with the trace$"):
+            recover(trace, band, settings)
