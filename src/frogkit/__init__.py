@@ -13,7 +13,6 @@ from .errors import (
     AmbiguousBranchError,
     DegenerateSignalError,
     DegenerateSystemError,
-    EquationSelectionError,
     FrogkitError,
     InconsistentTraceError,
     InvalidParametersError,
@@ -53,7 +52,6 @@ __all__ = [
     "CircleSystem",
     "DegenerateSignalError",
     "DegenerateSystemError",
-    "EquationSelectionError",
     "FrogkitError",
     "FrogTrace",
     "InconsistentTraceError",

@@ -37,6 +37,10 @@ class AmbiguityElement:
     shift: float = 0.0
     reflected: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.psi) and math.isfinite(self.shift)):
+            raise InvalidParametersError("psi and shift must be finite")
+
 
 def _is_integral(shift: float) -> bool:
     return abs(shift - round(shift)) <= _INT_TOL
@@ -149,6 +153,8 @@ def dist_mod_group(
     """
     if a.n != b.n:
         raise InvalidParametersError("spectra must have equal length")
+    if not (np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))):
+        raise InvalidParametersError("spectra must be finite")
     bnorm = float(np.linalg.norm(b.values))
     if bnorm == 0.0:
         raise InvalidParametersError("reference spectrum must be nonzero")

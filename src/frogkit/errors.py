@@ -40,6 +40,3 @@ class InconsistentTraceError(FrogkitError):
         super().__init__(message)
         self.step = step
 
-
-class EquationSelectionError(FrogkitError):
-    """No admissible triple of shift indices exists for a recursion step."""

@@ -9,7 +9,8 @@ offsets are built from already-recovered entries:
 
 with z the unknown entry and v_m the pyramid offset for column m.  Columns
 with w^(k*m) = -1 carry no information about z and are skipped; columns m and
-r-m duplicate each other and only one of the pair is used.
+r-m duplicate each other and only one of the pair is used.  Each row reads
+the first three columns left, the same ones on every branch.
 
 Rows run on Python scalars: the twiddles w^j come from one cached table per
 r, and each column's offset, a sum over the products x_j * x_(k-j) formed
@@ -32,20 +33,16 @@ the consistency tolerance.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_solver import (
-    _COINCIDENT_TOL, CircleSolution, any_nonreal, solve_generic, solve_real_centers,
-)
+from .circle_solver import _COINCIDENT_TOL, CircleSolution, solve_generic, solve_real_centers
 from .errors import (
     AmbiguousBranchError,
     DegenerateSignalError,
     DegenerateSystemError,
-    EquationSelectionError,
     InconsistentTraceError,
     InvalidParametersError,
     UnderdeterminedSystemError,
@@ -96,7 +93,8 @@ class RecoveryReport:
     whose branches all raised there); None without a fork or if the pair
     collapsed.
     ``equations_used`` maps band-relative row index to the trace columns
-    read for it.  ``success``: every step residual and the worst
+    read for it, one plan for every branch, and ``measurement_reads``
+    counts its cells.  ``success``: every step residual and the worst
     consistency row past the band (``tail_residual``) within tolerance.
     """
 
@@ -152,26 +150,8 @@ def _row_offsets(prefix, k: int, r: int):
     return offset
 
 
-def _select_columns(k, r, offset):
-    """Three trace columns for row k whose offsets are not collinear, and
-    those offsets.
-
-    Prefers (0, 1, 2); otherwise scans combinations of usable columns in
-    increasing order, computing each column's offset once.  Columns summing
-    to r are never paired (they duplicate each other).
-    """
-    cols = _columns(k % r, r)
-    seen: list[complex] = []  # offsets of cols[:len(seen)]
-    for combo in itertools.combinations(range(len(cols)), 3):
-        seen.extend(offset(m) for m in cols[len(seen) : combo[-1] + 1])
-        offsets = [seen[i] for i in combo]
-        if any_nonreal(offsets, [(1, 2)]):
-            return [cols[i] for i in combo], offsets
-    raise EquationSelectionError(f"no admissible column triple for row {k} with r={r}")
-
-
 class _TraceReader:
-    """Band-relative access to trace magnitudes with a read log.
+    """Band-relative access to trace magnitudes.
 
     A band starting at i corresponds, after the demodulation that moves the
     band to index 0, to a cyclic row shift of the trace by 2*i.
@@ -181,10 +161,8 @@ class _TraceReader:
         self._data = trace.data
         self._n = trace.n
         self._shift = (2 * start) % trace.n
-        self.reads: set[tuple[int, int]] = set()
 
     def magnitude(self, k: int, m: int) -> float:
-        self.reads.add((k, m))
         return math.sqrt(self._data[(k + self._shift) % self._n, m])
 
 
@@ -192,16 +170,14 @@ class _TraceReader:
 class _Branch:
     coeffs: tuple[complex, ...]
     residuals: tuple[float, ...]
-    equations: tuple[tuple[int, tuple[int, ...]], ...]
     x3_choice: int | None = None
 
-    def extended(self, z, res, row, ms, x3_choice=None):
-        """This branch with row ``row`` read: entry ``z`` appended, or none
+    def extended(self, z, res, x3_choice=None):
+        """This branch with one more row read: entry ``z`` appended, or none
         for a consistency row."""
         return _Branch(
             self.coeffs if z is None else self.coeffs + (complex(z),),
             self.residuals + (float(res),),
-            self.equations + ((row, tuple(ms)),),
             self.x3_choice if x3_choice is None else x3_choice,
         )
 
@@ -229,8 +205,8 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
     return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
 
 
-def _solve_row(branch, k, n, reader, settings, ps_radii):
-    """Candidate continuations of one branch at row k.
+def _solve_row(branch, k, ms, n, reader, settings, ps_radii):
+    """Candidate continuations of one branch at row k, read at columns ``ms``.
 
     Children above tolerance are produced too; the caller prunes them and
     does the fork accounting.
@@ -240,12 +216,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radii):
     x0 = coeffs[0].real
     w = _twiddles(r)
     offset = _row_offsets(coeffs, k, r)
-    cols = _columns(k % r, r)
-    if k > 3 and len(cols) >= 3:
-        ms, offsets = _select_columns(k, r, offset)
-    else:
-        ms = cols[:3]
-        offsets = [offset(m) for m in ms]
+    offsets = [offset(m) for m in ms]
     radii = [n * reader.magnitude(k, m) / abs(1.0 + w[(k * m) % r]) for m in ms]
     if ps_radii is not None and k > 3:
         offsets.append(0j)
@@ -255,7 +226,7 @@ def _solve_row(branch, k, n, reader, settings, ps_radii):
 
     if len(offsets) >= 3 and k > 3:
         sol = solve_generic(([-v for v in offsets], radii), tol=tol)
-        return [branch.extended(sol.z / x0, sol.residual / scale, k, ms)]
+        return [branch.extended(sol.z / x0, sol.residual / scale)]
 
     # collinear offsets: row 2's are real, row 3's lie on the line through
     # the origin along x2 (which ``recover`` checked), and two circles always are
@@ -269,22 +240,21 @@ def _solve_row(branch, k, n, reader, settings, ps_radii):
     rel = sol.residual / scale
     if k == 2:
         # reflection gauge: the pair has Im >= 0 first
-        return [branch.extended(sol.z / x0, rel, k, ms)]
+        return [branch.extended(sol.z / x0, rel)]
     return [
-        branch.extended(u / x0, rel, k, ms, x3_choice=idx if k == 3 else None)
+        branch.extended(u / x0, rel, x3_choice=idx if k == 3 else None)
         for idx, u in enumerate(sol.candidates)
     ]
 
 
-def _check_row(branch, k, n, r, reader, b):
+def _check_row(branch, k, ms, n, r, reader, b):
     """The branch with row k >= b read as a pure consistency check: its
-    relative mismatch over three columns is the row's residual."""
+    relative mismatch over the columns ``ms`` is the row's residual."""
     coeffs = branch.coeffs
     lo, hi = max(0, k - b + 1), min(b - 1, k)
     q = [coeffs[j] * coeffs[k - j] for j in range(lo, hi + 1)]
     # the sum's phases may start at any j: a different start multiplies the
     # sum by a unit factor w^(shift*m), which abs() removes
-    ms = _columns(None, r)[:3]
     worst = 0.0
     scale = 1.0
     for m in ms:
@@ -292,7 +262,7 @@ def _check_row(branch, k, n, r, reader, b):
         meas = n * reader.magnitude(k, m)
         scale = max(scale, 1.0 + meas)
         worst = max(worst, abs(pred - meas))
-    return branch.extended(None, worst / scale, k, ms)
+    return branch.extended(None, worst / scale)
 
 
 def recover(
@@ -348,13 +318,18 @@ def recover(
     if settings.use_power_spectrum:
         ps_radii = (x0 * np.sqrt(power_spectrum[band.indices(n)])).tolist()
 
-    branches = [_Branch((complex(x0),), (0.0,), ((0, (0,)),))]
+    branches = [_Branch((complex(x0),), (0.0,))]
     if b >= 2:
         x1 = n * reader.magnitude(1, 0) / (2.0 * x0)
         if x1 <= tiny:
             raise DegenerateSignalError("band entry 1 vanishes")
-        branches = [branches[0].extended(x1, 0.0, 1, (0,))]
+        branches = [branches[0].extended(x1, 0.0)]
 
+    # the columns every branch reads: column 0 at rows 0 and 1, then the
+    # first three usable ones of each row, one per duplicate pair past the band
+    plan = [(0,), (0,)][:b] + [
+        _columns(k % r if k < b else None, r)[:3] for k in range(2, 2 * b - 1)
+    ]
     tol = settings.consistency_tol
     x3_pair = None
     # rows 2..b-1 each add an entry; rows b..2b-2 hold none and only check
@@ -365,19 +340,13 @@ def recover(
         errors: list[Exception] = []
         for br in branches:
             if k >= b:
-                children.append(_check_row(br, k, n, r, reader, b))
+                children.append(_check_row(br, k, plan[k], n, r, reader, b))
                 continue
             try:
-                children.extend(_solve_row(br, k, n, reader, settings, ps_radii))
-            except (
-                DegenerateSystemError,
-                EquationSelectionError,
-                UnderdeterminedSystemError,
-            ) as exc:
+                children.extend(_solve_row(br, k, plan[k], n, reader, settings, ps_radii))
+            except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
                 errors.append(exc)
         if not children:
-            if errors and all(isinstance(e, EquationSelectionError) for e in errors):
-                raise errors[0]
             raise InconsistentTraceError(
                 f"every branch degenerated at row {k}", step=k
             ) from (errors[0] if errors else None)
@@ -417,8 +386,8 @@ def recover(
         step_residuals=step_residuals,
         x3_branch=None if winner.x3_choice is None else ("first", "second")[winner.x3_choice],
         x3_branch_residuals=x3_pair,
-        equations_used={row: list(ms) for row, ms in winner.equations},
+        equations_used={row: list(ms) for row, ms in enumerate(plan)},
         success=bool(np.max(step_residuals, initial=0.0) <= tol and tail <= tol),
-        measurement_reads=len(reader.reads),
+        measurement_reads=sum(map(len, plan)),
         tail_residual=float(tail),
     )

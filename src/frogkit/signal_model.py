@@ -72,6 +72,8 @@ class BandlimitSpec:
     def __post_init__(self):
         if self.b < 1:
             raise InvalidParametersError("bandlimit b must be a positive integer")
+        if not -(2**63) <= self.start <= 2**63 - self.b:
+            raise InvalidParametersError("band exponents start .. start+b-1 must fit in int64")
 
     def indices(self, n: int) -> np.ndarray:
         """Cyclic positions of the band inside a length-``n`` spectrum."""

@@ -100,6 +100,23 @@ def test_dist_rejects_unequal_lengths(rng):
         dist_mod_group(a, Spectrum(np.ones(9)))
 
 
+@pytest.mark.parametrize("band", [None, BandlimitSpec(1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_dist_rejects_non_finite_spectra(band, bad, which):
+    pair = [Spectrum([1.0, 1.0]), Spectrum([1.0, 1.0])]
+    pair[which] = Spectrum([bad, 1.0])
+    with pytest.raises(InvalidParametersError, match="finite"):
+        dist_mod_group(*pair, band)
+
+
+@pytest.mark.parametrize("field", ["psi", "shift"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_element_rejects_non_finite_parameters(field, bad):
+    with pytest.raises(InvalidParametersError, match="finite"):
+        AmbiguityElement(**{field: bad})
+
+
 def test_dist_recovers_group_element_on_orbit(rng):
     n, b = 16, 6
     for _ in range(100):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogkit import AmbiguityElement, Signal, Spectrum, apply, dft, frog_trace, idft
+from frogkit import AmbiguityElement, FrogTrace, Signal, Spectrum, apply, dft, frog_trace, idft
 from frogkit import io
 from frogkit.cli import main
 from conftest import fig2_spectrum
@@ -100,6 +100,21 @@ def test_recover_with_inconsistent_tail_exits_1(tmp_path):
     sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
     assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100012, "--out", sig).returncode == 0
     assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
+    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
+    assert res.returncode == 1, res.stderr
+    report = json.loads(rep.read_text())
+    assert report["success"] is False
+    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
+
+
+def test_recover_with_a_tail_row_inconsistent_by_construction_exits_1(tmp_path):
+    # this seed recovers to ~1e-12; scaling trace row 10, past the band, by
+    # 1 + 2e-4 leaves every band row fitting and the consistency rows not
+    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100001, "--out", sig).returncode == 0
+    data = frog_trace(io.read_signal(sig), 1).data.copy()
+    data[10] *= 1 + 2e-4
+    io.write_trace(tr, FrogTrace(data, 1))
     res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
     assert res.returncode == 1, res.stderr
     report = json.loads(rep.read_text())
@@ -393,6 +408,21 @@ def test_verify_band_wider_than_signal_fails_before_any_verdict(tmp_path):
     assert_usage_error(res)
     assert res.stdout == ""
     assert "b=20 exceeds N=16" in res.stderr
+
+
+def test_band_start_beyond_int64_is_usage_error(tmp_path):
+    sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
+    assert run_cli("synthesize", "--n", 16, "--b", 4, "--seed", 9, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 4, "--out", tr).returncode == 0
+    for start in ("99999999999999999999", "-99999999999999999999"):
+        for argv in (
+            ("synthesize", "--n", 16, "--b", 4, "--out", tmp_path / "x.json"),
+            ("verify", "--signal", sig, "--l", 4, "--b", 4),
+            ("recover", "--trace", tr, "--l", 4, "--b", 4, "--out", tmp_path / "r.json"),
+        ):
+            res = run_cli(*argv, "--start", start)
+            assert_usage_error(res)
+            assert res.stderr.startswith("error: ") and "int64" in res.stderr
 
 
 def test_synthesize_nonpositive_sizes_are_usage_errors(tmp_path):

@@ -10,13 +10,13 @@ from frogkit import (
     BandlimitSpec,
     DegenerateSignalError,
     DegenerateSystemError,
-    EquationSelectionError,
     FrogkitError,
     FrogTrace,
     InconsistentTraceError,
     InvalidParametersError,
     RecoverySettings,
     Spectrum,
+    UnderdeterminedSystemError,
     dist_mod_group,
     frog_freq_coeffs,
     frog_trace,
@@ -29,7 +29,6 @@ from frogkit.recursive_recovery import (
     _check_row,
     _columns,
     _row_offsets,
-    _select_columns,
 )
 from conftest import random_band_spectrum
 
@@ -158,44 +157,40 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     tail_row = data.draw(st.integers(b, 2 * b - 2), label="tail row")
     n = 2 * b
     reader = _ArrayReader(np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r)))
-    checked = _check_row(_Branch(tuple(coeffs), (), ()), tail_row, n, r, reader, b)
-    (got,), ((row, ms),) = checked.residuals, checked.equations
-    assert checked.coeffs == tuple(coeffs) and row == tail_row
+    ms = _columns(None, r)[:3]  # the plan's columns past the band
+    checked = _check_row(_Branch(tuple(coeffs), ()), tail_row, ms, n, r, reader, b)
+    (got,) = checked.residuals
+    assert checked.coeffs == tuple(coeffs)
     want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)
     assert list(ms) == want_ms
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
 class TestSelectEquations:
-    def select(self, rng, k, r):
-        """The selected triple; its offsets must be the row's own, bitwise."""
-        prefix = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        prefix[0] = 1.0
-        offset = _row_offsets(prefix.tolist(), k, r)
-        triple, offsets = _select_columns(k, r, offset)
-        assert offsets == [offset(m) for m in triple]
-        return tuple(triple)
+    def select(self, k, r):
+        """The columns the plan reads at band row k."""
+        return _columns(k % r, r)[:3]
 
-    def test_r5_prefers_first_three(self, rng):
-        assert self.select(rng, 4, 5) == (0, 1, 2)
+    def test_r5_prefers_first_three(self):
+        assert self.select(4, 5) == (0, 1, 2)
 
-    def test_r8_avoids_degenerate_columns(self, rng):
-        triple = self.select(rng, 4, 8)
+    def test_r8_avoids_degenerate_columns(self):
+        triple = self.select(4, 8)
         assert triple == (0, 2, 4)
         for m in triple:
             assert m not in (1, 3, 5, 7)
 
-    def test_r16_avoids_column_two(self, rng):
-        triple = self.select(rng, 4, 16)
+    def test_r16_avoids_column_two(self):
+        triple = self.select(4, 16)
         assert 2 not in triple
         assert triple == (0, 1, 3)
 
-    def test_no_pair_sums_to_r(self, rng):
+    def test_no_pair_sums_to_r(self):
         for r in (5, 6, 7, 8, 12, 16):
             for k in (4, 5, 6):
                 if len(_columns(k % r, r)) < 3:
                     continue
-                triple = self.select(rng, k, r)
+                triple = self.select(k, r)
                 for i in range(3):
                     for j in range(i + 1, 3):
                         assert (triple[i] + triple[j]) % r != 0 or triple[i] == triple[j] == 0
@@ -332,9 +327,11 @@ class TestRecover:
             return original(self, k, m)
 
         monkeypatch.setattr(_TraceReader, "magnitude", spy)
-        recover(trace_of(xhat, 6), band, RecoverySettings(r=4))
+        report = recover(trace_of(xhat, 6), band, RecoverySettings(r=4))
         assert max(k for k, _ in seen) <= 2 * band.b - 2
         assert len(seen) <= 3 * (2 * band.b - 1)
+        assert seen == {(k, m) for k, ms in report.equations_used.items() for m in ms}
+        assert report.measurement_reads == len(seen)
 
     def test_degenerate_first_entry(self):
         # spectrum with a zero leading band entry
@@ -440,28 +437,31 @@ class TestBranchAccounting:
         assert report.x3_branch == plain.x3_branch
         assert report.x3_branch_residuals == tuple(want)
 
-    def test_selection_failure_on_every_branch_is_reraised(self, monkeypatch):
-        trace, band, settings = self._input()
-
-        def hook(branch, k, solve):
-            if k == 4:
-                raise EquationSelectionError("planted")
-            return solve()
-
-        self._patch(monkeypatch, hook)
-        with pytest.raises(EquationSelectionError, match="planted"):
-            recover(trace, band, settings)
-
     def test_mixed_failures_on_every_branch_are_inconsistent(self, monkeypatch):
         trace, band, settings = self._input()
 
         def hook(branch, k, solve):
             if k == 4:
-                error = EquationSelectionError if branch.x3_choice else DegenerateSystemError
+                error = UnderdeterminedSystemError if branch.x3_choice else DegenerateSystemError
                 raise error("planted")
             return solve()
 
         self._patch(monkeypatch, hook)
+        with pytest.raises(InconsistentTraceError, match="every branch degenerated at row 4") as info:
+            recover(trace, band, settings)
+        assert info.value.step == 4
+
+    def test_collinear_row_drops_every_branch(self, monkeypatch):
+        # a row whose plan columns have collinear offsets has no unique
+        # solution on any branch: no other column triple is tried
+        trace, band, settings = self._input()
+        original = recursive_recovery._row_offsets
+
+        def collinear(prefix, k, r):
+            offset = original(prefix, k, r)
+            return (lambda m: offset(0) + m) if k == 4 else offset
+
+        monkeypatch.setattr(recursive_recovery, "_row_offsets", collinear)
         with pytest.raises(InconsistentTraceError, match="every branch degenerated at row 4") as info:
             recover(trace, band, settings)
         assert info.value.step == 4

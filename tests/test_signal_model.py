@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from frogkit import (
+    BandlimitSpec,
     FrogTrace,
     InvalidParametersError,
     Signal,
@@ -148,6 +149,16 @@ def test_non_finite_values_rejected():
         data[2, 3] = bad
         with pytest.raises(InvalidParametersError):
             FrogTrace(data, 1)
+
+
+def test_band_exponents_must_fit_in_int64():
+    top, b = 2**63 - 1, 4
+    for start in (-(2**63), top - b + 1):
+        exps = BandlimitSpec(b, start).unwrapped_indices(16)
+        assert exps[0] == start and exps[-1] == start + b - 1
+    for start in (-(2**63) - 1, top - b + 2, 10**20, -(10**20)):
+        with pytest.raises(InvalidParametersError, match="int64"):
+            BandlimitSpec(b, start)
 
 
 def test_spectrum_keeps_non_finite_values():
