@@ -38,7 +38,11 @@ class AmbiguityElement:
     reflected: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.psi) and math.isfinite(self.shift)):
+        try:
+            finite = math.isfinite(self.psi) and math.isfinite(self.shift)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise InvalidParametersError("psi and shift must be finite")
 
 

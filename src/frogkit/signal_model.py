@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,6 +71,11 @@ class BandlimitSpec:
     start: int = 0
 
     def __post_init__(self):
+        try:  # held as Python ints, so the int64 range test below cannot overflow
+            object.__setattr__(self, "b", operator.index(self.b))
+            object.__setattr__(self, "start", operator.index(self.start))
+        except TypeError:
+            raise InvalidParametersError("bandlimit b and start must be integers") from None
         if self.b < 1:
             raise InvalidParametersError("bandlimit b must be a positive integer")
         if not -(2**63) <= self.start <= 2**63 - self.b:

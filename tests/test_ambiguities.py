@@ -111,7 +111,12 @@ def test_dist_rejects_non_finite_spectra(band, bad, which):
 
 
 @pytest.mark.parametrize("field", ["psi", "shift"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, -np.inf]
+    # integers beyond the float range, which math.isfinite cannot convert
+    + [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+)
 def test_element_rejects_non_finite_parameters(field, bad):
     with pytest.raises(InvalidParametersError, match="finite"):
         AmbiguityElement(**{field: bad})

@@ -366,6 +366,95 @@ def test_real_stack_trials_match_trials_run_alone(monkeypatch):
     assert {"at truth", "max_iters"} <= set(reasons)
 
 
+def _real_runs(n, runs, seed):
+    """Starts and traces of real trials (L, sigma, start scale)."""
+    starts, traces = [], []
+    for k, (l, sigma, scale) in enumerate(runs):
+        x, z0 = ls_solver._draw_trial(n, sigma, (seed, k))
+        starts.append(scale * z0)
+        traces.append(frog_trace(Signal(x), l))
+    return np.array(starts), traces
+
+
+def _count_evaluations(monkeypatch):
+    """Record the stack size and whether a subset was asked for, per call."""
+    calls = []
+    evaluate = ls_solver._RealWorkspace.evaluate
+
+    def spy(ws, z, data, sub=None, out=None):
+        calls.append((len(z), sub is not None))
+        return evaluate(ws, z, data, sub, out)
+
+    monkeypatch.setattr(ls_solver._RealWorkspace, "evaluate", spy)
+    return calls
+
+
+def _assert_speculation_matches_one_step_per_call(monkeypatch, n, runs, seed, opts):
+    """Descend a real stack small enough to try four steps per call, and
+    again one step per call; return why each trial stopped and whether a
+    trial had to halve past the speculated steps."""
+    starts, traces = _real_runs(n, runs, seed)
+    ws = ls_solver._RealWorkspace(n)
+    data = ws.stack([l for l, _, _ in runs], [tr.data for tr in traces])
+    calls = _count_evaluations(monkeypatch)
+    z, f, iters = ls_solver._descend(ws, starts, data, opts)
+    assert max(size for size, _ in calls) == 4 * len(runs)
+    fallback = any(sub for _, sub in calls)
+    calls.clear()
+    with monkeypatch.context() as m:
+        m.setattr(ls_solver, "_SPECULATE_ENTRIES", 1)
+        z_one, f_one, iters_one = ls_solver._descend(ws, starts, data, opts)
+    assert max(size for size, _ in calls) == len(runs)
+    assert np.array_equal(z, z_one)
+    assert np.array_equal(f, f_one)
+    assert np.array_equal(iters, iters_one)
+    reasons = [
+        _stop_reason(n, l, trace, z[k], f[k], iters[k], opts)
+        for k, ((l, _, _), trace) in enumerate(zip(runs, traces))
+    ]
+    return reasons, fallback
+
+
+def test_speculative_backtracking_matches_one_step_per_call(monkeypatch):
+    opts = LsOptions(max_iters=300)
+    # a start scaled by 10 needs many more than four halvings at first
+    runs = [(1, 0.0, 1.0), (2, 0.02, 1.0), (4, 0.3, 1.0), (12, 0.5, 1.0), (3, 1.0, 10.0),
+            (6, 0.0, 1.0), (1, 2.0, 1.0), (2, 0.5, 1.0), (4, 0.01, 1.0), (3, 0.25, 1.0)]
+    # a loose tolerance, so that some trials stop on it before the cap
+    monkeypatch.setattr(ls_solver, "_GRAD_TOL", 0.5)
+    reasons, fallback = _assert_speculation_matches_one_step_per_call(
+        monkeypatch, 12, runs, 29, opts
+    )
+    assert {"at truth", "grad_tol", "max_iters"} <= set(reasons)
+    # every trial found its steps, so the halving past the fourth step ended
+    # in an accepted one
+    assert fallback and "step underflow" not in reasons
+    monkeypatch.setattr(ls_solver, "_GRAD_TOL", 1e-9)
+    # a start scaled by 1e4 halves down to the smallest step and stops there
+    runs[4] = (3, 1.0, 1e4)
+    reasons, fallback = _assert_speculation_matches_one_step_per_call(
+        monkeypatch, 12, runs, 29, opts
+    )
+    assert reasons[4] == "step underflow" and fallback
+
+
+def test_small_grid_backtracks_in_about_one_call_per_iteration(monkeypatch):
+    # one evaluation for the start, then one per iteration (a gradient) but
+    # for the rare step that needs more than four halvings
+    calls = _count_evaluations(monkeypatch)
+    iterations = []
+    gradient = ls_solver._RealWorkspace.gradient
+
+    def spy(ws, z, data, state):
+        iterations.append(len(z))
+        return gradient(ws, z, data, state)
+
+    monkeypatch.setattr(ls_solver._RealWorkspace, "gradient", spy)
+    basin_experiment(24, [1, 2, 4, 8], [0.0, 0.25, 0.5, 1.0, 2.0], trials=1, seed=31)
+    assert len(iterations) > 1000  # the stuck trials run to the cap
+    assert len(calls) <= 1.1 * len(iterations)
+
+
 def test_options_reject_an_empty_iteration_cap():
     with pytest.raises(InvalidParametersError, match="max_iters"):
         LsOptions(max_iters=0)

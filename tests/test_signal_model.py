@@ -161,6 +161,16 @@ def test_band_exponents_must_fit_in_int64():
             BandlimitSpec(b, start)
 
 
+@pytest.mark.parametrize("b, start", [(2.5, 0), (4, 2.5), (4.0, 0), (4, "1")])
+def test_band_rejects_non_integral_width_or_start(b, start):
+    with pytest.raises(InvalidParametersError, match="integers"):
+        BandlimitSpec(b, start)
+
+
+def test_band_accepts_numpy_integers():
+    assert list(BandlimitSpec(np.int64(3), np.int32(14)).indices(16)) == [14, 15, 0]
+
+
 def test_spectrum_keeps_non_finite_values():
     # a failed recovery may hand back such a spectrum; it is reported, not rejected
     assert np.isnan(Spectrum([1.0, np.nan]).values[1])
