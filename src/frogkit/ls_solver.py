@@ -12,13 +12,14 @@ derivative), so a step is plain ``z - t*g``.  ``basin_experiment`` draws
 real signals and real starts; there the imaginary part of the gradient is
 zero, so it runs the same descent in float64.
 
-A small stack backtracks speculatively: each iteration evaluates the steps
-t, t/2, ..., t/2^(K-1) of every live trial in one kernel call, and a trial
-takes the first that passes the Armijo test; one that passes none goes on
-halving from t/2^K, one kernel call per round.  K is 1 for a stack whose
+A small real stack backtracks speculatively: each iteration evaluates the
+steps t, t/2, ..., t/2^(K-1) of every live trial in one kernel call, and a
+trial takes the first that passes the Armijo test; one that passes none goes
+on halving from t/2^K, one kernel call per round.  K is 1 for a stack whose
 live state holds more than ``_SPECULATE_ENTRIES / 2`` entries, so a large
-stack evaluates only the steps it needs.  The halved steps are exact, so
-the accepted step, the iterate and the objective do not depend on K.
+stack evaluates only the steps it needs, and always 1 for the complex
+kernel of ``ls_minimize``.  The halved steps are exact, so the accepted
+step, the iterate and the objective do not depend on K.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ _BATCH_ENTRIES = 1 << 19
 # 200-trial L = 8 grid (5,200 entries) 1.6-1.9 s at K = 1, 2.6-2.9 s at
 # K = 2; and K = 4 on the criterion-8 grid (100 trials per cell) took 40 s
 # of wall time against 21 s.  On a large stack the extra steps cost more
-# than the calls they save.
+# than the calls they save.  The K = 3 range (2,049-2,730 entries) and the
+# cut to K = 1 above 4,096 entries were not measured directly; they are
+# interpolated between those grids.  The complex kernel keeps K = 1: on
+# single ``ls_minimize`` descents at N = 12-64, K = 2-4 saved up to 20% at
+# some (N, L) and cost up to 20% at others (N = 48, L = 1 at K = 3 and
+# N = 64, L = 2 at K = 4), with no entry budget that separates the two.
 _SPECULATE_ENTRIES = 8192
 
 
@@ -88,6 +94,7 @@ class BasinGrid:
 #       z holds only those trials, and their state is also written into ``out``;
 #   gradient(z, data, state) -> g;  norm2(g) -> squared norm per trial;
 #   keep(data, state, mask) -> (data, state) of the trials in ``mask``;
+# and the real kernel, which speculates, also has
 #   tile(data, k) -> the data of k copies of the stack, copy j holding trials
 #       j*T .. (j+1)*T - 1, so one evaluate call tries k steps per trial;
 #   pick(data, state, first) -> from the state of the tiled stack, the state
@@ -133,12 +140,6 @@ class _Workspace:
 
     def keep(self, data, state, mask):
         return data[mask], state[mask]
-
-    def tile(self, data, k):
-        return np.concatenate([data] * k)
-
-    def pick(self, data, state, first):
-        return state.reshape(-1, *data.shape)[first, np.arange(len(data))]
 
 
 class _Columns:
@@ -293,20 +294,25 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
         # Backtrack from a step that grew after the last success.  One call
         # tries the steps step/2^j, j < k, of every live trial, and each trial
         # takes the first that passes; later rounds halve on, one step per
-        # call, for the trials still pending.  A pending trial's state is
-        # written whether or not its step is accepted: it is read only if it is.
-        t_all = step * _SHRINK ** np.arange(k)[:, None]  # exact: _SHRINK is 1/2
-        z_all = (z - t_all[..., None] * g).reshape(k * len(z), -1)
-        f_all, state_new = ws.evaluate(z_all, tiled)
-        f_all = f_all.reshape(k, -1)
-        passed = moving & (t_all > _MIN_STEP) & (f_all <= f - _DECREASE * t_all * gnorm2)
-        accepted = passed.any(axis=0)
-        t, z_new, f_new = t_all[0], z_all, f_all[0]
-        if k > 1:  # each trial's first passing step, else its last one tried
+        # call, for the trials still pending.  ``t`` is the step array itself:
+        # a trial that finds no step stops, so its entry no longer matters.  A
+        # pending trial's state is written whether or not its step is
+        # accepted: it is read only if it is.
+        if k == 1:
+            t = step
+            z_new = z - t[:, None] * g
+            f_new, state_new = ws.evaluate(z_new, data)
+            accepted = moving & (t > _MIN_STEP) & (f_new <= f - _DECREASE * t * gnorm2)
+        else:  # each trial's first passing step, else its last one tried
+            t_all = step * _SHRINK ** np.arange(k)[:, None]  # exact: _SHRINK is 1/2
+            z_all = z - t_all[..., None] * g
+            f_all, state_new = ws.evaluate(z_all.reshape(-1, z.shape[1]), tiled)
+            f_all = f_all.reshape(k, -1)
+            passed = moving & (t_all > _MIN_STEP) & (f_all <= f - _DECREASE * t_all * gnorm2)
+            accepted = passed.any(axis=0)
             first = np.where(accepted, passed.argmax(axis=0), k - 1)
             rank = np.arange(len(z))
-            t, f_new = t_all[first, rank], f_all[first, rank]
-            z_new = z_all.reshape(k, len(z), -1)[first, rank]
+            t, z_new, f_new = t_all[first, rank], z_all[first, rank], f_all[first, rank]
             state_new = ws.pick(data, state_new, first)
         pending = np.flatnonzero(moving & ~accepted)
         while pending.size:
@@ -342,6 +348,8 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
 def _speculate(ws, data, state):
     """How many backtracking steps one kernel call tries per trial, and the
     data of the stack tiled that many times."""
+    if not isinstance(ws, _RealWorkspace):
+        return 1, data
     k = min(4, max(1, _SPECULATE_ENTRIES // state.size))
     return k, (ws.tile(data, k) if k > 1 else data)
 

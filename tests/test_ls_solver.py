@@ -455,6 +455,22 @@ def test_small_grid_backtracks_in_about_one_call_per_iteration(monkeypatch):
     assert len(calls) <= 1.1 * len(iterations)
 
 
+def test_complex_stack_tries_one_step_per_call(monkeypatch):
+    # the complex kernel does not speculate, however small the stack
+    sizes = []
+    evaluate = ls_solver._Workspace.evaluate
+
+    def spy(ws, z, data, sub=None, out=None):
+        sizes.append(len(z))
+        return evaluate(ws, z, data, sub, out)
+
+    monkeypatch.setattr(ls_solver._Workspace, "evaluate", spy)
+    starts, traces = _batch_inputs(12, 1, [0.25, 0.5, 1.0], 17)
+    data = np.array([tr.data for tr in traces])
+    ls_solver._descend(ls_solver._Workspace(12, 1), starts, data, LsOptions(max_iters=50))
+    assert len(sizes) > 50 and max(sizes) == 3
+
+
 def test_options_reject_an_empty_iteration_cap():
     with pytest.raises(InvalidParametersError, match="max_iters"):
         LsOptions(max_iters=0)
