@@ -82,12 +82,14 @@ def read_signal(path) -> Signal:
 
 
 def write_trace(path, trace: FrogTrace):
-    rows = (
-        "".join(map(f"{k},%d,{_FLOAT_FMT}\r\n".__mod__, enumerate(values)))
-        for k, values in enumerate(trace.data.tolist())
-    )
+    # str(k).join(cells) is row k's template "k,0,%.17g\r\nk,1,%.17g\r\n...",
+    # so each row is formatted by one % call and written on its own
+    cells = ["", *(f",{m},{_FLOAT_FMT}\r\n" for m in range(trace.data.shape[1]))]
     with open(path, "w", newline="") as fh:
-        fh.write("k,m,value\r\n" + "".join(rows))
+        fh.write("k,m,value\r\n")
+        fh.writelines(
+            str(k).join(cells) % tuple(values) for k, values in enumerate(trace.data.tolist())
+        )
 
 
 def read_trace(path, l: int) -> FrogTrace:

@@ -302,6 +302,36 @@ def test_malformed_trace_csv_is_usage_error(tmp_path):
     assert res.stderr.strip() == "error: empty trace CSV"
 
 
+def test_truncated_trace_csv_is_usage_error(tmp_path):
+    """An N = 256 trace cut short, as a writer that fails partway leaves
+    it, makes ``recover`` exit 2 with one ``error:`` line: cut after a line
+    inside trace row 3, after the whole of trace row 99, or in the middle of
+    a line (in its m field or in its value).  A cut inside the value of the
+    file's last cell leaves a shorter number that still parses, with every
+    cell present; this format cannot tell that file from a whole one, so
+    no such cut is tested."""
+    sig, full = tmp_path / "s.json", tmp_path / "full.csv"
+    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 5, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", full).returncode == 0
+    text = full.read_bytes()
+
+    def end_of_line(i):  # byte offset just past CSV line i (the header is line 0)
+        return len(b"".join(text.splitlines(keepends=True)[: i + 1]))
+
+    tr = tmp_path / "t.csv"
+    cuts = {
+        "line boundary": end_of_line(1000),
+        "row boundary": end_of_line(100 * 256),
+        "mid-line, in m": end_of_line(1000) + 3,
+        "mid-line, in the value": end_of_line(1000) + 12,
+    }
+    for name, size in cuts.items():
+        tr.write_bytes(text[:size])
+        res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", tmp_path / "r.json")
+        assert_usage_error(res)
+        assert res.stderr.startswith("error: "), (name, res.stderr)
+
+
 def test_negative_seed_is_usage_error(tmp_path):
     sig = tmp_path / "s.json"
     res = run_cli("synthesize", "--n", 16, "--b", 4, "--seed", -3, "--out", sig)

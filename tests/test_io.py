@@ -134,6 +134,20 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path, trace):
     assert path.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("n,l", [(256, 1), (128, 2)])
+def test_trace_csv_bytes_equal_csv_writer_at_three_digit_indices(tmp_path, n, l):
+    """k and m reach three digits, and the cells include -0.0, a subnormal
+    and the largest float, which the drawn traces never combine."""
+    data = np.random.default_rng(n).random((n, n // l)) * 1e3
+    data[0, 0], data[n // 2, 7], data[-1, -1] = -0.0, 5e-324, sys.float_info.max
+    trace = FrogTrace(data, l)
+    path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    io.write_trace(path, trace)
+    _reference_write_trace(ref, trace)
+    assert path.read_bytes() == ref.read_bytes()
+    assert io.read_trace(path, l).data.tobytes() == data.tobytes()
+
+
 # every finite float, with signed zeros, subnormals and the extremes drawn often
 _FINITE_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
