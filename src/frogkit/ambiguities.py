@@ -7,11 +7,14 @@ conjugating a modulated spectrum negates the shift, so the discrete part of
 the group is dihedral.
 
 For bandlimited spectra the translation parameter may be any real number.
-Fractional shifts must modulate with the *unwrapped* band exponents
-``start .. start+b-1``: when the band wraps past N the naive per-index
-modulation inserts extra factors ``exp(-2*pi*i*shift)`` on the wrapped part
-and breaks trace invariance, while the unwrapped exponents keep every trace
-row multiplied by a single unimodular factor.
+Fractional shifts must modulate with *unwrapped* band exponents
+``s .. s+b-1``: when the band wraps past N the naive per-index modulation
+inserts extra factors ``exp(-2*pi*i*shift)`` on the wrapped part and breaks
+trace invariance, while the unwrapped exponents keep every trace row
+multiplied by a single unimodular factor.  The representative is
+``s = start mod N``: adding jN to every exponent only multiplies the band by
+a global phase, and exponents below 2N stay exact in float64, which starts
+near 2^63 do not.
 """
 
 from __future__ import annotations
@@ -50,6 +53,11 @@ def _is_integral(shift: float) -> bool:
     return abs(shift - round(shift)) <= _INT_TOL
 
 
+def _band_exponents(band: BandlimitSpec, n: int) -> np.ndarray:
+    """The band's unwrapped exponents from the representative start mod N."""
+    return band.start % n + np.arange(band.b)
+
+
 def _apply_raw(
     values: np.ndarray,
     psi: float,
@@ -68,7 +76,7 @@ def _apply_raw(
                 raise InvalidUseError(
                     "fractional shift requires a bandlimit specification"
                 )
-            exps = band.unwrapped_indices(n)
+            exps = _band_exponents(band, n)
             phase = np.exp(-2j * np.pi * shift * exps / n)
             out[band.indices(n)] *= phase
     if psi != 0.0:
@@ -79,7 +87,11 @@ def _apply_raw(
 def apply(
     g: AmbiguityElement, xhat: Spectrum, band: BandlimitSpec | None = None
 ) -> Spectrum:
-    """Act on a spectrum: reflection first, then translation, then rotation."""
+    """Act on a spectrum: reflection first, then translation, then rotation.
+
+    A fractional shift modulates the band from the exponent ``start mod N``;
+    for a band start outside [0, N) the result is the modulation from
+    ``start`` times a global phase."""
     return Spectrum(_apply_raw(xhat.values, g.psi, g.shift, g.reflected, band))
 
 
@@ -171,7 +183,7 @@ def dist_mod_group(
         overlap = np.abs(np.fft.fft(bases * np.conj(b.values), axis=-1)).ravel()
         refls, shifts = np.repeat([0, 1], n), np.tile(np.arange(n, dtype=float), 2)
     else:
-        exps, pos = band.unwrapped_indices(n), band.indices(n)
+        exps, pos = _band_exponents(band, n), band.indices(n)
         coeffs = bases[:, pos] * np.conj(b.values[pos])
         # grid point j is shift j/16: exp(-2*pi*i*e*j/(16N)), of period 16N in e
         grid = np.zeros((2, 16 * n), dtype=np.complex128)

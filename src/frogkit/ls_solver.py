@@ -35,6 +35,7 @@ from .signal_model import (
     FrogTrace,
     Signal,
     _check_step,
+    _integer,
     dft,
     frog_trace,
     shift_product_coeffs,
@@ -75,6 +76,7 @@ class LsOptions:
     max_iters: int = 2000
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters"))
         if self.max_iters < 1:
             raise InvalidParametersError("max_iters must be >= 1")
 
@@ -396,7 +398,8 @@ def basin_experiment(
     batched.  The whole grid, every L and sigma, descends together as one
     real stack (split only to bound memory).
     """
-    l_values = [int(l) for l in l_values]
+    n, trials, seed = _integer(n, "N"), _integer(trials, "trials"), _integer(seed, "seed")
+    l_values = [_integer(l, "L") for l in l_values]
     sigma_values = [float(s) for s in sigma_values]
     if n < 1 or trials < 1:
         raise InvalidParametersError(f"need N >= 1 and trials >= 1 (got N={n}, trials={trials})")

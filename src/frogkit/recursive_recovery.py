@@ -12,9 +12,10 @@ with w^(k*m) = -1 carry no information about z and are skipped; columns m and
 r-m duplicate each other and only one of the pair is used.  Each row reads
 the first three columns left, the same ones on every branch.
 
-Rows run on Python scalars: the twiddles w^j come from one cached table per
-r, and each column's offset, a sum over the products x_j * x_(k-j) formed
-once per branch and row, is computed at most once per row.
+Rows run on Python scalars.  Each row is read once: its radii, scale and
+tolerance are shared by every branch.  Per branch, one helper, ``_row_sums``,
+forms the row's sums over products of known entries, which are the offsets
+of a row that adds an entry and the prediction of a row that only checks.
 
 Gauge fixing absorbs the symmetry group: entries 0 and 1 of the band are made
 real nonnegative (rotation and continuous translation), and the reflection
@@ -47,7 +48,7 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
-from .signal_model import BandlimitSpec, FrogTrace, Spectrum
+from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _integer
 
 _BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
 _FAIL_FACTOR = 1e3  # best branch above consistency_tol * this => inconsistent
@@ -70,6 +71,7 @@ class RecoverySettings:
     consistency_tol: float = 1e-7
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _integer(self.r, "r"))
         if self.r < 3 or (self.r == 3 and not self.use_power_spectrum):
             raise InvalidParametersError(
                 "need r >= 4, or r = 3 together with the power spectrum"
@@ -116,54 +118,23 @@ def _twiddles(r: int) -> tuple[complex, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _columns(k: int | None, r: int) -> tuple[int, ...]:
-    """One column per duplicate pair {m, r-m}; for k not None also without
-    row k's degenerate ones, those with w^(k*m) = -1, which say nothing about
-    row k's entry (degeneracy depends on k only through k mod r)."""
-    keep: dict[int, None] = {}  # an ordered set
-    for m in range(r):
-        if (k is None or (2 * k * m - r) % (2 * r)) and (r - m) % r not in keep:
-            keep[m] = None
-    return tuple(keep)
+    """One column per duplicate pair {m, r-m}, the smaller; for k not None
+    also without row k's degenerate ones, those with w^(k*m) = -1, which say
+    nothing about row k's entry (degeneracy depends on k only through k mod r,
+    and m and r-m are degenerate together: 2k(r-m) - r = -(2km - r) mod 2r)."""
+    return tuple(m for m in range(r // 2 + 1) if k is None or (2 * k * m - r) % (2 * r))
 
 
-def _twiddled_sum(q, lo: int, m: int, r: int) -> complex:
-    """``sum_i q[i] * w^((lo + i) * m)``: the column-m sum of products
-    ``q[i] = x_(lo+i) * x_(k-lo-i)`` of one trace row."""
-    w = _twiddles(r)
-    return sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j)
-
-
-def _row_offsets(prefix, k: int, r: int):
-    """Row k's offset v_m as a function of the column, from band entries
-    0..k-1; the products x_j * x_(k-j) are formed once.
-
-    ``v_m = sum_{j=1..k-1} prefix[j] * prefix[k-j] * w^(j*m) / (1 + w^(k*m))``,
-    which equals the row-k frequency-domain coefficient (times N, normalized)
-    with the unknown entry zeroed out.
-    """
-    q = [prefix[j] * prefix[k - j] for j in range(1, k)]
-    w = _twiddles(r)
-
-    def offset(m: int) -> complex:
-        return _twiddled_sum(q, 1, m, r) / (1.0 + w[(k * m) % r])
-
-    return offset
-
-
-class _TraceReader:
-    """Band-relative access to trace magnitudes.
-
-    A band starting at i corresponds, after the demodulation that moves the
-    band to index 0, to a cyclic row shift of the trace by 2*i.
-    """
-
-    def __init__(self, trace: FrogTrace, start: int):
-        self._data = trace.data
-        self._n = trace.n
-        self._shift = (2 * start) % trace.n
-
-    def magnitude(self, k: int, m: int) -> float:
-        return math.sqrt(self._data[(k + self._shift) % self._n, m])
+def _row_sums(coeffs, k: int, ms, w) -> list[complex]:
+    """Row k's sums ``sum_j x_j * x_(k-j) * w^(j*m)`` over every product of
+    two known entries ``coeffs``, one per column m of ``ms``.  With entries
+    0..k-1 known, the sum over 1 + w^(k*m) is the offset v_m of entry k; with
+    the whole band known (k >= b) the sum is the row's prediction."""
+    top = len(coeffs) - 1
+    lo = k - top
+    q = [coeffs[j] * coeffs[k - j] for j in range(lo, top + 1)]
+    r = len(w)
+    return [sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j) for m in ms]
 
 
 @dataclass(frozen=True)
@@ -205,24 +176,18 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
     return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
 
 
-def _solve_row(branch, k, ms, n, reader, settings, ps_radii):
-    """Candidate continuations of one branch at row k, read at columns ``ms``.
-
-    Children above tolerance are produced too; the caller prunes them and
-    does the fork accounting.
-    """
-    r = settings.r
+def _solve_row(branch, k, ms, w, radii, scale, tol):
+    """Candidate continuations of one branch at row k, read at columns ``ms``
+    with the row's ``radii`` (one more is the power-spectrum circle, centred
+    at the origin), residual ``scale`` and absolute ``tol``.  Children above
+    tolerance are produced too; the caller prunes them and does the fork
+    accounting."""
     coeffs = branch.coeffs
     x0 = coeffs[0].real
-    w = _twiddles(r)
-    offset = _row_offsets(coeffs, k, r)
-    offsets = [offset(m) for m in ms]
-    radii = [n * reader.magnitude(k, m) / abs(1.0 + w[(k * m) % r]) for m in ms]
-    if ps_radii is not None and k > 3:
-        offsets.append(0j)
-        radii.append(ps_radii[k])
-    scale = 1.0 + max(radii)
-    tol = settings.consistency_tol * scale
+    r = len(w)
+    sums = _row_sums(coeffs, k, ms, w)
+    offsets = [v / (1.0 + w[(k * m) % r]) for v, m in zip(sums, ms)]
+    offsets += [0j] * (len(radii) - len(ms))
 
     if len(offsets) >= 3 and k > 3:
         sol = solve_generic(([-v for v in offsets], radii), tol=tol)
@@ -247,21 +212,13 @@ def _solve_row(branch, k, ms, n, reader, settings, ps_radii):
     ]
 
 
-def _check_row(branch, k, ms, n, r, reader, b):
+def _check_row(branch, k, ms, w, meas, scale):
     """The branch with row k >= b read as a pure consistency check: its
-    relative mismatch over the columns ``ms`` is the row's residual."""
-    coeffs = branch.coeffs
-    lo, hi = max(0, k - b + 1), min(b - 1, k)
-    q = [coeffs[j] * coeffs[k - j] for j in range(lo, hi + 1)]
-    # the sum's phases may start at any j: a different start multiplies the
-    # sum by a unit factor w^(shift*m), which abs() removes
+    mismatch against the measured N*sqrt(trace) ``meas`` of the columns
+    ``ms``, over ``scale``, is the row's residual."""
     worst = 0.0
-    scale = 1.0
-    for m in ms:
-        pred = abs(_twiddled_sum(q, lo, m, r))
-        meas = n * reader.magnitude(k, m)
-        scale = max(scale, 1.0 + meas)
-        worst = max(worst, abs(pred - meas))
+    for v, mag in zip(_row_sums(branch.coeffs, k, ms, w), meas):
+        worst = max(worst, abs(abs(v) - mag))
     return branch.extended(None, worst / scale)
 
 
@@ -301,7 +258,10 @@ def recover(
                 "columns 1 and 2 of an r=3 trace must be equal (reflected shifts)"
             )
 
-    reader = _TraceReader(trace, band.start)
+    # band row k is trace row k + 2*start: the demodulation that moves the
+    # band to index 0 shifts the trace rows cyclically by 2*start
+    w = _twiddles(r)
+    rows = trace.data[(np.arange(2 * b - 1) + (2 * band.start) % n) % n].tolist()
     peak = float(np.max(trace.data))
     if peak <= 0.0:
         raise DegenerateSignalError("trace is identically zero")
@@ -310,7 +270,7 @@ def recover(
     # to float noise surfaces at the sqrt(eps) scale, not at eps
     tiny = 1e-7 * amp_scale
 
-    x0 = float(np.sqrt(n * reader.magnitude(0, 0)))
+    x0 = math.sqrt(n * math.sqrt(rows[0][0]))
     if x0 <= tiny:
         raise DegenerateSignalError("leading band entry vanishes")
 
@@ -320,7 +280,7 @@ def recover(
 
     branches = [_Branch((complex(x0),), (0.0,))]
     if b >= 2:
-        x1 = n * reader.magnitude(1, 0) / (2.0 * x0)
+        x1 = n * math.sqrt(rows[1][0]) / (2.0 * x0)
         if x1 <= tiny:
             raise DegenerateSignalError("band entry 1 vanishes")
         branches = [branches[0].extended(x1, 0.0)]
@@ -336,16 +296,26 @@ def recover(
     for k in range(2, 2 * b - 1):
         if k == 3 and b > 3 and abs(branches[0].coeffs[2]) <= tiny:
             raise DegenerateSignalError("band entry 2 vanishes; the row-3 rotation is undefined")
+        ms, row = plan[k], rows[k]
         children: list[_Branch] = []
         errors: list[Exception] = []
-        for br in branches:
-            if k >= b:
-                children.append(_check_row(br, k, plan[k], n, r, reader, b))
-                continue
-            try:
-                children.extend(_solve_row(br, k, plan[k], n, reader, settings, ps_radii))
-            except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
-                errors.append(exc)
+        if k >= b:
+            # shared by every branch: the measured N*sqrt(trace) and the scale
+            meas = [n * math.sqrt(row[m]) for m in ms]
+            scale = 1.0 + max(meas)
+            children = [_check_row(br, k, ms, w, meas, scale) for br in branches]
+        else:
+            # shared by every branch: the row's radii, scale and tolerance
+            radii = [n * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % r]) for m in ms]
+            if ps_radii is not None and k > 3:
+                radii.append(ps_radii[k])
+            scale = 1.0 + max(radii)
+            atol = tol * scale
+            for br in branches:
+                try:
+                    children.extend(_solve_row(br, k, ms, w, radii, scale, atol))
+                except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
+                    errors.append(exc)
         if not children:
             raise InconsistentTraceError(
                 f"every branch degenerated at row {k}", step=k

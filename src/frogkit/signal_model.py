@@ -19,6 +19,14 @@ import numpy as np
 from .errors import InvalidParametersError
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; numpy integers pass, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParametersError(f"{name} must be an integer") from None
+
+
 def _frozen_complex_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.size == 0:
@@ -106,6 +114,7 @@ class FrogTrace:
         if arr.ndim != 2:
             raise InvalidParametersError("trace data must be a 2-D array")
         n, r = arr.shape
+        object.__setattr__(self, "l", _integer(self.l, "step L"))
         if self.l < 1 or n != r * self.l:
             raise InvalidParametersError(
                 f"trace shape {arr.shape} inconsistent with L={self.l}: need r = N/L"
@@ -127,7 +136,7 @@ class FrogTrace:
 
 
 def _check_step(n: int, l: int) -> int:
-    if l < 1 or n % l != 0:
+    if _integer(l, "step L") < 1 or n % l != 0:
         raise InvalidParametersError(f"step L={l} must divide N={n}")
     return n // l
 

@@ -9,11 +9,13 @@ from frogkit import (
     BandlimitSpec,
     InvalidParametersError,
     InvalidUseError,
+    RecoverySettings,
     Spectrum,
     apply,
     dist_mod_group,
     frog_trace,
     idft,
+    recover,
     trace_invariant,
 )
 from conftest import fig2_spectrum, random_band_spectrum
@@ -370,3 +372,13 @@ def test_dist_recovers_fractional_shift_at_far_band_start(start, reflected):
     assert d <= 1e-12
     back = apply(found, xhat, band)
     assert np.linalg.norm(back.values - target.values) <= 1e-12 * np.linalg.norm(target.values)
+
+
+@pytest.mark.parametrize("start", [12 + 16 * 10**6, 12 + 16 * 10**12, 2**63 - 4])
+def test_exact_recovery_reads_zero_distance_at_huge_band_start(start):
+    # float64 cannot hold exponents near 2^63; the band's phases come from
+    # start mod N, so the distance is the one at start 12 (1.6e-14)
+    xhat, band = random_band_spectrum(np.random.default_rng(1), 16, 4, start=start)
+    report = recover(frog_trace(idft(xhat), 4), band, RecoverySettings(r=4))
+    d, _ = dist_mod_group(report.spectrum, xhat, band)
+    assert d <= 1e-12

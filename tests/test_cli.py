@@ -47,6 +47,16 @@ def test_synthesize_usage_error(tmp_path):
     assert res.returncode == 2
 
 
+def test_verify_fractional_shift_at_huge_band_start(tmp_path):
+    start, sig, out = 4611686018427388412, tmp_path / "sig.json", stdio.StringIO()
+    with contextlib.redirect_stdout(out):
+        synth = main(["synthesize", "--n", "64", "--b", "8", "--start", str(start),
+                      "--seed", "3", "--out", str(sig)])
+        code = main(["verify", "--signal", str(sig), "--l", "4", "--b", "8", "--start", str(start)])
+    assert (synth, code) == (0, 0), out.getvalue()
+    assert "fractional shift             invariant" in out.getvalue()
+
+
 def test_trace_fig2_variants_equal(tmp_path):
     xhat, band = fig2_spectrum()
     variants = [

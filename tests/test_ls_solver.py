@@ -476,6 +476,26 @@ def test_options_reject_an_empty_iteration_cap():
         LsOptions(max_iters=0)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 2.5, 2.0])
+def test_options_reject_a_non_integer_iteration_cap(bad):
+    # an infinite cap never stops a stuck descent; 2.5 ran 3 iterations
+    with pytest.raises(InvalidParametersError, match="max_iters must be an integer"):
+        LsOptions(max_iters=bad)
+    assert LsOptions(max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(8, [1.5], [0.0], 1, 0), (8.0, [1], [0.0], 1, 0), (8, [1], [0.0], 1.0, 0), (8, [1], [0.0], 1, 0.0)],
+    ids=["l", "n", "trials", "seed"],
+)
+def test_basin_rejects_non_integer_parameters(args):
+    # a float L was truncated (1.5 ran as L = 1); a float N, trials or seed
+    # gave a bare TypeError
+    with pytest.raises(InvalidParametersError, match="must be an integer"):
+        basin_experiment(*args)
+
+
 def test_basin_rejects_empty_trials_and_signals():
     with pytest.raises(InvalidParametersError):
         basin_experiment(12, [1], [0.0], trials=0, seed=0)

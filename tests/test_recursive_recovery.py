@@ -28,7 +28,8 @@ from frogkit.recursive_recovery import (
     _Branch,
     _check_row,
     _columns,
-    _row_offsets,
+    _row_sums,
+    _twiddles,
 )
 from conftest import random_band_spectrum
 
@@ -55,6 +56,12 @@ class TestSettings:
         with pytest.raises(InvalidParametersError):
             RecoverySettings(r=2, use_power_spectrum=True)
 
+    @pytest.mark.parametrize("r", [4.0, 4.5])
+    def test_r_must_be_an_integer(self, r):
+        # r = 4.0 was accepted, and recover then failed with a bare TypeError
+        with pytest.raises(InvalidParametersError, match="r must be an integer"):
+            RecoverySettings(r=r)
+
     def test_tolerance_must_be_finite_and_positive(self):
         for tol in (float("nan"), float("inf"), 0.0, -1e-7):
             with pytest.raises(InvalidParametersError, match="consistency_tol"):
@@ -68,7 +75,9 @@ class TestSettings:
 
 def _offset(prefix, k, m, r):
     """Offset v_m of row k from band entries 0..k-1, as the recursion forms it."""
-    return _row_offsets(list(map(complex, prefix)), k, r)(m)
+    w = _twiddles(r)
+    (s,) = _row_sums(list(map(complex, prefix[:k])), k, (m,), w)
+    return s / (1.0 + w[(k * m) % r])
 
 
 class TestPyramidCenters:
@@ -158,12 +167,28 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     n = 2 * b
     reader = _ArrayReader(np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r)))
     ms = _columns(None, r)[:3]  # the plan's columns past the band
-    checked = _check_row(_Branch(tuple(coeffs), ()), tail_row, ms, n, r, reader, b)
+    meas = [n * reader.magnitude(tail_row, m) for m in ms]
+    branch = _Branch(tuple(coeffs), ())
+    checked = _check_row(branch, tail_row, ms, _twiddles(r), meas, 1.0 + max(meas))
     (got,) = checked.residuals
     assert checked.coeffs == tuple(coeffs)
     want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)
     assert list(ms) == want_ms
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
+
+
+def _report_bits(report):
+    """Every field of a report, with its arrays and floats as exact bits."""
+    return (
+        report.spectrum.values.tobytes(),
+        report.step_residuals.tobytes(),
+        report.x3_branch,
+        report.x3_branch_residuals,
+        report.equations_used,
+        report.success,
+        report.measurement_reads,
+        report.tail_residual,
+    )
 
 
 class TestSelectEquations:
@@ -315,23 +340,23 @@ class TestRecover:
             report = recover(trace_of(xhat, l), band, RecoverySettings(r=4))
             assert report.measurement_reads <= 3 * (2 * b - 1)
 
-    def test_reads_stay_inside_pyramid_rows(self, rng, monkeypatch):
-        from frogkit.recursive_recovery import _TraceReader
-
-        xhat, band = random_band_spectrum(rng, 24, 6)
-        seen = set()
-        original = _TraceReader.magnitude
-
-        def spy(self, k, m):
-            seen.add((k, m))
-            return original(self, k, m)
-
-        monkeypatch.setattr(_TraceReader, "magnitude", spy)
-        report = recover(trace_of(xhat, 6), band, RecoverySettings(r=4))
-        assert max(k for k, _ in seen) <= 2 * band.b - 2
-        assert len(seen) <= 3 * (2 * band.b - 1)
-        assert seen == {(k, m) for k, ms in report.equations_used.items() for m in ms}
-        assert report.measurement_reads == len(seen)
+    @pytest.mark.parametrize("start", [0, 5, -7])
+    def test_reads_stay_inside_the_plan(self, rng, start):
+        # rescaling every trace cell outside the plan leaves every report bit
+        # as it was; band row k sits at trace row k + 2*start mod N
+        n, b, l = 24, 6, 6
+        xhat, band = random_band_spectrum(rng, n, b, start=start)
+        trace = trace_of(xhat, l)
+        report = recover(trace, band, RecoverySettings(r=4))
+        cells = {((k + 2 * start) % n, m) for k, ms in report.equations_used.items() for m in ms}
+        factor = rng.uniform(0.5, 1.0, trace.data.shape)
+        for cell in cells:
+            factor[cell] = 1.0
+        again = recover(FrogTrace(trace.data * factor, l), band, RecoverySettings(r=4))
+        assert _report_bits(again) == _report_bits(report)
+        assert max(report.equations_used) <= 2 * band.b - 2
+        assert len(cells) <= 3 * (2 * band.b - 1)
+        assert report.measurement_reads == len(cells)
 
     def test_degenerate_first_entry(self):
         # spectrum with a zero leading band entry
@@ -455,13 +480,14 @@ class TestBranchAccounting:
         # a row whose plan columns have collinear offsets has no unique
         # solution on any branch: no other column triple is tried
         trace, band, settings = self._input()
-        original = recursive_recovery._row_offsets
+        original = recursive_recovery._row_sums
 
-        def collinear(prefix, k, r):
-            offset = original(prefix, k, r)
-            return (lambda m: offset(0) + m) if k == 4 else offset
+        def collinear(coeffs, k, ms, w):
+            sums = original(coeffs, k, ms, w)
+            # at r = 4 every row-4 divisor 1 + w^(4m) is 2: offsets v_0 + m
+            return [sums[0] + 2.0 * m for m in ms] if k == 4 else sums
 
-        monkeypatch.setattr(recursive_recovery, "_row_offsets", collinear)
+        monkeypatch.setattr(recursive_recovery, "_row_sums", collinear)
         with pytest.raises(InconsistentTraceError, match="every branch degenerated at row 4") as info:
             recover(trace, band, settings)
         assert info.value.step == 4

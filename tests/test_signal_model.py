@@ -70,6 +70,13 @@ def test_frog_trace_rejects_bad_step():
         frog_trace(delta(6), 4)
 
 
+@pytest.mark.parametrize("make", [lambda: FrogTrace(np.ones((8, 4)), 2.0),
+                                  lambda: frog_trace(delta(8), 2.0)], ids=["FrogTrace", "frog_trace"])
+def test_trace_rejects_a_non_integer_step(make):
+    with pytest.raises(InvalidParametersError, match="step L must be an integer"):
+        make()
+
+
 def test_trace_type_rejects_negative_and_bad_shape():
     with pytest.raises(InvalidParametersError):
         FrogTrace(-np.ones((4, 4)), 1)
