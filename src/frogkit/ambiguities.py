@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParametersError, InvalidUseError
-from .signal_model import BandlimitSpec, Spectrum, frog_trace, idft
+from .signal_model import BandlimitSpec, Spectrum, _roots_of_unity, frog_trace, idft
 
 _INT_TOL = 1e-12
 
@@ -68,9 +68,8 @@ def _apply_raw(
     n = values.size
     out = np.conj(values) if reflected else values.copy()
     if shift != 0.0:
-        if _is_integral(shift):
-            k = np.arange(n)
-            out = out * np.exp(-2j * np.pi * round(shift) * k / n)
+        if _is_integral(shift):  # w**(-shift*k) read at exponents reduced mod N
+            out = out * _roots_of_unity(n)[(-round(shift) % n) * np.arange(n) % n]
         else:
             if band is None:
                 raise InvalidUseError(

@@ -35,11 +35,11 @@ from .signal_model import (
     FrogTrace,
     Signal,
     _check_step,
+    _cyclic_windows,
     _integer,
     dft,
     frog_trace,
     shift_product_coeffs,
-    shift_product_table,
 )
 
 SUCCESS_DISTANCE = 1e-6
@@ -117,10 +117,10 @@ class _Workspace:
     def __init__(self, n: int, l: int):
         self.n = n
         self.l = l
-        self.fwd = shift_product_table(n, l)  # (p + m*L) mod N
         r = n // l
         p = np.arange(n)[:, None]
         m = np.arange(r)[None, :]
+        self.fwd = (p + m * l) % n
         self.bwd = ((p - m * l) % n) * r + m  # flat index of ((p - m*L) mod N, m)
 
     def evaluate(self, z, data, sub=None, out=None):
@@ -210,12 +210,8 @@ class _RealWorkspace:
         if sub is not None:  # the columns of the trials in ``sub``
             cols, rows = data.columns_of(sub)
             shift, count, half = shift.take(cols), count.take(cols), half.take(cols, axis=0)
-        # column c multiplies z[rows[c]] by the same row shifted by shift[c],
-        # read from the view windows[t, s] = zz[t, s:s + N] of zz = [z, z]
-        zz = np.concatenate([z, z], axis=1)
-        shape, step = (len(z), self.n + 1, self.n), zz.itemsize
-        windows = np.ndarray(shape, zz.dtype, zz, 0, (zz.strides[0], step, step))
-        coeffs = np.fft.rfft(z.take(rows, axis=0) * windows[rows, shift], axis=-1)
+        # column c multiplies z[rows[c]] by the same row shifted by shift[c]
+        coeffs = np.fft.rfft(z.take(rows, axis=0) * _cyclic_windows(z)[rows, shift], axis=-1)
         err = half - (coeffs.real**2 + coeffs.imag**2)
         # einsum sums each column on its own, in the same order in any stack
         f = 0.5 * np.bincount(rows, count * np.einsum("ck,ck,k->c", err, err, self.weight), len(z))

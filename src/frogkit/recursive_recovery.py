@@ -48,7 +48,7 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
-from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _integer
+from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _integer, _roots_of_unity
 
 _BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
 _FAIL_FACTOR = 1e3  # best branch above consistency_tol * this => inconsistent
@@ -108,12 +108,6 @@ class RecoveryReport:
     success: bool
     measurement_reads: int
     tail_residual: float
-
-
-@functools.lru_cache(maxsize=None)
-def _twiddles(r: int) -> tuple[complex, ...]:
-    """w^j = exp(2*pi*i*j/r) for j = 0..r-1."""
-    return tuple(np.exp(2j * np.pi * np.arange(r) / r).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,7 +254,7 @@ def recover(
 
     # band row k is trace row k + 2*start: the demodulation that moves the
     # band to index 0 shifts the trace rows cyclically by 2*start
-    w = _twiddles(r)
+    w = _roots_of_unity(r).tolist()
     rows = trace.data[(np.arange(2 * b - 1) + (2 * band.start) % n) % n].tolist()
     peak = float(np.max(trace.data))
     if peak <= 0.0:

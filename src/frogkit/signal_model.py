@@ -94,8 +94,8 @@ class BandlimitSpec:
         return self.unwrapped_indices(n) % n
 
     def unwrapped_indices(self, n: int) -> np.ndarray:
-        """Integer exponents ``start .. start+b-1`` used for continuous
-        modulation; these do not wrap mod N."""
+        """The band's exponents ``start .. start+b-1``, not wrapped mod N (a
+        fractional shift modulates from ``start mod N``; see ``ambiguities``)."""
         if self.b > n:
             raise InvalidParametersError(f"bandlimit b={self.b} exceeds N={n}")
         return self.start + np.arange(self.b)
@@ -152,15 +152,21 @@ def idft(xhat: Spectrum) -> Signal:
 
 
 @lru_cache(maxsize=64)
-def shift_product_table(n: int, l: int) -> np.ndarray:
-    """Read-only index table ``idx[p, m] = (p + m*L) mod N`` for building all
-    shifted products in one gather."""
-    r = _check_step(n, l)
-    p = np.arange(n)[:, None]
-    m = np.arange(r)[None, :]
-    idx = (p + m * l) % n
-    idx.flags.writeable = False
-    return idx
+def _roots_of_unity(n: int) -> np.ndarray:
+    """Read-only table ``w**j = exp(2*pi*i*j/n)`` for j = 0..n-1; a phase
+    ``w**e`` is read at ``e mod n``, reduced exactly in integers."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
+
+
+def _cyclic_windows(values: np.ndarray) -> np.ndarray:
+    """View ``w[..., s, p] = values[..., (s + p) mod N]`` of all N cyclic
+    shifts of the last axis, laid over one doubled copy of the values."""
+    doubled = np.concatenate([values, values], axis=-1)
+    *lead, step = doubled.strides
+    shape = (*values.shape, values.shape[-1])
+    return np.ndarray(shape, values.dtype, doubled, 0, (*lead, step, step))
 
 
 def shift_product_coeffs(values: np.ndarray, l: int) -> np.ndarray:
@@ -172,8 +178,11 @@ def shift_product_coeffs(values: np.ndarray, l: int) -> np.ndarray:
     contiguous and every product is transformed exactly as for a single
     signal; stacking trials does not change any result bit.
     """
-    idx = shift_product_table(values.shape[-1], l)
-    products = values[..., :, None] * values.take(idx, axis=-1)
+    _check_step(values.shape[-1], l)
+    shifted = _cyclic_windows(values)[..., ::l, :].swapaxes(-1, -2)  # [..., p, m]
+    # a C-ordered buffer keeps each N x r block contiguous (``order="C"``
+    # alone changes the last bit of an N = 1 trace)
+    products = np.multiply(values[..., :, None], shifted, out=np.empty_like(shifted, order="C"))
     return np.fft.fft(products, axis=-2)
 
 
@@ -192,12 +201,6 @@ def frog_freq_coeffs(xhat: Spectrum, l: int) -> np.ndarray:
     """
     n = xhat.n
     r = _check_step(n, l)
-    omega = np.exp(2j * np.pi / r)
-    out = np.empty((n, r), dtype=np.complex128)
-    base = np.fft.fft(xhat.values)
-    ell = np.arange(n)
-    for m in range(r):
-        weighted = xhat.values * omega ** (ell * m)
-        # circular convolution (weighted * xhat) via the convolution theorem
-        out[:, m] = np.fft.ifft(np.fft.fft(weighted) * base) / n
-    return out
+    # column m convolves xhat * w**(l*m) with xhat; one FFT call does every column
+    weighted = xhat.values[:, None] * _roots_of_unity(r)[np.outer(np.arange(n), np.arange(r)) % r]
+    return np.fft.ifft(np.fft.fft(weighted, axis=0) * np.fft.fft(xhat.values)[:, None], axis=0) / n

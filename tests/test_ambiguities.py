@@ -382,3 +382,15 @@ def test_exact_recovery_reads_zero_distance_at_huge_band_start(start):
     report = recover(frog_trace(idft(xhat), 4), band, RecoverySettings(r=4))
     d, _ = dist_mod_group(report.spectrum, xhat, band)
     assert d <= 1e-12
+
+
+@pytest.mark.parametrize("turns", [2**40, 2**52, 10**30])
+def test_integer_shift_acts_through_its_value_mod_n(turns):
+    # a shift by whole periods is the identity; its phases are read at
+    # exponents reduced mod N in integers, never as a float product
+    rng = np.random.default_rng(5)
+    xhat = Spectrum(rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    g = AmbiguityElement(shift=3 + 16 * turns)
+    gap = np.linalg.norm(apply(g, xhat).values - apply(AmbiguityElement(shift=3), xhat).values)
+    assert gap <= 1e-12 * np.linalg.norm(xhat.values)
+    assert trace_invariant(xhat, g, 4)

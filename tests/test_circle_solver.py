@@ -22,7 +22,8 @@ from frogkit.circle_solver import (
     _least_squares_2,
     default_tolerance,
 )
-from frogkit.recursive_recovery import _row_sums, _solve_collinear, _twiddles
+from frogkit.recursive_recovery import _row_sums, _solve_collinear
+from frogkit.signal_model import _roots_of_unity
 
 from conftest import grid_min_residual
 
@@ -259,7 +260,7 @@ def test_collinear_row3_keeps_upper_candidate_first():
     for _ in range(20):
         prefix = [1.3, 0.7] + [complex(*rng.standard_normal(2))]
         x3 = complex(*rng.standard_normal(2))
-        w = _twiddles(4)
+        w = _roots_of_unity(4).tolist()
         offsets = [v / (1.0 + w[3 * m]) for v, m in zip(_row_sums(prefix, 3, (0, 1), w), (0, 1))]
         radii = [abs(prefix[0] * x3 + v) for v in offsets]
         sol = _solve_collinear(offsets, radii, 0j, prefix[2], None)

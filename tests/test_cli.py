@@ -18,11 +18,52 @@ from conftest import fig2_spectrum
 
 
 def run_cli(*args):
+    """``frogkit <args>`` through ``main`` in this process, reported as a
+    finished child process would report it: the exit code, with argparse's
+    ``SystemExit`` turned into its code, and what was written to stdout and
+    stderr.  Every warning is written to stderr, as an interpreter prints it.
+    An exception that escapes ``main`` escapes this call too."""
+    argv, out, err = [str(a) for a in args], stdio.StringIO(), stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """``python -m frogkit.cli <args>`` in a child interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "frogkit.cli", *map(str, args)],
         capture_output=True,
         text=True,
     )
+
+
+def test_module_exit_codes_cross_the_process_boundary(tmp_path):
+    # main's return value becomes the exit status of ``python -m frogkit.cli``
+    sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
+    res = run_module("synthesize", "--n", 16, "--b", 4, "--seed", 7, "--out", sig)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr
+    assert sig.exists()
+    values = np.zeros(16, dtype=complex)
+    values[1:4] = [1.0, 1.0 - 0.5j, 0.3 + 0.2j]  # entry 0 of the band is zero
+    io.write_trace(tr, frog_trace(idft(Spectrum(values)), 4))
+    res = run_module("recover", "--trace", tr, "--l", 4, "--b", 4, "--out", tmp_path / "r.json")
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["failure: leading band entry vanishes"]
+
+
+def test_module_usage_error_is_one_line_without_traceback(tmp_path):
+    res = run_module("synthesize", "--n", 16, "--b", 9, "--out", tmp_path / "x.json")
+    assert_usage_error(res)
+    assert res.stderr == "error: need b <= N/2 (b=9, N=16)\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_synthesize_deterministic(tmp_path):

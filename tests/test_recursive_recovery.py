@@ -29,8 +29,8 @@ from frogkit.recursive_recovery import (
     _check_row,
     _columns,
     _row_sums,
-    _twiddles,
 )
+from frogkit.signal_model import _roots_of_unity
 from conftest import random_band_spectrum
 
 
@@ -75,7 +75,7 @@ class TestSettings:
 
 def _offset(prefix, k, m, r):
     """Offset v_m of row k from band entries 0..k-1, as the recursion forms it."""
-    w = _twiddles(r)
+    w = _roots_of_unity(r).tolist()
     (s,) = _row_sums(list(map(complex, prefix[:k])), k, (m,), w)
     return s / (1.0 + w[(k * m) % r])
 
@@ -169,7 +169,7 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     ms = _columns(None, r)[:3]  # the plan's columns past the band
     meas = [n * reader.magnitude(tail_row, m) for m in ms]
     branch = _Branch(tuple(coeffs), ())
-    checked = _check_row(branch, tail_row, ms, _twiddles(r), meas, 1.0 + max(meas))
+    checked = _check_row(branch, tail_row, ms, _roots_of_unity(r).tolist(), meas, 1.0 + max(meas))
     (got,) = checked.residuals
     assert checked.coeffs == tuple(coeffs)
     want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)

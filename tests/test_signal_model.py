@@ -122,6 +122,18 @@ def test_freq_coeffs_match_time_domain(rng):
         assert np.max(np.abs(tr - co)) <= 1e-9 * np.max(tr)
 
 
+@pytest.mark.parametrize("n", [24, 64, 96, 128, 256])
+def test_freq_coeffs_equal_shift_product_coeffs(n):
+    # the complex values, not only the magnitudes: column m's phases are the
+    # r-th roots of unity, read at exponents reduced mod r
+    rng = np.random.default_rng(n)
+    x = random_signal(rng, n)
+    for l in [d for d in range(1, n + 1) if n % d == 0][:4]:
+        want = shift_product_coeffs(x.values, l)
+        got = frog_freq_coeffs(dft(x), l)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), l
+
+
 def test_bandlimit_pyramid_rows_vanish(rng):
     n = 16
     xhat, _ = random_band_spectrum(rng, n, n // 2)
