@@ -4,7 +4,6 @@ recursive recovery, and nonconvex least squares."""
 from .ambiguities import AmbiguityElement, apply, dist_mod_group, trace_invariant
 from .circle_solver import (
     CircleSolution,
-    CircleSystem,
     ratio_is_nonreal,
     solve_generic,
     solve_real_centers,
@@ -49,7 +48,6 @@ __all__ = [
     "BandlimitSpec",
     "BasinGrid",
     "CircleSolution",
-    "CircleSystem",
     "DegenerateSignalError",
     "DegenerateSystemError",
     "FrogkitError",

@@ -12,9 +12,11 @@ Fractional shifts must modulate with *unwrapped* band exponents
 inserts extra factors ``exp(-2*pi*i*shift)`` on the wrapped part and breaks
 trace invariance, while the unwrapped exponents keep every trace row
 multiplied by a single unimodular factor.  The representative is
-``s = start mod N``: adding jN to every exponent only multiplies the band by
-a global phase, and exponents below 2N stay exact in float64, which starts
-near 2^63 do not.
+``s = start mod N`` (``BandlimitSpec.exponents``): adding jN to every
+exponent only multiplies the band by a global phase, and exponents below 2N
+stay exact in float64, which starts near 2^63 do not.  The shift is reduced
+mod N too: a shift by N multiplies each entry by exp(-2*pi*i*e) = 1, and the
+reduced shift keeps the phase exact for shifts far outside [0, N).
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ def _is_integral(shift: float) -> bool:
     return abs(shift - round(shift)) <= _INT_TOL
 
 
-def _band_exponents(band: BandlimitSpec, n: int) -> np.ndarray:
-    """The band's unwrapped exponents from the representative start mod N."""
-    return band.start % n + np.arange(band.b)
-
-
 def _apply_raw(
     values: np.ndarray,
     psi: float,
@@ -75,8 +72,7 @@ def _apply_raw(
                 raise InvalidUseError(
                     "fractional shift requires a bandlimit specification"
                 )
-            exps = _band_exponents(band, n)
-            phase = np.exp(-2j * np.pi * shift * exps / n)
+            phase = np.exp(-2j * np.pi * (shift % n) * band.exponents(n) / n)
             out[band.indices(n)] *= phase
     if psi != 0.0:
         out = out * np.exp(1j * psi)
@@ -182,7 +178,7 @@ def dist_mod_group(
         overlap = np.abs(np.fft.fft(bases * np.conj(b.values), axis=-1)).ravel()
         refls, shifts = np.repeat([0, 1], n), np.tile(np.arange(n, dtype=float), 2)
     else:
-        exps, pos = _band_exponents(band, n), band.indices(n)
+        exps, pos = band.exponents(n), band.indices(n)
         coeffs = bases[:, pos] * np.conj(b.values[pos])
         # grid point j is shift j/16: exp(-2*pi*i*e*j/(16N)), of period 16N in e
         grid = np.zeros((2, 16 * n), dtype=np.complex128)

@@ -1,16 +1,16 @@
 """Phaseless linear systems |z + v_i| = n_i.
 
 Geometrically these are circle-intersection problems in the complex plane:
-equation i is the circle of radius n_i centered at -v_i.  ``CircleSystem`` is
-the public, validating type for the centers (-v_i); the solvers also take a
-``(centers, radii)`` pair of Python lists, checked as ``CircleSystem`` is,
-which is how the recursion feeds them its Python scalars.  Two solver regimes:
+equation i is the circle of radius n_i centered at -v_i.  The solvers take
+the offsets v_i and the radii n_i as two 1-D numeric sequences (lists or
+arrays), check them and work on Python scalars, which is the form the
+recursion builds its systems in.  Two solver regimes:
 
-* generic complex centers, at least three equations, some center-difference
+* generic complex offsets, at least three equations, some offset-difference
   ratio nonreal: the pairwise differences of the squared equations form a
   full-rank 2x2 (or overdetermined) real linear system with at most one
   solution;
-* all centers real: the system is symmetric under conjugation, giving a
+* all offsets real: the system is symmetric under conjugation, giving a
   conjugate pair (or nothing).
 
 Both return the achieved residual; callers decide what tolerance means.
@@ -37,41 +37,23 @@ _COINCIDENT_TOL = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
-class CircleSystem:
-    """Circles |z - centers[i]| = radii[i]; the offsets v_i are -centers[i]."""
-
-    centers: np.ndarray
-    radii: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.centers, dtype=np.complex128)
-        n = np.array(self.radii, dtype=np.float64)
-        if c.ndim != 1 or n.ndim != 1:
-            raise InvalidParametersError("need s >= 2 centers with matching radii")
-        _check(c, n)
-        c.flags.writeable = False
-        n.flags.writeable = False
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "radii", n)
-
-
-def _check(centers, radii):
-    """The rules every circle system obeys, in either input form."""
-    if len(centers) != len(radii) or len(radii) < 2:
-        raise InvalidParametersError("need s >= 2 centers with matching radii")
-    if not (all(map(cmath.isfinite, centers)) and all(map(math.isfinite, radii))):
-        raise InvalidParametersError("centers and radii must be finite")
-    if min(radii) < 0:
+def _check(offsets, radii) -> tuple[list, list]:
+    """Offsets and radii as lists of Python scalars, after the rules every
+    circle system obeys: two 1-D sequences of s >= 2 finite values each, the
+    radii nonnegative."""
+    try:
+        v = np.asarray(offsets, dtype=np.complex128)
+        n = np.asarray(radii, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidParametersError("offsets and radii must be numeric") from None
+    if v.ndim != 1 or n.ndim != 1 or len(v) != len(n) or len(n) < 2:
+        raise InvalidParametersError("need s >= 2 offsets with matching radii")
+    v, n = v.tolist(), n.tolist()
+    if not (all(map(cmath.isfinite, v)) and all(map(math.isfinite, n))):
+        raise InvalidParametersError("offsets and radii must be finite")
+    if min(n) < 0:
         raise InvalidParametersError("radii must be nonnegative")
-
-
-def _lists(sys) -> tuple[list, list]:
-    """Centers and radii of a ``CircleSystem`` or a ``(centers, radii)`` pair."""
-    if isinstance(sys, CircleSystem):
-        return sys.centers.tolist(), sys.radii.tolist()
-    _check(*sys)
-    return sys
+    return v, n
 
 
 @dataclass(frozen=True)
@@ -165,7 +147,7 @@ def _least_squares_2(rows, rhs) -> tuple[float, float]:
     return num1 / det, num2 / det
 
 
-def _refine_candidate(z: complex, centers: list, radii: list) -> tuple[complex, float]:
+def _refine_candidate(z: complex, offsets: list, radii: list) -> tuple[complex, float]:
     """Gauss-Newton refinement of a candidate on its distance errors to the
     circles; returns the best point seen and its residual.
 
@@ -174,7 +156,7 @@ def _refine_candidate(z: complex, centers: list, radii: list) -> tuple[complex, 
     residual down to the local infeasibility level instead of whatever the
     radical-center point happens to give.
     """
-    diffs = [z - c for c in centers]
+    diffs = [z + v for v in offsets]
     dists = list(map(abs, diffs))
     best, best_res = z, max(map(abs, map(operator.sub, dists, radii)))
     for _ in range(12):
@@ -185,7 +167,7 @@ def _refine_candidate(z: complex, centers: list, radii: list) -> tuple[complex, 
             list(map(operator.sub, radii, dists)),
         )
         z = z + complex(dx, dy)
-        diffs = [z - c for c in centers]
+        diffs = [z + v for v in offsets]
         dists = list(map(abs, diffs))
         res = max(map(abs, map(operator.sub, dists, radii)))
         if res < best_res:
@@ -195,12 +177,11 @@ def _refine_candidate(z: complex, centers: list, radii: list) -> tuple[complex, 
     return best, best_res
 
 
-def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution:
+def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
     """Solve with s >= 3 complex offsets whose difference ratios are not all
     real.  Returns the unique candidate if its residual passes ``tol``,
     otherwise kind "none" (with the residual)."""
-    centers, radii = _lists(sys)
-    v = [-c for c in centers]
+    v, radii = _check(offsets, radii)
     if len(v) < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
     if tol is None:
@@ -208,27 +189,26 @@ def solve_generic(sys: CircleSystem, tol: float | None = None) -> CircleSolution
 
     if not any_nonreal(v, itertools.combinations(range(1, len(v)), 2)):
         raise DegenerateSystemError(
-            "all offset-difference ratios are real (collinear centers)"
+            "all offset-difference ratios are real (collinear offsets)"
         )
 
     # numpy's |v|^2: Python's abs() can differ in the last bit, which the recursion amplifies
     mat, rhs = _difference_rows(np.array(v), np.array(radii))
     z0 = complex(*_least_squares_2(mat.tolist(), rhs.tolist()))
-    z, residual = _refine_candidate(z0, centers, radii)
+    z, residual = _refine_candidate(z0, v, radii)
     if residual <= tol:
         return CircleSolution("unique", z, None, residual)
     return CircleSolution("none", z, None, residual)
 
 
-def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSolution:
+def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSolution:
     """Solve with all offsets real: solutions come in conjugate pairs.
 
     The real part comes from the (least-squares) linear difference equations;
     the imaginary part from the first circle.  Returns kind "none" when the
     required squared imaginary part is negative beyond ``tol``.
     """
-    centers, radii = _lists(sys)
-    v = [-c for c in centers]
+    v, radii = _check(offsets, radii)
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
@@ -248,5 +228,5 @@ def solve_real_centers(sys: CircleSystem, tol: float | None = None) -> CircleSol
     else:
         b = math.sqrt(max(b_sq, 0.0))
         kind, z, z_conjugate = "pair", complex(a, b), complex(a, -b)
-    residual = max([abs(abs(z - c) - r) for c, r in zip(centers, radii)])
+    residual = max([abs(abs(z + c) - r) for c, r in zip(v, radii)])
     return CircleSolution(kind, z, z_conjugate, residual)

@@ -15,12 +15,12 @@ class InvalidUseError(FrogkitError, ValueError):
 
 
 class DegenerateSystemError(FrogkitError):
-    """Circle system has collinear centers; the 2x2 linear reduction is rank
+    """Circle system has collinear offsets; the 2x2 linear reduction is rank
     deficient."""
 
 
 class UnderdeterminedSystemError(FrogkitError):
-    """Circle system with all centers equal; only the modulus of the unknown
+    """Circle system with all offsets equal; only the modulus of the unknown
     is constrained."""
 
 

@@ -162,7 +162,7 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
     if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
         raise DegenerateSystemError("offsets are not on the given line")
     # the module global, as for every solve here, so that a wrapper sees the call
-    sol = solve_real_centers(([-w.real for w in rotated], radii), tol=tol)
+    sol = solve_real_centers([w.real for w in rotated], radii, tol=tol)
 
     def back(w):
         return None if w is None else w * u - point
@@ -184,7 +184,7 @@ def _solve_row(branch, k, ms, w, radii, scale, tol):
     offsets += [0j] * (len(radii) - len(ms))
 
     if len(offsets) >= 3 and k > 3:
-        sol = solve_generic(([-v for v in offsets], radii), tol=tol)
+        sol = solve_generic(offsets, radii, tol=tol)
         return [branch.extended(sol.z / x0, sol.residual / scale)]
 
     # collinear offsets: row 2's are real, row 3's lie on the line through

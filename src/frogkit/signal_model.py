@@ -91,14 +91,15 @@ class BandlimitSpec:
 
     def indices(self, n: int) -> np.ndarray:
         """Cyclic positions of the band inside a length-``n`` spectrum."""
-        return self.unwrapped_indices(n) % n
+        return self.exponents(n) % n
 
-    def unwrapped_indices(self, n: int) -> np.ndarray:
-        """The band's exponents ``start .. start+b-1``, not wrapped mod N (a
-        fractional shift modulates from ``start mod N``; see ``ambiguities``)."""
+    def exponents(self, n: int) -> np.ndarray:
+        """The band's representative exponents ``start mod n .. start mod n +
+        b-1``, not wrapped past ``n`` (a fractional shift modulates with them;
+        see ``ambiguities``)."""
         if self.b > n:
             raise InvalidParametersError(f"bandlimit b={self.b} exceeds N={n}")
-        return self.start + np.arange(self.b)
+        return self.start % n + np.arange(self.b)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frogkit import BandlimitSpec, CircleSystem, Signal, Spectrum
+from frogkit import BandlimitSpec, Signal, Spectrum
 
 
 @pytest.fixture
@@ -9,21 +9,22 @@ def rng():
     return np.random.default_rng(0)
 
 
-def grid_min_residual(sys: CircleSystem, box: float, levels: int = 4) -> float:
-    """Brute-force minimum of the max circle residual over [-box, box]^2 by
-    successive grid refinement around the best cells.
+def grid_min_residual(offsets, radii, box: float, levels: int = 4) -> float:
+    """Brute-force minimum of the max residual of |z + v_i| = n_i over
+    [-box, box]^2 by successive grid refinement around the best cells.
 
     Independent of the solvers: only evaluates |distance - radius| on grids.
     """
+    offsets, radii = np.asarray(offsets, dtype=complex), np.asarray(radii, dtype=float)
     spots = np.array([0j])
     half = box
     for _ in range(levels):
         axis = np.linspace(-half, half, 41)
         gx, gy = np.meshgrid(axis, axis)
-        offsets = (gx + 1j * gy).ravel()
-        pts = (spots[:, None] + offsets[None, :]).ravel()
+        cells = (gx + 1j * gy).ravel()
+        pts = (spots[:, None] + cells[None, :]).ravel()
         res = np.max(
-            np.abs(np.abs(pts[:, None] - sys.centers[None, :]) - sys.radii[None, :]),
+            np.abs(np.abs(pts[:, None] + offsets[None, :]) - radii[None, :]),
             axis=1,
         )
         order = np.argsort(res)
@@ -31,7 +32,7 @@ def grid_min_residual(sys: CircleSystem, box: float, levels: int = 4) -> float:
         step = axis[1] - axis[0]
         half = 2 * step
     best = np.max(
-        np.abs(np.abs(spots[:, None] - sys.centers[None, :]) - sys.radii[None, :]),
+        np.abs(np.abs(spots[:, None] + offsets[None, :]) - radii[None, :]),
         axis=1,
     )
     return float(np.min(best))

@@ -11,7 +11,6 @@ import pytest
 from frogkit import (
     AmbiguityElement,
     BandlimitSpec,
-    CircleSystem,
     DegenerateSystemError,
     InvalidParametersError,
     RecoverySettings,
@@ -165,7 +164,7 @@ def test_criterion_6_circle_solver_oracle():
     for _ in range(1000):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         v = nonreal_offsets()
-        sol = solve_generic(CircleSystem(-v, np.abs(z + v)))
+        sol = solve_generic(v, np.abs(z + v))
         assert sol.kind == "unique"
         worst_planted = max(worst_planted, abs(sol.z - z))
 
@@ -173,11 +172,10 @@ def test_criterion_6_circle_solver_oracle():
     for _ in range(1000):
         v = nonreal_offsets()
         radii = rng.uniform(0.1, 4.0, 3)
-        sys = CircleSystem(-v, radii)
-        box = float(np.max(np.abs(sys.centers)) + np.max(radii) + 1.0)
+        box = float(np.max(np.abs(v)) + np.max(radii) + 1.0)
         tol = 1e-3 * box
-        sol = solve_generic(sys, tol=tol)
-        oracle_exists = grid_min_residual(sys, box) <= tol
+        sol = solve_generic(v, radii, tol=tol)
+        oracle_exists = grid_min_residual(v, radii, box) <= tol
         if (sol.kind == "unique") != oracle_exists:
             disagreements += 1
     ok = worst_planted <= 1e-9 and disagreements == 0

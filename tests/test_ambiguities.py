@@ -252,7 +252,7 @@ def _reference_dist_mod_group(a, b, band=None):
             for shift in range(n):
                 score(float(shift), refl)
     else:
-        exps, pos = band.unwrapped_indices(n), band.indices(n)
+        exps, pos = band.exponents(n), band.indices(n)
         freqs = -2.0 * np.pi * exps / n
         grid = np.linspace(0.0, n, 16 * n, endpoint=False)
         step = grid[1] - grid[0]
@@ -394,3 +394,14 @@ def test_integer_shift_acts_through_its_value_mod_n(turns):
     gap = np.linalg.norm(apply(g, xhat).values - apply(AmbiguityElement(shift=3), xhat).values)
     assert gap <= 1e-12 * np.linalg.norm(xhat.values)
     assert trace_invariant(xhat, g, 4)
+
+
+@pytest.mark.parametrize("turns", [2**30, 2**40, -(2**40)])
+def test_fractional_shift_acts_through_its_value_mod_n(turns):
+    # 0.375 + 16 * turns is exact in float64 and reduces to 0.375 mod N, so
+    # its phases are those of the small shift, bit for bit
+    xhat, band = random_band_spectrum(np.random.default_rng(6), 16, 4, start=3)
+    g = AmbiguityElement(shift=0.375 + 16 * turns)
+    near = apply(AmbiguityElement(shift=0.375), xhat, band).values
+    assert np.array_equal(apply(g, xhat, band).values, near)
+    assert trace_invariant(xhat, g, 4, band)

@@ -13,6 +13,9 @@ def test_every_public_name_resolves_and_star_import_works():
 
 
 def test_removed_helpers_are_not_public():
-    gone = {"product_signal", "pyramid_centers", "select_equations", "EquationSelectionError"}
+    gone = {
+        "product_signal", "pyramid_centers", "select_equations", "EquationSelectionError",
+        "CircleSystem",
+    }
     assert not gone & set(frogkit.__all__)
     assert not any(hasattr(frogkit, name) for name in gone)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogkit import (
-    CircleSystem,
     DegenerateSystemError,
     InvalidParametersError,
     UnderdeterminedSystemError,
@@ -30,32 +29,31 @@ from conftest import grid_min_residual
 
 def planted_system(offsets, z):
     offsets = np.asarray(offsets, dtype=complex)
-    return CircleSystem(-offsets, np.abs(z + offsets))
+    return offsets, np.abs(z + offsets)
 
 
 def test_generic_planted_example():
     z = 2 + 1j
-    sys = planted_system([0, -1, -1j], z)
-    assert np.allclose(sys.radii, [abs(2 + 1j), abs(1 + 1j), 2.0])
-    sol = solve_generic(sys)
+    offsets, radii = planted_system([0, -1, -1j], z)
+    assert np.allclose(radii, [abs(2 + 1j), abs(1 + 1j), 2.0])
+    sol = solve_generic(offsets, radii)
     assert sol.kind == "unique"
     assert abs(sol.z - z) <= 1e-12
     assert sol.residual <= 1e-12
 
 
 def test_generic_no_solution_example():
-    sys = CircleSystem(-np.array([0, -1, -1j]), np.array([1.0, 1.0, 10.0]))
-    sol = solve_generic(sys)
+    offsets, radii = [0, -1, -1j], [1.0, 1.0, 10.0]
+    sol = solve_generic(offsets, radii)
     assert sol.kind == "none"
     assert sol.residual > 1.0
     # independent confirmation: nothing in a generous box comes close
-    assert grid_min_residual(sys, 5.0) > 1.0
+    assert grid_min_residual(offsets, radii, 5.0) > 1.0
 
 
 def test_generic_rejects_collinear_offsets():
-    sys = CircleSystem(-np.array([0.0, -1.0, -2.0], dtype=complex), np.ones(3))
     with pytest.raises(DegenerateSystemError):
-        solve_generic(sys)
+        solve_generic(np.array([0.0, -1.0, -2.0], dtype=complex), np.ones(3))
 
 
 def test_generic_planted_random():
@@ -69,7 +67,7 @@ def test_generic_planted_random():
                     break
             except DegenerateSystemError:
                 continue
-        sol = solve_generic(planted_system(v, z))
+        sol = solve_generic(*planted_system(v, z))
         assert sol.kind == "unique"
         assert abs(sol.z - z) <= 1e-9
 
@@ -78,27 +76,27 @@ def test_generic_overdetermined_uses_all_equations():
     rng = np.random.default_rng(4)
     z = 0.3 - 1.2j
     v = rng.uniform(-2, 2, 6) + 1j * rng.uniform(-2, 2, 6)
-    sol = solve_generic(planted_system(v, z))
+    sol = solve_generic(*planted_system(v, z))
     assert sol.kind == "unique"
     assert abs(sol.z - z) <= 1e-10
 
 
 def test_real_centers_planted_pair():
-    sys = planted_system([0.0, 1.0], 1j)
-    assert np.allclose(sys.radii, [1.0, np.sqrt(2)])
-    sol = solve_real_centers(sys)
+    offsets, radii = planted_system([0.0, 1.0], 1j)
+    assert np.allclose(radii, [1.0, np.sqrt(2)])
+    sol = solve_real_centers(offsets, radii)
     assert sol.kind == "pair"
     assert abs(sol.z - 1j) <= 1e-12
     assert abs(sol.z_conjugate - (-1j)) <= 1e-12
 
 
 def test_real_centers_impossible():
-    sol = solve_real_centers(CircleSystem(-np.array([0.0, 1.0], dtype=complex), np.array([1.0, 5.0])))
+    sol = solve_real_centers([0.0, 1.0], [1.0, 5.0])
     assert sol.kind == "none"
 
 
 def test_real_centers_tangent_collapses():
-    sol = solve_real_centers(planted_system([0.0, 2.0], 1.0 + 0j))
+    sol = solve_real_centers(*planted_system([0.0, 2.0], 1.0 + 0j))
     assert sol.kind == "pair"
     assert sol.z == sol.z_conjugate == 1.0 + 0j
 
@@ -110,19 +108,19 @@ def test_real_centers_conjugate_closure():
         if np.min(np.diff(v.real)) < 0.1:
             continue
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        sol = solve_real_centers(planted_system(v, z))
+        sol = solve_real_centers(*planted_system(v, z))
         assert sol.kind == "pair"
         assert sol.z_conjugate == np.conj(sol.z)
 
 
 def test_real_centers_underdetermined():
     with pytest.raises(UnderdeterminedSystemError):
-        solve_real_centers(CircleSystem(np.array([1.0, 1.0], dtype=complex), np.ones(2)))
+        solve_real_centers(np.array([1.0, 1.0], dtype=complex), np.ones(2))
 
 
 def test_real_centers_rejects_complex_offsets():
     with pytest.raises(InvalidParametersError):
-        solve_real_centers(CircleSystem(np.array([0.0, 1j]), np.ones(2)))
+        solve_real_centers(np.array([0.0, 1j]), np.ones(2))
 
 
 def test_translation_equivariance():
@@ -130,14 +128,16 @@ def test_translation_equivariance():
     z = 1.1 - 0.4j
     v = rng.uniform(-2, 2, 3) + 1j * rng.uniform(-2, 2, 3)
     w = 0.7 + 0.2j
-    base = solve_generic(planted_system(v, z))
-    moved = solve_generic(CircleSystem(-(v + w), planted_system(v, z).radii))
+    _, radii = planted_system(v, z)
+    base = solve_generic(v, radii)
+    moved = solve_generic(v + w, radii)
     assert abs((base.z - w) - moved.z) <= 1e-12
 
     vr = np.array([0.0, 1.0], dtype=complex)
     zr = 0.5 + 0.8j
-    base = solve_real_centers(planted_system(vr, zr))
-    shifted = solve_real_centers(CircleSystem(-(vr + 0.25), planted_system(vr, zr).radii))
+    _, radii = planted_system(vr, zr)
+    base = solve_real_centers(vr, radii)
+    shifted = solve_real_centers(vr + 0.25, radii)
     assert abs((base.z - 0.25) - shifted.z) <= 1e-12
 
 
@@ -149,58 +149,79 @@ def test_ratio_is_nonreal_cases():
 
 
 def test_system_validation():
-    with pytest.raises(InvalidParametersError):
-        CircleSystem(np.array([1.0 + 0j]), np.array([1.0]))
-    with pytest.raises(InvalidParametersError):
-        CircleSystem(np.array([0j, 1j]), np.array([1.0, -0.5]))
+    for form in (list, np.array):
+        with pytest.raises(InvalidParametersError):
+            solve_real_centers(form([1.0 + 0j]), form([1.0]))
+        with pytest.raises(InvalidParametersError):
+            solve_real_centers(form([0j, 1j]), form([1.0, -0.5]))
 
 
-# The (centers, radii) list form is checked as CircleSystem is.
+def test_non_1d_or_non_numeric_systems_rejected():
+    for solve in (solve_generic, solve_real_centers):
+        with pytest.raises(InvalidParametersError, match="matching radii"):
+            solve(np.zeros((3, 1), dtype=complex), np.ones(3))
+        with pytest.raises(InvalidParametersError, match="matching radii"):
+            solve([0j, 1 + 0j, 1j], [[1.0, 1.0, 1.0]])
+        with pytest.raises(InvalidParametersError, match="numeric"):
+            solve([0j, [1 + 0j, 2 + 0j], 1j], [1.0, 1.0, 1.0])
+        with pytest.raises(InvalidParametersError, match="numeric"):
+            solve([0j, 1 + 0j, 1j], [1.0, "one", 1.0])
 
 
-def test_list_form_with_a_center_too_many_rejected_by_real_solver():
+def test_the_old_system_forms_fail_loudly():
+    # offsets and radii are two arguments: one pair, or a centres object, is
+    # never read with flipped signs
+    import frogkit.circle_solver
+
+    assert not hasattr(frogkit.circle_solver, "CircleSystem")
+    for solve in (solve_generic, solve_real_centers):
+        with pytest.raises(TypeError, match="radii"):
+            solve(([0j, 1 + 0j, 1j], [1.0, 1.0, 1.0]))
+
+
+def test_a_center_too_many_rejected_by_real_solver():
     with pytest.raises(InvalidParametersError, match="matching radii"):
-        solve_real_centers(([0j, 1 + 0j, 2 + 0j], [1.0, 1.0]))
+        solve_real_centers([0j, 1 + 0j, 2 + 0j], [1.0, 1.0])
 
 
-def test_list_form_with_a_center_too_many_rejected_by_generic_solver():
+def test_a_center_too_many_rejected_by_generic_solver():
     with pytest.raises(InvalidParametersError, match="matching radii"):
-        solve_generic(([0j, 1 + 0j, 1j, 1 + 1j], [1.0, 1.0, 1.0]))
+        solve_generic([0j, 1 + 0j, 1j, 1 + 1j], [1.0, 1.0, 1.0])
 
 
-def test_list_form_with_one_circle_rejected():
+def test_one_circle_rejected():
     for solve in (solve_generic, solve_real_centers):
         with pytest.raises(InvalidParametersError, match="s >= 2"):
-            solve(([1 + 0j], [1.0]))
+            solve([1 + 0j], [1.0])
 
 
-def test_list_form_negative_radius_rejected():
-    for solve, centers in ((solve_generic, [0j, 2 + 0j, 1j]), (solve_real_centers, [0j, 2 + 0j, 3 + 0j])):
+def test_negative_radius_rejected():
+    for solve, offsets in ((solve_generic, [0j, 2 + 0j, 1j]), (solve_real_centers, [0j, 2 + 0j, 3 + 0j])):
         with pytest.raises(InvalidParametersError, match="nonnegative"):
-            solve((centers, [1.0, 1.0, -0.5]))
+            solve(offsets, [1.0, 1.0, -0.5])
 
 
 @pytest.mark.parametrize("solve", [solve_generic, solve_real_centers])
-@pytest.mark.parametrize("as_system", [False, True], ids=["lists", "system"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "arrays"])
 @pytest.mark.parametrize(
-    "centers, radii",
+    "offsets, radii",
     [
         ([0j, 1 + 0j, 2 + 0j], [1.0, math.inf, 1.0]),
         ([0j, 1 + 0j, 2 + 0j], [math.nan, 1.0, 1.0]),
         ([0j, complex(math.nan, 0.0), 2 + 0j], [1.0, 1.0, 1.0]),
         ([0j, 1 + 0j, complex(math.inf, 0.0)], [1.0, 1.0, 1.0]),
     ],
-    ids=["inf radius", "nan radius", "nan center", "inf center"],
+    ids=["inf radius", "nan radius", "nan offset", "inf offset"],
 )
-def test_nonfinite_systems_rejected(solve, as_system, centers, radii):
-    # the list form is checked as CircleSystem is: both fail before any solve
+def test_nonfinite_systems_rejected(solve, as_array, offsets, radii):
+    # lists and arrays are checked alike: both fail before any solve
     with pytest.raises(InvalidParametersError, match="finite"):
-        solve(CircleSystem(np.array(centers), np.array(radii)) if as_system else (centers, radii))
+        solve(*map(np.array, (offsets, radii))) if as_array else solve(offsets, radii)
 
 
 def test_generic_solve_needs_three_circles():
     with pytest.raises(InvalidParametersError, match="at least 3"):
-        solve_generic(([0j, 1 + 0j], [1.0, 1.0]))
+        solve_generic([0j, 1 + 0j], [1.0, 1.0])
 
 
 def test_least_squares_step_matches_lstsq():
@@ -269,9 +290,13 @@ def test_collinear_row3_keeps_upper_candidate_first():
         assert min(abs(c - prefix[0] * x3) for c in sol.candidates) <= 1e-10
 
 
-# The solvers as they were when each solve built a CircleSystem and its
-# numpy arrays.  The scalar solvers must reproduce them bit for bit: the
-# recursion amplifies a one-ulp change tenfold per row.
+# The solvers as they were when each solve took a validated system of numpy
+# arrays, the centres -v_i and the radii.  The scalar solvers must reproduce
+# them bit for bit: the recursion amplifies a one-ulp change tenfold per row.
+
+
+def _reference_arrays(centers, radii):
+    return np.array(centers, dtype=np.complex128), np.array(radii, dtype=np.float64)
 
 
 def _reference_max_error(z, pairs):
@@ -317,9 +342,8 @@ def _reference_refine_candidate(z, pairs):
     return best, best_res
 
 
-def _reference_solve_generic(sys, tol=None):
-    v = -sys.centers
-    radii = sys.radii
+def _reference_solve_generic(centers, radii, tol=None):
+    v = -centers
     if v.size < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
     if tol is None:
@@ -339,15 +363,15 @@ def _reference_solve_generic(sys, tol=None):
         raise DegenerateSystemError("collinear centers")
     mat, rhs = _difference_rows(v, radii)
     z0 = complex(*_reference_least_squares_2(mat.tolist(), rhs.tolist()))
-    pairs = list(zip(sys.centers.tolist(), radii.tolist()))
+    pairs = list(zip(centers.tolist(), radii.tolist()))
     z, residual = _reference_refine_candidate(z0, pairs)
     return CircleSolution("unique" if residual <= tol else "none", z, None, residual)
 
 
-def _reference_solve_real_centers(sys, tol=None):
-    v = (-sys.centers).tolist()
-    radii = sys.radii.tolist()
-    pairs = list(zip(sys.centers.tolist(), radii))
+def _reference_solve_real_centers(centers, radii, tol=None):
+    v = (-centers).tolist()
+    radii = radii.tolist()
+    pairs = list(zip(centers.tolist(), radii))
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
@@ -375,7 +399,7 @@ def _reference_solve_collinear(offsets, radii, point, direction, tol=None):
     rotated = [(v - point) / u for v in offsets]
     if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
         raise DegenerateSystemError("offsets are not on the given line")
-    sol = _reference_solve_real_centers(CircleSystem([-w.real for w in rotated], radii), tol=tol)
+    sol = _reference_solve_real_centers(*_reference_arrays([-w.real for w in rotated], radii), tol=tol)
 
     def back(w):
         return None if w is None else w * u - point
@@ -409,10 +433,9 @@ _point = st.builds(complex, _coord, _coord)
 def test_generic_solve_matches_reference_bitwise(s, z, offsets, factors, perturb, tol):
     v = offsets[:s]
     radii = [abs(z + c) * (f if perturb else 1.0) for c, f in zip(v, factors)]
-    centers = [-c for c in v]
-    ref = _bits(lambda: _reference_solve_generic(CircleSystem(centers, radii), tol))
-    assert _bits(lambda: solve_generic(CircleSystem(centers, radii), tol)) == ref
-    assert _bits(lambda: solve_generic((centers, radii), tol)) == ref  # the recursion's input
+    ref = _bits(lambda: _reference_solve_generic(*_reference_arrays([-c for c in v], radii), tol))
+    assert _bits(lambda: solve_generic(np.array(v), np.array(radii), tol)) == ref
+    assert _bits(lambda: solve_generic(v, radii, tol)) == ref  # the recursion's input
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,9 +450,9 @@ def test_generic_solve_matches_reference_bitwise(s, z, offsets, factors, perturb
 def test_real_and_collinear_solves_match_reference_bitwise(s, z, xs, factors, perturb, line):
     radii = [abs(z + x) * (f if perturb else 1.0) for x, f in zip(xs[:s], factors)]
     centers = [complex(-x) for x in xs[:s]]
-    ref = _bits(lambda: _reference_solve_real_centers(CircleSystem(centers, radii)))
-    assert _bits(lambda: solve_real_centers(CircleSystem(centers, radii))) == ref
-    assert _bits(lambda: solve_real_centers((centers, radii))) == ref
+    ref = _bits(lambda: _reference_solve_real_centers(*_reference_arrays(centers, radii)))
+    assert _bits(lambda: solve_real_centers(np.array(xs[:s]), np.array(radii))) == ref
+    assert _bits(lambda: solve_real_centers(xs[:s], radii)) == ref
 
     # the same offsets on the line point + t * direction
     point, angle = line

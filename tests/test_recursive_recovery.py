@@ -191,6 +191,24 @@ def _report_bits(report):
     )
 
 
+def test_recover_calls_the_solvers_through_module_globals(monkeypatch):
+    # a wrapper on these names, such as a benchmark tracer, sees every
+    # circle solve of the recursion and changes nothing
+    xhat, band = random_band_spectrum(np.random.default_rng(11), 32, 8)
+    trace, settings = trace_of(xhat, 8), RecoverySettings(r=4)
+    plain = _report_bits(recover(trace, band, settings))
+    calls = dict.fromkeys(("solve_generic", "solve_real_centers"), 0)
+    for name in calls:
+
+        def counted(*args, _solve=getattr(recursive_recovery, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(recursive_recovery, name, counted)
+    assert _report_bits(recover(trace, band, settings)) == plain
+    assert min(calls.values()) >= 1, calls
+
+
 class TestSelectEquations:
     def select(self, k, r):
         """The columns the plan reads at band row k."""

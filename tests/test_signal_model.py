@@ -173,8 +173,9 @@ def test_non_finite_values_rejected():
 def test_band_exponents_must_fit_in_int64():
     top, b = 2**63 - 1, 4
     for start in (-(2**63), top - b + 1):
-        exps = BandlimitSpec(b, start).unwrapped_indices(16)
-        assert exps[0] == start and exps[-1] == start + b - 1
+        band = BandlimitSpec(b, start)
+        assert list(band.exponents(16)) == [start % 16 + j for j in range(b)]
+        assert list(band.indices(16)) == [(start + j) % 16 for j in range(b)]
     for start in (-(2**63) - 1, top - b + 2, 10**20, -(10**20)):
         with pytest.raises(InvalidParametersError, match="int64"):
             BandlimitSpec(b, start)
