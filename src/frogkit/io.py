@@ -4,9 +4,10 @@ Complex vectors (signals and spectra alike) are stored as
 ``{"n": N, "re": [...], "im": [...]}`` with ``n`` a JSON integer.  A trace
 is the header line ``k,m,value`` and then one line ``k,m,value`` per cell
 in row-major order: decimal indices, the value as ``%.17g`` (so round-trips
-are exact), every line ended by ``\r\n``.  The reader also takes ``\n`` or
-``\r`` line ends, spaces around fields and double-quoted fields, but no
-blank lines or comments.
+are exact), every line ended by ``\r\n``; a row whose column r - m repeats
+column m bit for bit reuses the text of that delay pair, with the same bytes.
+The reader also takes ``\n`` or ``\r`` line ends, spaces around fields and
+double-quoted fields, but no blank lines or comments.
 """
 
 from __future__ import annotations
@@ -82,14 +83,23 @@ def read_signal(path) -> Signal:
 
 
 def write_trace(path, trace: FrogTrace):
-    # str(k).join(cells) is row k's template "k,0,%.17g\r\nk,1,%.17g\r\n...",
-    # so each row is formatted by one % call and written on its own
-    cells = ["", *(f",{m},{_FLOAT_FMT}\r\n" for m in range(trace.data.shape[1]))]
+    # str(k).join(cells) is row k's template "k,0,%.17g\r\nk,1,%.17g\r\n...", formatted
+    # by one % call; a row whose column r - m is column m bit for bit (every frog_trace
+    # row) formats m = 0..r//2 once and fills the "%s" template with that text, mirrored.
+    r, bits = trace.r, trace.data.view(np.uint64)
+    mirrored = (bits[:, 1:] == bits[:, :0:-1]).all(axis=1).tolist()
+    cells = ["", *(f",{m},{_FLOAT_FMT}\r\n" for m in range(r))]
+    texts, left = [c.replace(_FLOAT_FMT, "%s") for c in cells], "\n".join([_FLOAT_FMT] * (r // 2 + 1))
+
+    def row(k, values):
+        if not mirrored[k]:
+            return str(k).join(cells) % tuple(values)
+        strs = (left % tuple(values[: r // 2 + 1])).split("\n")
+        return str(k).join(texts) % tuple(strs + strs[(r - 1) // 2 : 0 : -1])
+
     with open(path, "w", newline="") as fh:
         fh.write("k,m,value\r\n")
-        fh.writelines(
-            str(k).join(cells) % tuple(values) for k, values in enumerate(trace.data.tolist())
-        )
+        fh.writelines(row(k, values) for k, values in enumerate(trace.data.tolist()))
 
 
 def read_trace(path, l: int) -> FrogTrace:

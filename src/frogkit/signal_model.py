@@ -27,10 +27,14 @@ def _integer(value, name: str) -> int:
         raise InvalidParametersError(f"{name} must be an integer") from None
 
 
-def _frozen_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParametersError("expected a non-empty 1-D vector")
+def _frozen_array(values, dtype, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a read-only, non-empty ``ndim``-D array of ``dtype``."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or out of range
+        raise InvalidParametersError(f"{what} must be numeric") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise InvalidParametersError(f"{what} must be a non-empty {ndim}-D array")
     arr.flags.writeable = False
     return arr
 
@@ -42,7 +46,7 @@ class Signal:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_complex_vector(self.values)
+        values = _frozen_array(self.values, np.complex128, 1, "signal values")
         if not np.all(np.isfinite(values)):
             raise InvalidParametersError("signal values must be finite")
         object.__setattr__(self, "values", values)
@@ -59,7 +63,8 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_complex_vector(self.values))
+        values = _frozen_array(self.values, np.complex128, 1, "spectrum values")
+        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -104,16 +109,14 @@ class BandlimitSpec:
 
 @dataclass(frozen=True)
 class FrogTrace:
-    """N x r matrix of squared Fourier magnitudes of the shifted products,
-    r = N/L.  Column m corresponds to shift m*L."""
+    """N x r matrix of squared Fourier magnitudes of the shifted products, r = N/L.
+    Column m is shift m*L; in a ``frog_trace``, column r - m copies column m exactly."""
 
     data: np.ndarray
     l: int
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InvalidParametersError("trace data must be a 2-D array")
+        arr = _frozen_array(self.data, np.float64, 2, "trace data")
         n, r = arr.shape
         object.__setattr__(self, "l", _integer(self.l, "step L"))
         if self.l < 1 or n != r * self.l:
@@ -124,7 +127,6 @@ class FrogTrace:
             raise InvalidParametersError("trace entries must be finite")
         if np.min(arr) < 0:
             raise InvalidParametersError("trace entries must be nonnegative")
-        arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
 
     @property
@@ -170,26 +172,29 @@ def _cyclic_windows(values: np.ndarray) -> np.ndarray:
     return np.ndarray(shape, values.dtype, doubled, 0, (*lead, step, step))
 
 
-def shift_product_coeffs(values: np.ndarray, l: int) -> np.ndarray:
-    """Forward model on a stack: for values of shape (..., N), the DFTs of all
-    r = N/L shifted self-products, shape (..., N, r), with
-    ``out[..., k, m] = DFT_k(x * x[(. + m*L) mod N])``.
+def shift_product_coeffs(values: np.ndarray, l: int, shifts: int | None = None) -> np.ndarray:
+    """Forward model on a stack: for values of shape (..., N), the DFTs of the
+    first ``shifts`` (default all r = N/L) shifted self-products, shape
+    (..., N, shifts), with ``out[..., k, m] = DFT_k(x * x[(. + m*L) mod N])``.
 
-    The transform runs along axis -2, so each trial's N x r block is
-    contiguous and every product is transformed exactly as for a single
-    signal; stacking trials does not change any result bit.
+    The transform runs along axis -2, so each trial's block is contiguous
+    and every product is transformed exactly as for a single signal; neither
+    stacking trials nor dropping shifts changes any result bit.
     """
     _check_step(values.shape[-1], l)
-    shifted = _cyclic_windows(values)[..., ::l, :].swapaxes(-1, -2)  # [..., p, m]
-    # a C-ordered buffer keeps each N x r block contiguous (``order="C"``
+    shifted = _cyclic_windows(values)[..., ::l, :][..., :shifts, :].swapaxes(-1, -2)  # [..., p, m]
+    # a C-ordered buffer keeps each trial's block contiguous (``order="C"``
     # alone changes the last bit of an N = 1 trace)
     products = np.multiply(values[..., :, None], shifted, out=np.empty_like(shifted, order="C"))
     return np.fft.fft(products, axis=-2)
 
 
 def frog_trace(x: Signal, l: int) -> FrogTrace:
-    """Squared Fourier magnitudes of all r = N/L shifted self-products."""
-    return FrogTrace(np.abs(shift_product_coeffs(x.values, l)) ** 2, l)
+    """Squared Fourier magnitudes of all r = N/L shifted self-products.  Shift -m*L
+    rotates the product for m*L, so m = 0..r//2 are transformed; column r - m copies m."""
+    r = _check_step(x.n, l)
+    half = np.abs(shift_product_coeffs(x.values, l, r // 2 + 1)) ** 2
+    return FrogTrace(np.concatenate([half, half[:, (r - 1) // 2 : 0 : -1]], axis=1), l)
 
 
 def frog_freq_coeffs(xhat: Spectrum, l: int) -> np.ndarray:

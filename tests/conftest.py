@@ -42,6 +42,14 @@ def random_signal(rng, n):
     return Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
+def direct_trace(values, l):
+    """The trace by its definition, every column transformed on its own:
+    ``|DFT_k(x * x[(. + m*L) mod N])|**2`` for m = 0..N/L - 1."""
+    n = len(values)
+    idx = (np.arange(n)[:, None] + np.arange(n // l)[None, :] * l) % n
+    return np.abs(np.fft.fft(values[:, None] * values[idx], axis=0)) ** 2
+
+
 def random_band_spectrum(rng, n, b, start=0):
     band = BandlimitSpec(b, start)
     values = np.zeros(n, dtype=complex)

@@ -148,6 +148,28 @@ def test_trace_csv_bytes_equal_csv_writer_at_three_digit_indices(tmp_path, n, l)
     assert io.read_trace(path, l).data.tobytes() == data.tobytes()
 
 
+def _mirrored_trace_cases():
+    trace = frog_trace(random_signal(np.random.default_rng(256), 256), 1)
+    nudged = trace.data.copy()  # row 9's column 200 is one ulp off column 56
+    nudged[9, 200] = np.nextafter(nudged[9, 200], np.inf)
+    # row 0 pairs 0.0 with -0.0, so it cannot reuse text; row 1 holds -0.0 twice
+    zeros = np.array([[1.0, 0.0, 2.0, -0.0], [1.0, -0.0, 2.0, -0.0], [3.0] * 4, [4.0] * 4])
+    return {"frog_trace": trace, "one ulp": FrogTrace(nudged, 1), "signed zeros": FrogTrace(zeros, 1)}
+
+
+@pytest.mark.parametrize("case", ["frog_trace", "one ulp", "signed zeros"])
+def test_trace_csv_bytes_equal_csv_writer_with_mirrored_columns(tmp_path, case):
+    """A row whose columns r - m and m agree bit for bit reuses the text of
+    its left half; any other row formats every cell."""
+    trace = _mirrored_trace_cases()[case]
+    path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
+    io.write_trace(path, trace)
+    _reference_write_trace(ref, trace)
+    assert path.read_bytes() == ref.read_bytes()
+    if case == "signed zeros":
+        assert path.read_bytes().splitlines()[2:10:2] == [b"0,1,0", b"0,3,-0", b"1,1,-0", b"1,3,-0"]
+
+
 # every finite float, with signed zeros, subnormals and the extremes drawn often
 _FINITE_VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),

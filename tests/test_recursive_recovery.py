@@ -31,7 +31,7 @@ from frogkit.recursive_recovery import (
     _row_sums,
 )
 from frogkit.signal_model import _roots_of_unity
-from conftest import random_band_spectrum
+from conftest import direct_trace, random_band_spectrum
 
 
 def trace_of(xhat, l):
@@ -375,6 +375,21 @@ class TestRecover:
         assert max(report.equations_used) <= 2 * band.b - 2
         assert len(cells) <= 3 * (2 * band.b - 1)
         assert report.measurement_reads == len(cells)
+
+    @pytest.mark.parametrize("n,b,l", [(24, 6, 6), (32, 8, 4), (256, 8, 1)])
+    def test_mirrored_columns_cannot_move_a_report(self, rng, n, b, l):
+        # frog_trace copies column m into column r - m; the recursion reads
+        # only m <= r//2, so directly transformed columns above r//2 change
+        # no report bit
+        xhat, band = random_band_spectrum(rng, n, b)
+        r, trace = n // l, trace_of(xhat, l)
+        report = recover(trace, band, RecoverySettings(r=r))
+        assert max(m for ms in report.equations_used.values() for m in ms) <= r // 2
+        data = trace.data.copy()
+        data[:, r // 2 + 1 :] = direct_trace(idft(xhat).values, l)[:, r // 2 + 1 :]
+        assert not np.array_equal(data, trace.data)
+        again = recover(FrogTrace(data, l), band, RecoverySettings(r=r))
+        assert _report_bits(again) == _report_bits(report)
 
     def test_degenerate_first_entry(self):
         # spectrum with a zero leading band entry

@@ -13,7 +13,7 @@ from frogkit import (
     idft,
 )
 from frogkit.signal_model import shift_product_coeffs
-from conftest import random_band_spectrum, random_signal
+from conftest import direct_trace, random_band_spectrum, random_signal
 
 
 def delta(n):
@@ -50,11 +50,16 @@ def test_frog_trace_constant():
 
 
 def test_frog_trace_bitwise_equals_direct_formula(rng):
-    for n, l in ((24, 1), (24, 8), (15, 5), (64, 4)):
-        x = random_signal(rng, n)
-        idx = (np.arange(n)[:, None] + np.arange(n // l)[None, :] * l) % n
-        direct = np.abs(np.fft.fft(x.values[:, None] * x.values[idx], axis=0)) ** 2
-        assert np.array_equal(frog_trace(x, l).data, direct)
+    # columns 0..r//2 are the direct formula bit for bit, and column r - m is
+    # an exact copy of column m, within float noise of its own direct formula
+    for n in (1, 2, 15, 24, 64, 256):
+        for l in (d for d in range(1, n + 1) if n % d == 0):
+            x = random_signal(rng, n)
+            r, direct = n // l, direct_trace(x.values, l)
+            mirrored = np.concatenate([direct[:, : r // 2 + 1], direct[:, (r - 1) // 2 : 0 : -1]], 1)
+            got = frog_trace(x, l).data
+            assert np.array_equal(got, mirrored)
+            assert np.max(np.abs(got - direct)) <= 1e-15 * np.max(direct)
 
 
 def test_shift_product_coeffs_stack_equals_single(rng):
@@ -82,6 +87,19 @@ def test_trace_type_rejects_negative_and_bad_shape():
         FrogTrace(-np.ones((4, 4)), 1)
     with pytest.raises(InvalidParametersError):
         FrogTrace(np.ones((4, 3)), 1)
+    with pytest.raises(InvalidParametersError, match="non-empty 2-D"):
+        FrogTrace(np.ones((0, 0)), 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: FrogTrace([[1 + 2j]], 1), lambda: Signal([[1], [2, 3]]),
+     lambda: Signal([10**400]), lambda: Spectrum(["x"])],
+    ids=["complex trace", "ragged signal", "signal out of float range", "text spectrum"],
+)
+def test_types_reject_non_numeric_input(make):
+    with pytest.raises(InvalidParametersError, match="must be numeric"):
+        make()
 
 
 def test_trace_columns_m_and_r_minus_m_equal(rng):
