@@ -77,10 +77,11 @@ def _recover(args) -> int:
     z0 = io.read_signal(args.init)
     opts = LsOptions() if args.max_iters is None else LsOptions(max_iters=args.max_iters)
     z_fin, objective, iters = ls_minimize(z0, trace, opts)
-    mismatch = float(
-        np.max(np.abs(frog_trace(z_fin, args.l).data - trace.data))
-        / max(np.max(trace.data), 1e-300)
-    )
+    try:
+        model = frog_trace(z_fin, args.l).data
+    except InvalidParametersError:  # z_fin and L are valid: its trace overflowed
+        model = np.inf
+    mismatch = float(np.max(np.abs(model - trace.data)) / max(np.max(trace.data), 1e-300))
     success = mismatch <= args.tol
     io.write_ls_result(args.out, dft(z_fin), objective, iters, mismatch, success)
     print(f"descent finished: objective {objective:.6e}, trace mismatch {mismatch:.3e}")

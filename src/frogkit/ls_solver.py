@@ -17,14 +17,15 @@ steps t, t/2, ..., t/2^(K-1) of every live trial in one kernel call, and a
 trial takes the first that passes the Armijo test; one that passes none goes
 on halving from t/2^K, one kernel call per round.  K is 1 for a stack whose
 live state holds more than ``_SPECULATE_ENTRIES / 2`` entries, so a large
-stack evaluates only the steps it needs, and always 1 for the complex
-kernel of ``ls_minimize``.  The halved steps are exact, so the accepted
-step, the iterate and the objective do not depend on K.
+stack evaluates only the steps it needs, and at most the kernel's ``steps``:
+always 1 for the complex kernel of ``ls_minimize``.  The halved steps are
+exact, so the accepted step, the iterate and the objective do not depend on K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -53,21 +54,22 @@ _DECREASE = 1e-4  # Armijo sufficient-decrease constant
 # 100 trials per cell, 540,000 entries) fits in one stack, with a peak RSS
 # of 69 MiB for the whole process.
 _BATCH_ENTRIES = 1 << 20
-# A stack whose live state holds E entries evaluates K = min(4, max(1,
-# _SPECULATE_ENTRIES // E)) backtracking steps per kernel call.  Four steps
-# cover all but 0.1% of accepted steps on basin grids.  CPU time on a 2-core
-# x86 machine, N = 24 basin grids over L = 1, 2, 4, 8 and five sigmas:
-# 1 trial per cell (1,690 entries) 2.2-2.7 s at K = 1, 1.6 s at K = 4;
-# 2 per cell (3,380 entries) 3.1-3.2 s at K = 1, 2.3-2.7 s at K = 2; a
-# 200-trial L = 8 grid (5,200 entries) 1.6-1.9 s at K = 1, 2.6-2.9 s at
-# K = 2; and K = 4 on the criterion-8 grid (100 trials per cell) took 40 s
-# of wall time against 21 s.  On a large stack the extra steps cost more
-# than the calls they save.  The K = 3 range (2,049-2,730 entries) and the
-# cut to K = 1 above 4,096 entries were not measured directly; they are
-# interpolated between those grids.  The complex kernel keeps K = 1: on
-# single ``ls_minimize`` descents at N = 12-64, K = 2-4 saved up to 20% at
-# some (N, L) and cost up to 20% at others (N = 48, L = 1 at K = 3 and
-# N = 64, L = 2 at K = 4), with no entry budget that separates the two.
+# A stack whose live state holds E entries evaluates K = min(steps, max(1,
+# _SPECULATE_ENTRIES // E)) backtracking steps per kernel call, where the
+# real kernel's ``steps`` is 4 and the complex kernel's 1.  Four steps cover
+# all but 0.1% of accepted steps on basin grids.  CPU time on a 2-core x86
+# machine, N = 24 basin grids over L = 1, 2, 4, 8 and five sigmas: 1 trial
+# per cell (1,690 entries) 2.2-2.7 s at K = 1, 1.6 s at K = 4; 2 per cell
+# (3,380 entries) 3.1-3.2 s at K = 1, 2.3-2.7 s at K = 2; a 200-trial L = 8
+# grid (5,200 entries) 1.6-1.9 s at K = 1, 2.6-2.9 s at K = 2; and K = 4 on
+# the criterion-8 grid (100 trials per cell) took 40 s of wall time against
+# 21 s.  On a large stack the extra steps cost more than the calls they save.
+# The K = 3 range (2,049-2,730 entries) and the cut to K = 1 above 4,096
+# entries were not measured directly; they are interpolated between those
+# grids.  The complex kernel keeps K = 1: on single ``ls_minimize`` descents
+# at N = 12-64, K = 2-4 saved up to 20% at some (N, L) and cost up to 20% at
+# others (N = 48, L = 1 at K = 3 and N = 64, L = 2 at K = 4), with no entry
+# budget that separates the two.
 _SPECULATE_ENTRIES = 8192
 
 
@@ -93,16 +95,16 @@ class BasinGrid:
 
 
 # A descent kernel evaluates a stack of trials against their data:
-#   evaluate(z, data, sub=None, out=None) -> (f, state): objective per trial
-#       and the state the gradient reuses; with ``sub`` (sorted trial indices),
-#       z holds only those trials, and their state is also written into ``out``;
-#   gradient(z, data, state) -> g;  norm2(g) -> squared norm per trial;
-#   keep(data, state, mask) -> (data, state) of the trials in ``mask``;
-# and the real kernel, which speculates, also has
-#   tile(data, k) -> the data of k copies of the stack, copy j holding trials
-#       j*T .. (j+1)*T - 1, so one evaluate call tries k steps per trial;
-#   pick(data, state, first) -> from the state of the tiled stack, the state
-#       of copy first[i] of each trial i, laid out as for ``data``.
+#   evaluate(z, data) -> (f, state): objective per trial and the state the
+#       gradient reuses;  gradient(z, data, state) -> g;
+#   norm2(g) -> squared norm per trial;
+#   select(data, trials) -> (data, rows): the data of the stack of ``trials``
+#       (in that order, repeats allowed) and the rows of ``state`` they own;
+#   steps: the most backtracking steps one evaluate call tries per trial, on
+#       the stack ``select(data, tile(arange(T), k))``, k <= steps;
+# and the real kernel, whose steps exceed 1, also has
+#   pick(data, state, first) -> from the state of k copies of the stack, the
+#       state of copy first[i] of each trial i, laid out as for ``data``.
 
 
 class _Workspace:
@@ -113,6 +115,7 @@ class _Workspace:
     """
 
     dtype = np.complex128
+    steps = 1  # see _SPECULATE_ENTRIES
 
     def __init__(self, n: int, l: int):
         self.n = n
@@ -123,14 +126,11 @@ class _Workspace:
         self.fwd = (p + m * l) % n
         self.bwd = ((p - m * l) % n) * r + m  # flat index of ((p - m*L) mod N, m)
 
-    def evaluate(self, z, data, sub=None, out=None):
+    def evaluate(self, z, data):
         coeffs = shift_product_coeffs(z, self.l)
-        err = (data if sub is None else data[sub]) - np.abs(coeffs) ** 2
+        err = data - np.abs(coeffs) ** 2
         f = 0.5 * np.add.reduce((err**2).reshape(len(err), -1), axis=1)
-        state = err * coeffs
-        if out is not None:
-            out[sub] = state
-        return f, state
+        return f, err * coeffs
 
     def gradient(self, z, data, state):
         back = self.n * np.fft.ifft(state, axis=-2)
@@ -142,31 +142,28 @@ class _Workspace:
     def norm2(self, g):
         return np.array([np.vdot(row, row).real for row in g])
 
-    def keep(self, data, state, mask):
-        return data[mask], state[mask]
+    def select(self, data, trials):
+        return data[trials], trials
 
 
 class _Columns:
     """Layout of a ragged stack of real trials at one N: column c is the
     product of trial ``rows[c]`` with its own shift by ``shift[c]`` and stands
     for ``count[c]`` trace columns; a trial's columns are consecutive.
-    ``own`` and ``fwd`` index entries p and (p + shift) mod N of the column's
-    trial in the flattened (T, N) iterate; ``half`` holds rows 0..N//2 of the
-    trace column."""
+    ``half`` holds rows 0..N//2 of the trace column.  ``own`` and ``fwd``,
+    built when the gradient first asks, index entries p and (p + shift) mod N
+    of the column's trial in the flattened (T, N) iterate."""
 
     def __init__(self, n, rows, shift, count, half):
-        self.rows, self.shift, self.count, self.half = rows, shift, count, half
-        p = np.arange(n)
-        self.own = rows[:, None] * n + p
-        self.fwd = rows[:, None] * n + (p + shift[:, None]) % n
+        self.n, self.rows, self.shift, self.count, self.half = n, rows, shift, count, half
 
-    def columns_of(self, sub):
-        """The columns of the trials ``sub`` (sorted) and their trial numbers
-        counted within ``sub``."""
-        pick = np.zeros(self.rows[-1] + 1, dtype=bool)
-        pick[sub] = True
-        cols = np.flatnonzero(pick.take(self.rows))
-        return cols, (np.cumsum(pick) - 1).take(self.rows.take(cols))
+    @cached_property
+    def own(self):
+        return self.rows[:, None] * self.n + np.arange(self.n)
+
+    @cached_property
+    def fwd(self):
+        return self.rows[:, None] * self.n + (np.arange(self.n) + self.shift[:, None]) % self.n
 
 
 class _RealWorkspace:
@@ -181,6 +178,7 @@ class _RealWorkspace:
     """
 
     dtype = np.float64
+    steps = 4  # see _SPECULATE_ENTRIES
 
     def __init__(self, n: int):
         self.n = n
@@ -205,21 +203,15 @@ class _RealWorkspace:
         half = np.concatenate([np.asarray(tr)[:kept, : k // 2 + 1].T for tr, k in zip(traces, r)])
         return _Columns(self.n, rows, m * steps.take(rows), count, half)
 
-    def evaluate(self, z, data, sub=None, out=None):
+    def evaluate(self, z, data):
         rows, shift, count, half = data.rows, data.shift, data.count, data.half
-        if sub is not None:  # the columns of the trials in ``sub``
-            cols, rows = data.columns_of(sub)
-            shift, count, half = shift.take(cols), count.take(cols), half.take(cols, axis=0)
         # column c multiplies z[rows[c]] by the same row shifted by shift[c]
         coeffs = np.fft.rfft(z.take(rows, axis=0) * _cyclic_windows(z)[rows, shift], axis=-1)
         err = half - (coeffs.real**2 + coeffs.imag**2)
         # einsum sums each column on its own, in the same order in any stack
         f = 0.5 * np.bincount(rows, count * np.einsum("ck,ck,k->c", err, err, self.weight), len(z))
         err *= count[:, None]
-        state = err * coeffs
-        if out is not None:
-            out[cols] = state
-        return f, state
+        return f, err * coeffs
 
     def gradient(self, z, data, state):
         # d/dz_p of |DFT(z * z[. + s])|^2 reaches z_p directly and, through
@@ -233,18 +225,15 @@ class _RealWorkspace:
     def norm2(self, g):
         return np.add.reduce(g * g, axis=1)
 
-    def keep(self, data, state, mask):
-        cols, rows = data.columns_of(np.flatnonzero(mask))
-        kept = _Columns(
-            self.n, rows, data.shift.take(cols), data.count.take(cols), data.half.take(cols, axis=0)
-        )
-        return kept, state.take(cols, axis=0)
-
-    def tile(self, data, k):
-        rows = (data.rows + (data.rows[-1] + 1) * np.arange(k)[:, None]).ravel()
+    def select(self, data, trials):
+        width = np.bincount(data.rows).take(trials)  # columns per selected trial
+        rows = np.repeat(np.arange(len(trials)), width)
+        # ``data.rows`` is sorted, so trial t's columns start at searchsorted(t)
+        skip = np.searchsorted(data.rows, trials) - (np.cumsum(width) - width)
+        cols = np.arange(len(rows)) + np.repeat(skip, width)
         return _Columns(
-            self.n, rows, np.tile(data.shift, k), np.tile(data.count, k), np.tile(data.half, (k, 1))
-        )
+            self.n, rows, data.shift.take(cols), data.count.take(cols), data.half.take(cols, axis=0)
+        ), cols
 
     def pick(self, data, state, first):
         cols = len(data.rows)
@@ -286,7 +275,7 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
     iters = np.zeros(len(z), dtype=np.int64)
     out_z, out_f, out_iters = np.empty_like(z), np.empty_like(f), np.empty_like(iters)
     live = np.arange(len(z))
-    k, tiled = _speculate(ws, data, state)
+    k, tiled = _speculate(ws, data, state, len(z))
     while live.size:
         g = ws.gradient(z, data, state)
         gnorm2 = ws.norm2(g)
@@ -321,7 +310,8 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
             if not pending.size:
                 break
             z_try = z[pending] - t[pending, None] * g[pending]
-            f_try, _ = ws.evaluate(z_try, data, pending, state_new)
+            part, rows = ws.select(data, pending)
+            f_try, state_new[rows] = ws.evaluate(z_try, part)
             ok = f_try <= f[pending] - _DECREASE * t[pending] * gnorm2[pending]
             won = pending[ok]
             z_new[won], f_new[won] = z_try[ok], f_try[ok]
@@ -336,22 +326,21 @@ def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
         iters += accepted
         stop |= iters >= opts.max_iters
         if stop.any():
-            done, keep = live[stop], ~stop
+            done, keep = live[stop], np.flatnonzero(~stop)
             out_z[done], out_f[done], out_iters[done] = z[stop], f[stop], iters[stop]
-            data, state = ws.keep(data, state, keep)
             live, z, f, step, iters = live[keep], z[keep], f[keep], step[keep], iters[keep]
             if live.size:
-                k, tiled = _speculate(ws, data, state)
+                data, rows = ws.select(data, keep)
+                state = state[rows]
+                k, tiled = _speculate(ws, data, state, len(z))
     return out_z, out_f, out_iters
 
 
-def _speculate(ws, data, state):
+def _speculate(ws, data, state, size):
     """How many backtracking steps one kernel call tries per trial, and the
-    data of the stack tiled that many times."""
-    if not isinstance(ws, _RealWorkspace):
-        return 1, data
-    k = min(4, max(1, _SPECULATE_ENTRIES // state.size))
-    return k, (ws.tile(data, k) if k > 1 else data)
+    data of that many copies of the stack of ``size`` trials."""
+    k = min(ws.steps, max(1, _SPECULATE_ENTRIES // state.size))
+    return k, (ws.select(data, np.tile(np.arange(size), k))[0] if k > 1 else data)
 
 
 def ls_minimize(
@@ -426,8 +415,9 @@ def basin_experiment(
         data = ws.stack(steps, [frog_trace(Signal(x), l).data for (x, _), l in zip(draws, steps)])
         z_fin, _, _ = _descend(ws, np.array([start for _, start in draws]), data, LsOptions())
         for (i, j, _), (x, _), z in zip(chunk, draws, z_fin):
-            dist, _ = dist_mod_group(dft(Signal(z)), dft(Signal(x)))
-            wins[i, j] += dist <= SUCCESS_DISTANCE
+            zhat = dft(Signal(z))  # an iterate whose spectrum overflows is a miss
+            if np.all(np.isfinite(zhat.values)):
+                wins[i, j] += dist_mod_group(zhat, dft(Signal(x)))[0] <= SUCCESS_DISTANCE
 
     return BasinGrid(
         sigma_values=np.array(sigma_values),

@@ -228,6 +228,23 @@ def test_recover_ls_mode(tmp_path):
     assert report["trace_mismatch"] <= 1e-6
 
 
+def test_recover_ls_mode_reports_an_overflowing_model_trace_as_a_failed_descent(tmp_path):
+    # the trace of a start scaled by 1e100 overflows; that is a failed
+    # descent, not an invalid trace
+    x = Signal(np.random.default_rng(3).standard_normal(16))
+    init, tr, rep = tmp_path / "init.json", tmp_path / "t.csv", tmp_path / "r.json"
+    io.write_trace(tr, frog_trace(x, 4))
+    io.write_signal(init, Signal(1e100 * x.values))
+    res = run_cli(
+        "recover", "--trace", tr, "--l", 4, "--b", 4, "--mode", "ls", "--init", init,
+        "--max-iters", 20, "--out", rep,
+    )
+    assert res.returncode == 1, res.stderr
+    assert len(res.stdout.splitlines()) == 1 and not res.stderr
+    report = json.loads(rep.read_text())
+    assert report["trace_mismatch"] == np.inf and not report["success"]
+
+
 def test_recover_ls_mode_requires_init(tmp_path):
     sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
     assert run_cli("synthesize", "--n", 12, "--b", 3, "--seed", 0, "--out", sig).returncode == 0

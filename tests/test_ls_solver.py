@@ -174,6 +174,14 @@ def test_basin_reproducible(monkeypatch):
     assert np.array_equal(a.success_rate, c.success_rate)
 
 
+def test_basin_scores_an_overflowing_iterate_as_a_miss():
+    # a start x + 1e308 * signs is finite, but its spectrum overflows; the
+    # command line runs the grid under this errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = basin_experiment(8, [1, 2], [1e308], trials=2, seed=1)
+    assert np.array_equal(grid.success_rate, [[0.0, 0.0]])
+
+
 def _batch_inputs(n, l, sigmas, seed):
     starts, traces = [], []
     for k, sigma in enumerate(sigmas):
@@ -290,14 +298,17 @@ def _real_stacks(draw):
     steps = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     traces = [frog_trace(Signal(rng.standard_normal(n)), l) for l in steps]
-    sub = draw(st.lists(st.sampled_from(range(len(steps))), unique=True).map(sorted))
-    return n, steps, traces, rng.standard_normal((len(steps), n)), np.array(sub, dtype=int)
+    trial = st.sampled_from(range(len(steps)))
+    sub = draw(st.lists(trial, unique=True).map(sorted))
+    shuffled = draw(st.lists(trial))  # any order, with repeats, as tiling asks
+    z = rng.standard_normal((len(steps), n))
+    return n, steps, traces, z, np.array(sub, dtype=int), np.array(shuffled, dtype=int)
 
 
 @settings(max_examples=60, deadline=None)
 @given(stack=_real_stacks())
 def test_real_stack_matches_complex_objective_and_gradient(stack):
-    n, steps, traces, z, sub = stack
+    n, steps, traces, z, sub, shuffled = stack
     ws = ls_solver._RealWorkspace(n)
     data = ws.stack(steps, [tr.data for tr in traces])
     f, state = ws.evaluate(z, data)
@@ -307,14 +318,16 @@ def test_real_stack_matches_complex_objective_and_gradient(stack):
         g_ref = ls_gradient(Signal(z[k]), trace).values
         assert abs(f[k] - f_ref) <= 1e-12 * f_ref
         assert np.max(np.abs(g[k] - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
-    # a subset of the stack, as backtracking evaluates it, gives the same bits
-    # and writes its state where the full evaluation keeps it
-    out = np.zeros_like(state)
-    f_sub, _ = ws.evaluate(z[sub], data, sub, out)
-    assert np.array_equal(f_sub, f[sub])
-    picked = np.isin(data.rows, sub)
-    assert np.array_equal(out[picked], state[picked])
-    assert not out[~picked].any()
+    # a subset of the stack, as backtracking evaluates it, and trials in any
+    # order with repeats, as speculation does, give the same bits, with their
+    # state at the rows ``select`` names in the full evaluation's state
+    for trials in (sub, shuffled):
+        part, rows = ws.select(data, trials)
+        f_part, state_part = ws.evaluate(z[trials], part)
+        assert np.array_equal(f_part, f[trials])
+        assert np.array_equal(state_part, state[rows])
+        assert np.array_equal(ws.gradient(z[trials], part, state_part), g[trials])
+    assert np.array_equal(ws.select(data, sub)[1], np.flatnonzero(np.isin(data.rows, sub)))
 
 
 def _stop_reason(n, l, trace, z, f, iters, opts):
@@ -377,34 +390,49 @@ def _real_runs(n, runs, seed):
 
 
 def _count_evaluations(monkeypatch):
-    """Record the stack size and whether a subset was asked for, per call."""
+    """Record the stack size of each evaluate call."""
     calls = []
     evaluate = ls_solver._RealWorkspace.evaluate
 
-    def spy(ws, z, data, sub=None, out=None):
-        calls.append((len(z), sub is not None))
-        return evaluate(ws, z, data, sub, out)
+    def spy(ws, z, data):
+        calls.append(len(z))
+        return evaluate(ws, z, data)
 
     monkeypatch.setattr(ls_solver._RealWorkspace, "evaluate", spy)
     return calls
 
 
-def _assert_speculation_matches_one_step_per_call(monkeypatch, n, runs, seed, opts):
-    """Descend a real stack small enough to try four steps per call, and
-    again one step per call; return why each trial stopped and whether a
-    trial had to halve past the speculated steps."""
+def _count_gradients(monkeypatch):
+    """Record the stack size of each gradient call: one per iteration."""
+    calls = []
+    gradient = ls_solver._RealWorkspace.gradient
+
+    def spy(ws, z, data, state):
+        calls.append(len(z))
+        return gradient(ws, z, data, state)
+
+    monkeypatch.setattr(ls_solver._RealWorkspace, "gradient", spy)
+    return calls
+
+
+def _assert_speculation_matches_one_step_per_call(monkeypatch, n, runs, seed, opts, k):
+    """Descend a real stack that tries k steps per call at first, and again
+    one step per call; return why each trial stopped and whether a trial had
+    to halve past the speculated steps."""
     starts, traces = _real_runs(n, runs, seed)
     ws = ls_solver._RealWorkspace(n)
     data = ws.stack([l for l, _, _ in runs], [tr.data for tr in traces])
-    calls = _count_evaluations(monkeypatch)
+    calls, iterations = _count_evaluations(monkeypatch), _count_gradients(monkeypatch)
     z, f, iters = ls_solver._descend(ws, starts, data, opts)
-    assert max(size for size, _ in calls) == 4 * len(runs)
-    fallback = any(sub for _, sub in calls)
+    assert max(calls) == k * len(runs)
+    # one call for the start and one per iteration; any other call halved
+    # past the speculated steps
+    fallback = len(calls) > 1 + len(iterations)
     calls.clear()
     with monkeypatch.context() as m:
         m.setattr(ls_solver, "_SPECULATE_ENTRIES", 1)
         z_one, f_one, iters_one = ls_solver._descend(ws, starts, data, opts)
-    assert max(size for size, _ in calls) == len(runs)
+    assert max(calls) == len(runs)
     assert np.array_equal(z, z_one)
     assert np.array_equal(f, f_one)
     assert np.array_equal(iters, iters_one)
@@ -423,7 +451,7 @@ def test_speculative_backtracking_matches_one_step_per_call(monkeypatch):
     # a loose tolerance, so that some trials stop on it before the cap
     monkeypatch.setattr(ls_solver, "_GRAD_TOL", 0.5)
     reasons, fallback = _assert_speculation_matches_one_step_per_call(
-        monkeypatch, 12, runs, 29, opts
+        monkeypatch, 12, runs, 29, opts, 4
     )
     assert {"at truth", "grad_tol", "max_iters"} <= set(reasons)
     # every trial found its steps, so the halving past the fourth step ended
@@ -433,23 +461,29 @@ def test_speculative_backtracking_matches_one_step_per_call(monkeypatch):
     # a start scaled by 1e4 halves down to the smallest step and stops there
     runs[4] = (3, 1.0, 1e4)
     reasons, fallback = _assert_speculation_matches_one_step_per_call(
-        monkeypatch, 12, runs, 29, opts
+        monkeypatch, 12, runs, 29, opts, 4
     )
     assert reasons[4] == "step underflow" and fallback
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_speculating_two_or_three_steps_matches_one_step_per_call(monkeypatch, k):
+    # the live state holds 245 entries (35 columns of 7 rows), then 231 once
+    # the trial at the truth leaves, so a budget of k * 245 entries tries k
+    # steps per call throughout
+    runs = [(1, 0.05, 1.0), (2, 0.02, 1.0), (4, 0.3, 1.0), (12, 0.5, 1.0), (3, 1.0, 10.0),
+            (6, 0.0, 1.0), (1, 2.0, 1.0), (2, 0.5, 1.0), (4, 0.01, 1.0), (3, 0.25, 1.0)]
+    monkeypatch.setattr(ls_solver, "_SPECULATE_ENTRIES", k * 245)
+    reasons, fallback = _assert_speculation_matches_one_step_per_call(
+        monkeypatch, 12, runs, 29, LsOptions(max_iters=300), k
+    )
+    assert reasons.count("at truth") == 1 and "max_iters" in reasons and fallback
 
 
 def test_small_grid_backtracks_in_about_one_call_per_iteration(monkeypatch):
     # one evaluation for the start, then one per iteration (a gradient) but
     # for the rare step that needs more than four halvings
-    calls = _count_evaluations(monkeypatch)
-    iterations = []
-    gradient = ls_solver._RealWorkspace.gradient
-
-    def spy(ws, z, data, state):
-        iterations.append(len(z))
-        return gradient(ws, z, data, state)
-
-    monkeypatch.setattr(ls_solver._RealWorkspace, "gradient", spy)
+    calls, iterations = _count_evaluations(monkeypatch), _count_gradients(monkeypatch)
     basin_experiment(24, [1, 2, 4, 8], [0.0, 0.25, 0.5, 1.0, 2.0], trials=1, seed=31)
     assert len(iterations) > 1000  # the stuck trials run to the cap
     assert len(calls) <= 1.1 * len(iterations)
@@ -460,9 +494,9 @@ def test_complex_stack_tries_one_step_per_call(monkeypatch):
     sizes = []
     evaluate = ls_solver._Workspace.evaluate
 
-    def spy(ws, z, data, sub=None, out=None):
+    def spy(ws, z, data):
         sizes.append(len(z))
-        return evaluate(ws, z, data, sub, out)
+        return evaluate(ws, z, data)
 
     monkeypatch.setattr(ls_solver._Workspace, "evaluate", spy)
     starts, traces = _batch_inputs(12, 1, [0.25, 0.5, 1.0], 17)
