@@ -45,10 +45,10 @@ class AmbiguityElement:
     def __post_init__(self):
         try:
             finite = math.isfinite(self.psi) and math.isfinite(self.shift)
-        except OverflowError:  # an integer beyond the float range
+        except (TypeError, OverflowError):  # not a real number, or an int beyond floats
             finite = False
         if not finite:
-            raise InvalidParametersError("psi and shift must be finite")
+            raise InvalidParametersError("psi and shift must be finite real numbers")
 
 
 def _is_integral(shift: float) -> bool:

@@ -32,6 +32,7 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
+from .signal_model import _frozen_array
 
 _COINCIDENT_TOL = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
@@ -41,11 +42,8 @@ def _check(offsets, radii) -> tuple[list, list]:
     """Offsets and radii as lists of Python scalars, after the rules every
     circle system obeys: two 1-D sequences of s >= 2 finite values each, the
     radii nonnegative."""
-    try:
-        v = np.asarray(offsets, dtype=np.complex128)
-        n = np.asarray(radii, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidParametersError("offsets and radii must be numeric") from None
+    v = _frozen_array(offsets, np.complex128, None, "offsets and radii")
+    n = _frozen_array(radii, np.float64, None, "offsets and radii")
     if v.ndim != 1 or n.ndim != 1 or len(v) != len(n) or len(n) < 2:
         raise InvalidParametersError("need s >= 2 offsets with matching radii")
     v, n = v.tolist(), n.tolist()

@@ -16,7 +16,7 @@ from .ambiguities import AmbiguityElement, trace_invariant
 from .errors import FrogkitError, InvalidParametersError
 from .ls_solver import LsOptions, basin_experiment, ls_minimize
 from .recursive_recovery import RecoverySettings, recover
-from .signal_model import BandlimitSpec, Spectrum, dft, frog_trace, idft
+from .signal_model import _MAX_N, BandlimitSpec, Spectrum, dft, frog_trace, idft
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -33,6 +33,8 @@ def _synthesize(args) -> int:
     band = BandlimitSpec(args.b, args.start)
     if args.b > args.n // 2:
         raise InvalidParametersError(f"need b <= N/2 (b={args.b}, N={args.n})")
+    if args.n > _MAX_N:
+        raise InvalidParametersError(f"need N <= {_MAX_N} (got N={args.n})")
     rng = _rng(args.seed)
     values = np.zeros(args.n, dtype=complex)
     idx = band.indices(args.n)

@@ -83,19 +83,17 @@ def read_signal(path) -> Signal:
 
 
 def write_trace(path, trace: FrogTrace):
-    # str(k).join(cells) is row k's template "k,0,%.17g\r\nk,1,%.17g\r\n...", formatted
-    # by one % call; a row whose column r - m is column m bit for bit (every frog_trace
-    # row) formats m = 0..r//2 once and fills the "%s" template with that text, mirrored.
-    r, bits = trace.r, trace.data.view(np.uint64)
+    # str(k).join(cells) is row k's template "k,0,%s\r\nk,1,%s\r\n...", filled with the
+    # texts of m = 0..r//2, formatted by one % call, and of m > r//2: mirrored from r - m
+    # where it repeats bit for bit (every frog_trace row), else formatted one by one.
+    r, half, bits = trace.r, trace.r // 2 + 1, trace.data.view(np.uint64)
     mirrored = (bits[:, 1:] == bits[:, :0:-1]).all(axis=1).tolist()
-    cells = ["", *(f",{m},{_FLOAT_FMT}\r\n" for m in range(r))]
-    texts, left = [c.replace(_FLOAT_FMT, "%s") for c in cells], "\n".join([_FLOAT_FMT] * (r // 2 + 1))
+    cells, left = ["", *(f",{m},%s\r\n" for m in range(r))], "\n".join([_FLOAT_FMT] * half)
 
     def row(k, values):
-        if not mirrored[k]:
-            return str(k).join(cells) % tuple(values)
-        strs = (left % tuple(values[: r // 2 + 1])).split("\n")
-        return str(k).join(texts) % tuple(strs + strs[(r - 1) // 2 : 0 : -1])
+        strs = (left % tuple(values[:half])).split("\n")
+        strs += strs[(r - 1) // 2 : 0 : -1] if mirrored[k] else [_FLOAT_FMT % v for v in values[half:]]
+        return str(k).join(cells) % tuple(strs)
 
     with open(path, "w", newline="") as fh:
         fh.write("k,m,value\r\n")

@@ -35,8 +35,10 @@ from .errors import InvalidParametersError
 from .signal_model import (
     FrogTrace,
     Signal,
+    _MAX_N,
     _check_step,
     _cyclic_windows,
+    _frozen_array,
     _integer,
     dft,
     frog_trace,
@@ -114,7 +116,6 @@ class _Workspace:
     trial would be, so stacking trials does not change any result bit.
     """
 
-    dtype = np.complex128
     steps = 1  # see _SPECULATE_ENTRIES
 
     def __init__(self, n: int, l: int):
@@ -177,7 +178,6 @@ class _RealWorkspace:
     as if the trial ran alone, so stacking does not change any result bit.
     """
 
-    dtype = np.float64
     steps = 4  # see _SPECULATE_ENTRIES
 
     def __init__(self, n: int):
@@ -261,15 +261,14 @@ def ls_gradient(z: Signal, trace: FrogTrace) -> Signal:
     return Signal(ws.gradient(z.values[None], None, state)[0])
 
 
-def _descend(ws, z0: np.ndarray, data, opts: LsOptions):
+def _descend(ws, z: np.ndarray, data, opts: LsOptions):
     """Armijo descent of a stack of trials, each exactly as if run alone.
 
-    ``ws`` is a descent kernel, ``z0`` (T, N) and ``data`` the kernel's data
-    for the stack.  Every trial keeps its own step and its own stop test; a
-    trial that stops leaves the stack.  Returns the final iterates,
-    objectives and iteration counts, in input order.
+    ``ws`` is a descent kernel, ``z`` the (T, N) starts, typed as its class
+    says, and ``data`` the kernel's data for the stack.  Every trial keeps its
+    own step and its own stop test; a trial that stops leaves the stack.
+    Returns the final iterates, objectives and iteration counts, in input order.
     """
-    z = np.array(z0, dtype=ws.dtype)
     f, state = ws.evaluate(z, data)
     step = np.full(len(z), _STEP0)
     iters = np.zeros(len(z), dtype=np.int64)
@@ -385,13 +384,15 @@ def basin_experiment(
     """
     n, trials, seed = _integer(n, "N"), _integer(trials, "trials"), _integer(seed, "seed")
     l_values = [_integer(l, "L") for l in l_values]
-    sigma_values = [float(s) for s in sigma_values]
+    sigma_values = _frozen_array(sigma_values, np.float64, 1, "sigma values")
     if n < 1 or trials < 1:
         raise InvalidParametersError(f"need N >= 1 and trials >= 1 (got N={n}, trials={trials})")
-    if not l_values or not sigma_values:
-        raise InvalidParametersError("need at least one L and one sigma")
-    if not all(np.isfinite(sigma_values)):
-        raise InvalidParametersError(f"sigma values must be finite (got {sigma_values})")
+    if n > _MAX_N:
+        raise InvalidParametersError(f"need N <= {_MAX_N} (got N={n})")
+    if not l_values:
+        raise InvalidParametersError("need at least one L")
+    if not np.all(np.isfinite(sigma_values)):
+        raise InvalidParametersError(f"sigma values must be finite (got {sigma_values.tolist()})")
     if seed < 0:
         raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
     for l in l_values:

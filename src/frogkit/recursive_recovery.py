@@ -48,7 +48,7 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
-from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _integer, _roots_of_unity
+from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _frozen_array, _integer, _roots_of_unity
 
 _BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
 _FAIL_FACTOR = 1e3  # best branch above consistency_tol * this => inconsistent
@@ -76,7 +76,8 @@ class RecoverySettings:
             raise InvalidParametersError(
                 "need r >= 4, or r = 3 together with the power spectrum"
             )
-        if not (math.isfinite(self.consistency_tol) and self.consistency_tol > 0):
+        tol = _frozen_array(self.consistency_tol, np.float64, 0, "consistency_tol")
+        if not (np.isfinite(tol) and tol > 0):
             raise InvalidParametersError("consistency_tol must be finite and positive")
 
 
@@ -239,8 +240,8 @@ def recover(
     if settings.use_power_spectrum:
         if power_spectrum is None:
             raise InvalidParametersError("settings request a power spectrum: none given")
-        power_spectrum = np.asarray(power_spectrum, dtype=np.float64)
-        if power_spectrum.shape != (n,):
+        power_spectrum = _frozen_array(power_spectrum, np.float64, 1, "power spectrum")
+        if power_spectrum.size != n:
             raise InvalidParametersError("power spectrum must have length N")
         if not np.all(np.isfinite(power_spectrum) & (power_spectrum >= 0)):
             raise InvalidParametersError("power spectrum entries must be finite and nonnegative")

@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import InvalidParametersError
 
+# the longest signal: numpy refuses a longer complex128 vector before allocating it
+_MAX_N = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
 
 def _integer(value, name: str) -> int:
     """``value`` as a Python int; numpy integers pass, floats do not."""
@@ -27,12 +30,15 @@ def _integer(value, name: str) -> int:
         raise InvalidParametersError(f"{name} must be an integer") from None
 
 
-def _frozen_array(values, dtype, ndim: int, what: str) -> np.ndarray:
-    """``values`` as a read-only, non-empty ``ndim``-D array of ``dtype``."""
+def _frozen_array(values, dtype, ndim: int | None, what: str) -> np.ndarray:
+    """``values`` as a read-only, non-empty ``ndim``-D array of ``dtype``, or with
+    ``ndim=None`` as a writable array of any shape, for a caller that checks it."""
     try:
         arr = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or out of range
         raise InvalidParametersError(f"{what} must be numeric") from None
+    if ndim is None:
+        return arr
     if arr.ndim != ndim or arr.size == 0:
         raise InvalidParametersError(f"{what} must be a non-empty {ndim}-D array")
     arr.flags.writeable = False

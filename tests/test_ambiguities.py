@@ -117,7 +117,9 @@ def test_dist_rejects_non_finite_spectra(band, bad, which):
     "bad",
     [np.nan, np.inf, -np.inf]
     # integers beyond the float range, which math.isfinite cannot convert
-    + [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")],
+    + [pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400")]
+    # not real numbers, on which math.isfinite raised a bare TypeError
+    + [pytest.param("a", id="text"), pytest.param(None, id="None"), pytest.param(1j, id="complex")],
 )
 def test_element_rejects_non_finite_parameters(field, bad):
     with pytest.raises(InvalidParametersError, match="finite"):

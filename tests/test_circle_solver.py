@@ -168,6 +168,21 @@ def test_non_1d_or_non_numeric_systems_rejected():
             solve([0j, 1 + 0j, 1j], [1.0, "one", 1.0])
 
 
+@pytest.mark.parametrize(
+    "solve, offsets, radii",
+    [
+        (solve_generic, [10**400, 1, 1j], [1, 1, 1]),
+        (solve_generic, [0, 1, 1j], [10**400, 1, 1]),
+        (solve_real_centers, [10**400, 1], [1, 1]),
+    ],
+    ids=["generic offset", "generic radius", "real offset"],
+)
+def test_integers_beyond_the_float_range_rejected(solve, offsets, radii):
+    # these escaped as a bare OverflowError from the conversion to floats
+    with pytest.raises(InvalidParametersError, match="must be numeric"):
+        solve(offsets, radii)
+
+
 def test_the_old_system_forms_fail_loudly():
     # offsets and radii are two arguments: one pair, or a centres object, is
     # never read with flipped signs

@@ -306,6 +306,21 @@ def assert_usage_error(res):
     assert len(res.stderr.strip().splitlines()) == 1, res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("synthesize", ["--b", 1]),
+        ("experiment", ["--l-list", "1", "--sigma-list", "0", "--trials", 1]),
+    ],
+)
+def test_a_length_numpy_cannot_hold_is_usage_error(tmp_path, command, options):
+    # numpy refused a 2**62-entry array with a traceback, before allocating it
+    out = tmp_path / "out"
+    res = run_cli(command, "--n", 2**62, *options, "--out", out)
+    assert_usage_error(res)
+    assert "N <=" in res.stderr and not out.exists()
+
+
 def test_experiment_zero_trials_is_usage_error(tmp_path):
     res = run_cli("experiment", "--n", 8, "--l-list", "1", "--trials", 0, "--out", tmp_path / "g.csv")
     assert_usage_error(res)
@@ -569,16 +584,17 @@ def _argv(draw, inputs, outputs):
     """One subcommand with its required options and some of its optional ones,
     each passed as ``--flag=value`` so that values starting with '-' stay
     values.  Sizes and iteration counts are always given and small, so that
-    no call runs long."""
+    no call runs long; N may also be 2**62, which numpy refuses before it
+    allocates anything."""
 
-    def num(lo, hi):
-        return str(draw(st.integers(lo, hi)))
+    def num(lo, hi, extra=st.nothing()):
+        return str(draw(st.integers(lo, hi) | extra))
 
     path = st.sampled_from(inputs)
     out = [("--out", draw(st.sampled_from(outputs)))]
     command = draw(st.sampled_from(["synthesize", "trace", "recover", "experiment", "verify"]))
     if command == "synthesize":
-        required = [("--n", num(-2, 32)), ("--b", num(-2, 17))] + out
+        required = [("--n", num(-2, 32, st.just(2**62))), ("--b", num(-2, 17))] + out
         optional = [("--start", num(-3, 40)), ("--seed", num(-2, 3))]
     elif command == "trace":
         required = [("--signal", draw(path)), ("--l", num(-1, 17))] + out
@@ -598,7 +614,7 @@ def _argv(draw, inputs, outputs):
             ("--tol", draw(_FLOATS)),
         ]
     elif command == "experiment":
-        required = [("--n", num(-2, 12)), ("--trials", num(-1, 2))] + out
+        required = [("--n", num(-2, 12, st.just(2**62))), ("--trials", num(-1, 2))] + out
         optional = [
             ("--l-list", ",".join(draw(st.lists(st.integers(-1, 5).map(str), max_size=2)))),
             ("--sigma-list", ",".join(draw(st.lists(_FLOATS, max_size=2)))),

@@ -160,7 +160,7 @@ def _mirrored_trace_cases():
 @pytest.mark.parametrize("case", ["frog_trace", "one ulp", "signed zeros"])
 def test_trace_csv_bytes_equal_csv_writer_with_mirrored_columns(tmp_path, case):
     """A row whose columns r - m and m agree bit for bit reuses the text of
-    its left half; any other row formats every cell."""
+    its left half; any other row formats its right half cell by cell."""
     trace = _mirrored_trace_cases()[case]
     path, ref = tmp_path / "t.csv", tmp_path / "ref.csv"
     io.write_trace(path, trace)

@@ -544,11 +544,19 @@ def test_basin_rejects_bad_step():
 
 @pytest.mark.parametrize(
     "l_values, sigma_values",
-    [([], [0.0]), ([1], []), ([1, 2], [0.0, np.nan]), ([1], [np.inf]), ([2], [-np.inf, 0.1])],
+    [([], [0.0]), ([1], []), ([1, 2], [0.0, np.nan]), ([1], [np.inf]), ([2], [-np.inf, 0.1])]
+    # float(s) raised a bare OverflowError, ValueError or TypeError on these
+    + [([1], [10**400]), ([1], ["a"]), ([1], [None]), ([1], [1j]), ([1], [[0.1]])],
 )
 def test_basin_rejects_empty_or_nonfinite_grid(l_values, sigma_values):
     with pytest.raises(InvalidParametersError):
         basin_experiment(12, l_values, sigma_values, trials=1, seed=0)
+
+
+def test_basin_rejects_a_length_numpy_cannot_hold():
+    # numpy refused a 2**62-entry array with a bare ValueError, before allocating it
+    with pytest.raises(InvalidParametersError, match="N <="):
+        basin_experiment(2**62, [1], [0.0], 1, 0)
 
 
 def test_basin_rejects_negative_seed():

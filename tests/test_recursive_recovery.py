@@ -67,6 +67,18 @@ class TestSettings:
             with pytest.raises(InvalidParametersError, match="consistency_tol"):
                 RecoverySettings(r=4, consistency_tol=tol)
 
+    @pytest.mark.parametrize(
+        "tol", [10**400, "a", None, np.array([1e-7, 1e-7])], ids=["1e400", "text", "None", "pair"]
+    )
+    def test_tolerance_must_be_one_number(self, tol):
+        # math.isfinite raised a bare OverflowError or TypeError on these
+        with pytest.raises(InvalidParametersError, match="consistency_tol"):
+            RecoverySettings(r=4, consistency_tol=tol)
+
+    def test_tolerance_is_stored_as_given(self):
+        tol = np.float32(1e-6)
+        assert RecoverySettings(r=4, consistency_tol=tol).consistency_tol is tol
+
     def test_band_too_wide_rejected(self, rng):
         xhat, _ = random_band_spectrum(rng, 16, 4)
         with pytest.raises(InvalidParametersError):
@@ -301,6 +313,16 @@ class TestRecover:
             power[7] = bad  # outside the band: no row reads it
             with pytest.raises(InvalidParametersError, match="power spectrum"):
                 recover(trace_of(xhat, 5), band, settings, power)
+
+    @pytest.mark.parametrize(
+        "power", [[10**400] * 15, [[1], [1, 2]], ["a"] * 15], ids=["1e400", "ragged", "text"]
+    )
+    def test_non_numeric_power_spectrum_rejected(self, rng, power):
+        # these escaped as a bare OverflowError or ValueError from np.asarray
+        xhat, band = random_band_spectrum(rng, 15, 3)
+        settings = RecoverySettings(r=3, use_power_spectrum=True)
+        with pytest.raises(InvalidParametersError, match="power spectrum"):
+            recover(trace_of(xhat, 5), band, settings, power)
 
     @pytest.mark.parametrize(
         "power, message", [(None, "none given"), (np.ones(15), "length N")]
