@@ -98,10 +98,15 @@ def trace_invariant(
 ) -> bool:
     """True iff applying ``g`` leaves the trace unchanged entrywise, to
     1e-9 of its largest entry."""
-    t0 = frog_trace(idft(xhat), l).data
-    t1 = frog_trace(idft(apply(g, xhat, band)), l).data
-    scale = max(float(np.max(t0)), 1e-300)
-    return bool(np.max(np.abs(t0 - t1)) <= 1e-9 * scale)
+    return _trace_matches(frog_trace(idft(xhat), l).data, xhat, g, l, band)
+
+
+def _trace_matches(reference: np.ndarray, xhat: Spectrum, g: AmbiguityElement, l: int, band) -> bool:
+    """True iff the trace of ``apply(g, xhat, band)`` equals the trace data
+    ``reference`` entrywise, to 1e-9 of its largest entry."""
+    moved = frog_trace(idft(apply(g, xhat, band)), l).data
+    scale = max(float(np.max(reference)), 1e-300)
+    return bool(np.max(np.abs(reference - moved)) <= 1e-9 * scale)
 
 
 def _best_rotation_residual(u: np.ndarray, b: np.ndarray) -> tuple[float, float]:

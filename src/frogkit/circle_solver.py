@@ -32,7 +32,7 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
-from .signal_model import _frozen_array
+from .signal_model import _frozen_array, _tolerance
 
 _COINCIDENT_TOL = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
@@ -182,8 +182,7 @@ def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
     v, radii = _check(offsets, radii)
     if len(v) < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
-    if tol is None:
-        tol = default_tolerance(radii)
+    tol = default_tolerance(radii) if tol is None else _tolerance(tol, "tol")
 
     if not any_nonreal(v, itertools.combinations(range(1, len(v)), 2)):
         raise DegenerateSystemError(
@@ -210,8 +209,7 @@ def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSoluti
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
-    if tol is None:
-        tol = default_tolerance(radii)
+    tol = default_tolerance(radii) if tol is None else _tolerance(tol, "tol")
 
     diffs = [vr[0] - x for x in vr[1:]]
     if max(map(abs, diffs)) <= _COINCIDENT_TOL * (1.0 + max(map(abs, vr))):

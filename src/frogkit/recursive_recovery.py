@@ -48,7 +48,9 @@ from .errors import (
     InvalidParametersError,
     UnderdeterminedSystemError,
 )
-from .signal_model import BandlimitSpec, FrogTrace, Spectrum, _frozen_array, _integer, _roots_of_unity
+from .signal_model import (
+    BandlimitSpec, FrogTrace, Spectrum, _frozen_array, _integer, _roots_of_unity, _tolerance,
+)
 
 _BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
 _FAIL_FACTOR = 1e3  # best branch above consistency_tol * this => inconsistent
@@ -76,9 +78,7 @@ class RecoverySettings:
             raise InvalidParametersError(
                 "need r >= 4, or r = 3 together with the power spectrum"
             )
-        tol = _frozen_array(self.consistency_tol, np.float64, 0, "consistency_tol")
-        if not (np.isfinite(tol) and tol > 0):
-            raise InvalidParametersError("consistency_tol must be finite and positive")
+        object.__setattr__(self, "consistency_tol", _tolerance(self.consistency_tol, "consistency_tol"))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +44,16 @@ def _frozen_array(values, dtype, ndim: int | None, what: str) -> np.ndarray:
         raise InvalidParametersError(f"{what} must be a non-empty {ndim}-D array")
     arr.flags.writeable = False
     return arr
+
+
+def _tolerance(value, name: str) -> float:
+    """``value`` as a finite positive Python float.  A Python float, as the
+    recursion passes to the circle solvers, skips the array conversion."""
+    if type(value) is not float:
+        value = float(_frozen_array(value, np.float64, 0, name))
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParametersError(f"{name} must be finite and positive (got {value})")
+    return value
 
 
 @dataclass(frozen=True)

@@ -234,6 +234,28 @@ def test_nonfinite_systems_rejected(solve, as_array, offsets, radii):
         solve(*map(np.array, (offsets, radii))) if as_array else solve(offsets, radii)
 
 
+_SYSTEMS = [(solve_generic, [0, 1, 1j], [1, 1, 1]), (solve_real_centers, [0, 1, 2], [1, 1, 1])]
+
+
+@pytest.mark.parametrize("solve, offsets, radii", _SYSTEMS, ids=["generic", "real"])
+@pytest.mark.parametrize(
+    "tol, match",
+    [("a", "numeric"), (1j, "numeric"), ([1e-3, 1e-3], "0-D"), (math.nan, "finite"),
+     (math.inf, "finite"), (0.0, "positive"), (-1e-3, "positive"), (np.float64(-1.0), "positive")],
+    ids=["text", "complex", "pair", "nan", "inf", "zero", "negative", "negative numpy"],
+)
+def test_tol_must_be_one_finite_positive_number(solve, offsets, radii, tol, match):
+    # text raised a bare TypeError, and nan returned kind "none" or "pair"
+    with pytest.raises(InvalidParametersError, match=match):
+        solve(offsets, radii, tol=tol)
+
+
+@pytest.mark.parametrize("solve, offsets, radii", _SYSTEMS, ids=["generic", "real"])
+def test_tol_is_converted_to_a_float(solve, offsets, radii):
+    for tol in (np.float64(0.25), np.float32(0.25), "0.25", 1):
+        assert solve(offsets, radii, tol=tol) == solve(offsets, radii, tol=float(tol))
+
+
 def test_generic_solve_needs_three_circles():
     with pytest.raises(InvalidParametersError, match="at least 3"):
         solve_generic([0j, 1 + 0j], [1.0, 1.0])

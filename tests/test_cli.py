@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io as stdio
 import json
@@ -11,8 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogkit import AmbiguityElement, FrogTrace, Signal, Spectrum, apply, dft, frog_trace, idft
-from frogkit import io
+from frogkit import (
+    AmbiguityElement,
+    BandlimitSpec,
+    FrogTrace,
+    Signal,
+    Spectrum,
+    apply,
+    dft,
+    frog_trace,
+    idft,
+    trace_invariant,
+)
+from frogkit import ambiguities, cli, io
 from frogkit.cli import main
 from conftest import fig2_spectrum
 
@@ -298,6 +310,87 @@ def test_verify_fractional_shift_of_a_full_band_signal_fails(tmp_path):
     res = run_cli("verify", "--signal", sig, "--l", 1, "--b", 4)
     assert res.returncode == 1
     assert re.search(r"^fractional shift +NOT invariant$", res.stdout, re.MULTILINE), res.stdout
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    sig = tmp_path / "s.json"
+    for seed in (1, 2):
+        assert run_cli("synthesize", "--n", 8, "--b", 2, "--seed", seed, "--out", sig).returncode == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def test_experiment_defaults_are_immutable_and_repeat(tmp_path):
+    # a parser shared by every call in the process holds no mutable default
+    args = cli.build_parser().parse_args(["experiment", "--out", "grid.csv"])
+    assert args.l_list == (1, 2, 4, 8) and args.sigma_list == (0.0, 0.25, 0.5, 1.0, 2.0)
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        res = run_cli("experiment", "--n", 8, "--trials", 1, "--seed", 3, "--out", out)
+        assert res.returncode == 0, res.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 1 + 4 * 5
+
+
+@pytest.mark.parametrize("band", [[], ["--b", 4]], ids=["full band", "band"])
+def test_verify_computes_each_trace_once(tmp_path, monkeypatch, band):
+    # one reference trace and one per check: 5 traces, where 4 checks of
+    # trace_invariant computed 8
+    calls = []
+
+    def counted(signal, l):
+        calls.append(l)
+        return frog_trace(signal, l)
+
+    for module in (cli, ambiguities):
+        monkeypatch.setattr(module, "frog_trace", counted)
+    sig = tmp_path / "s.json"
+    assert run_cli("synthesize", "--n", 16, "--b", 4, "--seed", 9, "--out", sig).returncode == 0
+    assert run_cli("verify", "--signal", sig, "--l", 4, *band).returncode == 0
+    assert calls == [4] * 5
+
+
+def _verdicts_by_trace_invariant(signal, l, b, seed):
+    """The lines ``frogkit verify`` prints, from ``trace_invariant`` itself."""
+    xhat = dft(signal)
+    rng = np.random.default_rng(seed)
+    psi, ell = float(rng.uniform(0, 2 * np.pi)), int(rng.integers(1, signal.n))
+    checks = [
+        ("rotation", AmbiguityElement(psi=psi), None, ""),
+        ("integer shift", AmbiguityElement(shift=float(ell)), None, ""),
+        ("reflection", AmbiguityElement(reflected=True), None, ""),
+    ]
+    if b is None:
+        checks.append(("fractional shift (full band)", AmbiguityElement(shift=0.37),
+                       BandlimitSpec(signal.n, 0), " (no guarantee without a bandlimit)"))
+    else:
+        checks.append(("fractional shift", AmbiguityElement(shift=0.37), BandlimitSpec(b), ""))
+    return [
+        f"{name:28s} {'invariant' if trace_invariant(xhat, g, l, band) else 'NOT invariant'}{note}"
+        for name, g, band, note in checks
+    ]
+
+
+@pytest.mark.parametrize("l", [1, 4])
+@pytest.mark.parametrize("b", [None, 4])
+def test_verify_prints_the_verdicts_of_trace_invariant(tmp_path, l, b):
+    rng = np.random.default_rng(31)
+    sig = tmp_path / "s.json"
+    for seed in range(4):
+        if seed % 2:  # a full-band signal: the fractional shift is not invariant
+            io.write_signal(sig, Signal(rng.standard_normal(16) + 1j * rng.standard_normal(16)))
+        else:
+            assert run_cli("synthesize", "--n", 16, "--b", 4, "--seed", seed, "--out", sig).returncode == 0
+        band = [] if b is None else ["--b", b]
+        res = run_cli("verify", "--signal", sig, "--l", l, *band, "--seed", seed)
+        assert res.stdout.splitlines() == _verdicts_by_trace_invariant(io.read_signal(sig), l, b, seed)
 
 
 def assert_usage_error(res):

@@ -75,9 +75,18 @@ class TestSettings:
         with pytest.raises(InvalidParametersError, match="consistency_tol"):
             RecoverySettings(r=4, consistency_tol=tol)
 
-    def test_tolerance_is_stored_as_given(self):
-        tol = np.float32(1e-6)
-        assert RecoverySettings(r=4, consistency_tol=tol).consistency_tol is tol
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), "1e-6", 1e-6], ids=["float32", "text", "float"])
+    def test_tolerance_is_stored_as_a_float(self, tol):
+        # text was stored as given, and recover then raised a bare TypeError
+        stored = RecoverySettings(r=4, consistency_tol=tol).consistency_tol
+        assert type(stored) is float and stored == float(np.float64(tol))
+
+    def test_text_tolerance_recovers_as_its_float(self, rng):
+        xhat, band = random_band_spectrum(rng, 16, 4)
+        runs = [recover(trace_of(xhat, 4), band, RecoverySettings(r=4, consistency_tol=tol))
+                for tol in ("1e-7", 1e-7)]
+        assert runs[0].spectrum.values.tobytes() == runs[1].spectrum.values.tobytes()
+        assert runs[0].success and runs[1].success
 
     def test_band_too_wide_rejected(self, rng):
         xhat, _ = random_band_spectrum(rng, 16, 4)
