@@ -1,0 +1,184 @@
+"""Same results as one command: the outcome of every corpus input, in one JSON file.
+
+    python3 bench/outcomes.py --out PATH
+    python3 bench/outcomes.py --compare A.json B.json
+
+The library is imported from the ./src of the checkout this script sits in,
+and the ``recursion`` inputs come from that checkout's perfbench/workloads.py.
+To compare two checkouts, run a copy of this script in each.  Corpora:
+
+* ``recursion``: ``Recursion.make_input`` of seed 7 (inputs 0..449) and seed 8
+  (inputs 0..1499), run as the workload runs them: ``frog_trace`` at r = 4,
+  ``recover`` and the banded ``dist_mod_group`` against the truth;
+* ``cli_shaped``: what ``frogkit synthesize --n 256 --b 8 --seed s`` writes,
+  for s = 1..300, recovered at L = 1 with ``consistency_tol`` 1e-6 and scored
+  against the DFT of the signal;
+* ``basin_csv``: the SHA-256 of the seed-2024 criterion-8 grid as
+  ``frogkit experiment --seed 2024`` writes it (N = 24, default lists, 100 trials).
+
+Per input the outcome is ``recovered`` (within 1e-6 of the truth modulo the
+group), ``missed`` (a report further away) or ``raised <type>``, with a digest
+of every report field, or of the raise's type, message and step.  Per corpus
+the file holds the counts, a SHA-256 over those fields in input order and the
+per-input list.  ``--compare`` prints the inputs whose outcome or digest
+differ and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ACCURACY = 1e-6  # distance modulo the group that counts as a recovery
+RECURSION_SEEDS = ((7, 450), (8, 1500))  # (workload seed, inputs)
+CLI_N, CLI_B, CLI_SEEDS, CLI_TOL = 256, 8, range(1, 301), 1e-6
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+BASIN = dict(n=24, l_values=(1, 2, 4, 8), sigma_values=(0.0, 0.25, 0.5, 1.0, 2.0),
+             trials=100, seed=2024)
+
+
+def _fields(result) -> bytes:
+    """The bytes of every report field, or of a raise's type, message and step."""
+    import numpy as np
+
+    from frogkit import FrogkitError
+
+    if isinstance(result, FrogkitError):
+        fields = [type(result).__name__, str(result), repr(getattr(result, "step", None))]
+    else:
+        fields = [
+            result.spectrum.values.tobytes().hex(),
+            np.asarray(result.step_residuals, dtype=float).tobytes().hex(),
+            repr(result.x3_branch),
+            repr(None if result.x3_branch_residuals is None
+                 else [float(v).hex() for v in result.x3_branch_residuals]),
+            repr(sorted(result.equations_used.items())),
+            repr(bool(result.success)),
+            repr(int(result.measurement_reads)),
+            float(result.tail_residual).hex(),
+        ]
+    return "\x1f".join(fields).encode() + b"\x1e"
+
+
+def _corpus(results) -> dict:
+    """Counts, corpus hash and per-input outcomes of ``(result, distance)`` pairs."""
+    from frogkit import FrogkitError
+
+    total, inputs, counts = hashlib.sha256(), [], Counter()
+    for result, dist in results:
+        if isinstance(result, FrogkitError):
+            outcome = f"raised {type(result).__name__}"
+        else:
+            outcome = "recovered" if dist <= ACCURACY else "missed"
+        counts[outcome] += 1
+        data = _fields(result)
+        total.update(data)
+        inputs.append([outcome, hashlib.sha256(data).hexdigest()[:16]])
+    return {"inputs": len(inputs), "counts": dict(sorted(counts.items())),
+            "sha256": total.hexdigest(), "outcomes": inputs}
+
+
+def recursion_results():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    lib = workloads.library()
+    for seed, count in RECURSION_SEEDS:
+        work = workloads.Recursion(lib, seed, None)
+        for i in range(count):
+            yield work.run(work.make_input(i))
+
+
+def cli_shaped_results():
+    import numpy as np
+
+    from frogkit import (
+        BandlimitSpec, FrogkitError, RecoverySettings, Spectrum, dft, dist_mod_group,
+        frog_trace, idft, recover,
+    )
+
+    band = BandlimitSpec(CLI_B)
+    settings = RecoverySettings(r=CLI_N, consistency_tol=CLI_TOL)
+    for seed in CLI_SEEDS:
+        rng = np.random.default_rng(seed)  # as ``frogkit synthesize`` draws the band
+        values = np.zeros(CLI_N, dtype=complex)
+        values[band.indices(CLI_N)] = rng.standard_normal(CLI_B) + 1j * rng.standard_normal(CLI_B)
+        signal = idft(Spectrum(values))
+        try:
+            report = recover(frog_trace(signal, 1), band, settings)
+        except FrogkitError as exc:
+            yield exc, None
+            continue
+        yield report, dist_mod_group(report.spectrum, dft(signal), band)[0]
+
+
+def basin_csv_sha256() -> str:
+    from frogkit import basin_experiment, io
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grid.csv"
+        io.write_basin_grid(path, basin_experiment(**BASIN))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def outcomes() -> dict:
+    return {
+        "schema": 1,
+        "accuracy": ACCURACY,
+        "recursion": _corpus(recursion_results()),
+        "cli_shaped": _corpus(cli_shaped_results()),
+        "basin_csv": {"seed": BASIN["seed"], "sha256": basin_csv_sha256()},
+    }
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per input, or corpus hash, that differs between two files."""
+    lines = []
+    for name in ("recursion", "cli_shaped"):
+        for i, (x, y) in enumerate(zip(a[name]["outcomes"], b[name]["outcomes"])):
+            if x != y:
+                what = "outcome" if x[0] != y[0] else "report bits"
+                lines.append(f"{name} input {i}: {what}: {x[0]} -> {y[0]}")
+        if a[name]["inputs"] != b[name]["inputs"]:
+            lines.append(f"{name}: {a[name]['inputs']} -> {b[name]['inputs']} inputs")
+    if a["basin_csv"] != b["basin_csv"]:
+        lines.append(f"basin_csv: {a['basin_csv']['sha256']} -> {b['basin_csv']['sha256']}")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", type=Path, help="output path of a run")
+    p.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                   help="print the inputs whose outcome or report bits differ between two files")
+    args = p.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(path.read_text()) for path in args.compare)
+        for name in ("recursion", "cli_shaped"):
+            print(f"{name}: {a[name]['counts']} -> {b[name]['counts']}")
+        lines = compare(a, b)
+        print("\n".join(lines) if lines else "no outcome, report digest or CSV hash differs")
+        return 1 if lines else 0
+    if args.out is None:
+        p.error("give --out, or --compare A B")
+
+    os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads, as in perfbench
+    sys.path.insert(0, str(ROOT / "src"))
+    result = outcomes()
+    args.out.write_text(json.dumps(result, sort_keys=True) + "\n")
+    for name in ("recursion", "cli_shaped"):
+        print(f"{name}: {result[name]['counts']} sha256 {result[name]['sha256']}")
+    print(f"basin_csv: sha256 {result['basin_csv']['sha256']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

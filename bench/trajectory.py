@@ -5,11 +5,13 @@
 The library is imported from the ./src of the checkout this script sits in.
 One run records, in this order:
 
-* layer timings, best of 5, at N = 24, 64 and 256: ``frog_trace``, banded
-  and unbanded ``dist_mod_group``, ``ls_objective`` with ``ls_gradient``,
-  ``solve_generic`` and ``solve_real_centers``; and at N = 256
-  ``read_trace``, ``write_trace``, one build of the command's parser and one
-  ``frogkit verify``;
+* layer timings, best of 5, at N = 24, 64 and 256: ``frog_trace``,
+  ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
+  ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
+  ``solve_real_centers``; one ``_solve_row`` on a row of an N = 64
+  ``recursion`` input; ``_descend`` on real criterion-8 stacks of 2 and 10
+  trials per cell; and at N = 256 ``read_trace``, ``write_trace``, one build
+  of the command's parser and one ``frogkit verify``;
 * the result and info lines of ``perfbench/run.py --trace 0`` for the
   basin, recursion and cli workloads at seed ``SEED``;
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
@@ -66,7 +68,8 @@ def layer_calls(workdir: Path) -> dict:
 
     from frogkit import (
         AmbiguityElement, BandlimitSpec, Signal, Spectrum, apply, dist_mod_group,
-        frog_trace, idft, io, ls_gradient, ls_objective, solve_generic, solve_real_centers,
+        frog_freq_coeffs, frog_trace, idft, io, ls_gradient, ls_objective, solve_generic,
+        solve_real_centers,
     )
     from frogkit.cli import build_parser, main
 
@@ -89,6 +92,7 @@ def layer_calls(workdir: Path) -> dict:
         real = rng.standard_normal(3) * n
         calls.update({
             f"frog_trace.n{n}": lambda s=signal: frog_trace(s, 1),
+            f"frog_freq_coeffs.n{n}": lambda x=spectrum: frog_freq_coeffs(x, 1),
             f"dist_mod_group_integer.n{n}": lambda a=spectrum, b=other: dist_mod_group(a, b),
             f"dist_mod_group_banded.n{n}": lambda a=moved, b=truth, band=band: dist_mod_group(a, b, band),
             f"ls_objective_gradient.n{n}": lambda s=start, t=trace: (ls_objective(s, t), ls_gradient(s, t)),
@@ -113,12 +117,59 @@ def layer_calls(workdir: Path) -> dict:
             assert main(["verify", "--signal", str(sig_path), "--l", "1", "--b", str(b)]) == 0
 
     calls.update({
+        "solve_row.n64": solve_row_call(),
+        **{f"descend_basin.{per_cell}_per_cell": descend_call(per_cell) for per_cell in (2, 10)},
         f"read_trace.n{n}": lambda: io.read_trace(trace_path, 1),
         f"write_trace.n{n}": lambda: io.write_trace(workdir / "written.csv", trace),
         "build_parser": build_parser,
         f"verify.n{n}": verify,
     })
     return calls
+
+
+def solve_row_call():
+    """One ``_solve_row`` at row 12 of the first N = 64 ``recursion`` input
+    (B = 16, r = 4), a three-circle row, on the branch ``recover`` returns."""
+    import math
+
+    import numpy as np
+
+    from frogkit import BandlimitSpec, RecoverySettings, Spectrum, frog_trace, idft, recover
+    from frogkit.recursive_recovery import _Branch, _columns, _solve_row
+    from frogkit.signal_model import _roots_of_unity
+
+    n, b, r, k = 64, 16, 4, 12
+    rng = np.random.default_rng((SEED, n, 0))  # as perfbench's Recursion.make_input draws it
+    values = np.zeros(n, dtype=complex)
+    values[:b] = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    trace = frog_trace(idft(Spectrum(values)), n // r)
+    report = recover(trace, BandlimitSpec(b), RecoverySettings(r=r))
+    w, ms, row = _roots_of_unity(r).tolist(), _columns(k % r, r)[:3], trace.data[k].tolist()
+    radii = [n * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % r]) for m in ms]
+    scale = 1.0 + max(radii)
+    branch = _Branch(tuple(report.spectrum.values[:k].tolist()), (0.0,) * k)
+    return lambda: _solve_row(branch, k, ms, w, radii, scale, 1e-7 * scale)
+
+
+def descend_call(per_cell: int):
+    """One whole ``_descend`` of the real stack that ``basin_experiment`` builds
+    for the criterion-8 grid (N = 24, L = 1, 2, 4, 8, five sigmas, seed 2024)
+    with ``per_cell`` trials per cell: 2 start at K = 2 backtracking steps per
+    kernel call, 10 at K = 1."""
+    import numpy as np
+
+    from frogkit import LsOptions, Signal, frog_trace
+    from frogkit.ls_solver import _descend, _draw_trial, _RealWorkspace
+
+    n, l_values, sigmas = 24, (1, 2, 4, 8), (0.0, 0.25, 0.5, 1.0, 2.0)
+    runs = [(i, j, t) for j in range(len(l_values))
+            for i in range(len(sigmas)) for t in range(per_cell)]
+    draws = [_draw_trial(n, sigmas[i], (2024, i, j, t)) for i, j, t in runs]
+    steps = [l_values[j] for _, j, _ in runs]
+    ws = _RealWorkspace(n)
+    data = ws.stack(steps, [frog_trace(Signal(x), l).data for (x, _), l in zip(draws, steps)])
+    starts = np.array([start for _, start in draws])
+    return lambda: _descend(ws, starts, data, LsOptions())
 
 
 def layer_timings() -> dict:

@@ -14,9 +14,11 @@ trace invariance, while the unwrapped exponents keep every trace row
 multiplied by a single unimodular factor.  The representative is
 ``s = start mod N`` (``BandlimitSpec.exponents``): adding jN to every
 exponent only multiplies the band by a global phase, and exponents below 2N
-stay exact in float64, which starts near 2^63 do not.  The shift is reduced
-mod N too: a shift by N multiplies each entry by exp(-2*pi*i*e) = 1, and the
-reduced shift keeps the phase exact for shifts far outside [0, N).
+stay exact in float64, which starts near 2^63 do not.  Every shift multiplies
+entry e by ``exp(-2*pi*i*((shift mod N) * e mod N) / N)``, e = 0..N-1 for an
+integer shift and the band's exponents for a fractional one: a shift by N
+multiplies each entry by exp(-2*pi*i*e) = 1, and an integer shift reduces
+the product in integers, exact for shifts far outside [0, N).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParametersError, InvalidUseError
-from .signal_model import BandlimitSpec, Spectrum, _roots_of_unity, frog_trace, idft
+from .signal_model import BandlimitSpec, Spectrum, frog_trace, idft
 
 _INT_TOL = 1e-12
 
@@ -51,10 +53,6 @@ class AmbiguityElement:
             raise InvalidParametersError("psi and shift must be finite real numbers")
 
 
-def _is_integral(shift: float) -> bool:
-    return abs(shift - round(shift)) <= _INT_TOL
-
-
 def _apply_raw(
     values: np.ndarray,
     psi: float,
@@ -65,15 +63,13 @@ def _apply_raw(
     n = values.size
     out = np.conj(values) if reflected else values.copy()
     if shift != 0.0:
-        if _is_integral(shift):  # w**(-shift*k) read at exponents reduced mod N
-            out = out * _roots_of_unity(n)[(-round(shift) % n) * np.arange(n) % n]
+        if abs(shift - round(shift)) <= _INT_TOL:  # a Python int: reduced exactly
+            shift, exps, pos = round(shift), np.arange(n), slice(None)
+        elif band is None:
+            raise InvalidUseError("fractional shift requires a bandlimit specification")
         else:
-            if band is None:
-                raise InvalidUseError(
-                    "fractional shift requires a bandlimit specification"
-                )
-            phase = np.exp(-2j * np.pi * (shift % n) * band.exponents(n) / n)
-            out[band.indices(n)] *= phase
+            exps, pos = band.exponents(n), band.indices(n)
+        out[pos] *= np.exp(-2j * np.pi * ((shift % n) * exps % n) / n)
     if psi != 0.0:
         out = out * np.exp(1j * psi)
     return out
@@ -87,6 +83,8 @@ def apply(
     A fractional shift modulates the band from the exponent ``start mod N``;
     for a band start outside [0, N) the result is the modulation from
     ``start`` times a global phase."""
+    if not np.all(np.isfinite(xhat.values)):
+        raise InvalidParametersError("spectrum must be finite")
     return Spectrum(_apply_raw(xhat.values, g.psi, g.shift, g.reflected, band))
 
 
@@ -179,27 +177,28 @@ def dist_mod_group(
     # |overlap| rounds at about eps * ||a|| * ||b||
     noise = 1e-12 * float(np.linalg.norm(a.values)) * bnorm
 
-    if band is None:
-        overlap = np.abs(np.fft.fft(bases * np.conj(b.values), axis=-1)).ravel()
-        refls, shifts = np.repeat([0, 1], n), np.tile(np.arange(n, dtype=float), 2)
-    else:
-        exps, pos = band.exponents(n), band.indices(n)
-        coeffs = bases[:, pos] * np.conj(b.values[pos])
-        # grid point j is shift j/16: exp(-2*pi*i*e*j/(16N)), of period 16N in e
-        grid = np.zeros((2, 16 * n), dtype=np.complex128)
-        grid[:, exps % (16 * n)] = coeffs
-        on_grid = np.abs(np.fft.fft(grid, axis=-1))
+    # a * conj(b) at the exponents a shift multiplies, on `over` grid points per
+    # unit shift: point j is shift j/over, exp(-2*pi*i*e*j/(over*N)), of period over*N in e
+    if band is None:  # the integer shifts 0..N-1
+        over, exps, pos, width = 1, np.arange(n), slice(None), 0.0
+    else:  # continuous shifts, at steps of 1/16
+        over, exps, pos = 16, band.exponents(n), band.indices(n)
         # Bernstein: the overlap has exponential type w = pi*(b-1)/N about the
         # band centre, so the grid point nearest the best shift is within a
         # factor 1 - w/32 of it; polish every grid peak that high (or argmax)
-        floor = (1.0 - np.pi * (band.b - 1) / (32.0 * n)) * on_grid.max() - noise
-        refls, at = np.nonzero(on_grid >= floor)
-        high = on_grid[refls, at]
-        peak = (high >= on_grid[refls, at - 1]) & (high > on_grid[refls, (at + 1) % (16 * n)])
-        peak[np.argmax(high)] = True
+        width = np.pi * (band.b - 1) / (32.0 * n)
+    coeffs = bases[:, pos] * np.conj(b.values[pos])
+    grid = np.zeros((2, over * n), dtype=np.complex128)
+    grid[:, exps % (over * n)] = coeffs
+    on_grid = np.abs(np.fft.fft(grid, axis=-1))
+    refls, at = np.nonzero(on_grid >= (1.0 - width) * on_grid.max() - noise)
+    shifts, overlap = at / over, on_grid[refls, at]
+    if band is not None:
+        peak = (overlap >= on_grid[refls, at - 1]) & (overlap > on_grid[refls, (at + 1) % (over * n)])
+        peak[np.argmax(overlap)] = True
         refls, at = refls[peak], at[peak]
         freqs = -2.0 * np.pi * exps / n
-        polished = [_newton_polish(coeffs[r], freqs, j / 16.0, 1.0 / 16.0) for r, j in zip(refls, at)]
+        polished = [_newton_polish(coeffs[r], freqs, j / over, 1.0 / over) for r, j in zip(refls, at)]
         shifts, overlap = np.array(polished).T
 
     candidates = []  # (d2, shift, refl, psi)

@@ -7,7 +7,7 @@ in row-major order: decimal indices, the value as ``%.17g`` (so round-trips
 are exact), every line ended by ``\r\n``; a row whose column r - m repeats
 column m bit for bit reuses the text of that delay pair, with the same bytes.
 The reader also takes ``\n`` or ``\r`` line ends, spaces around fields and
-double-quoted fields, but no blank lines or comments.
+double-quoted fields, but no blank lines, comments or other cell order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidParametersError
 from .ls_solver import BasinGrid
-from .recursive_recovery import RecoveryReport
+from .recursive_recovery import RecoveryReport, _power_spectrum
 from .signal_model import FrogTrace, Signal, Spectrum
 
 _FLOAT_FMT = "%.17g"
@@ -62,12 +62,12 @@ def _json_count(n) -> int:
     return n
 
 
-def _vector_from_dict(obj: dict) -> np.ndarray:
+def _vector_from_dict(obj: dict, path) -> np.ndarray:
     n = _json_count(obj["n"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n,) or im.shape != (n,):
-        raise InvalidParametersError("vector JSON lengths disagree with n")
+        raise InvalidParametersError(f"{path}: vector JSON lengths disagree with n")
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = re, im  # re + 1j*im would turn -0.0 into 0.0
     return values
@@ -79,7 +79,7 @@ def write_signal(path, signal: Signal):
 
 def read_signal(path) -> Signal:
     with _parsing(path):
-        return Signal(_vector_from_dict(_read_json(path)))
+        return Signal(_vector_from_dict(_read_json(path), path))
 
 
 def write_trace(path, trace: FrogTrace):
@@ -112,22 +112,15 @@ def read_trace(path, l: int) -> FrogTrace:
         cells = np.loadtxt(lines, _TRACE_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
     if len(cells) != len(lines):  # loadtxt skips blank lines
         raise InvalidParametersError(f"{path}: blank line in trace CSV")
-    k, m = cells["k"], cells["m"]
-    if k.min() < 0 or m.min() < 0:
-        raise InvalidParametersError(f"{path}: negative trace index")
-    n, r = int(k.max()) + 1, int(m.max()) + 1
-    seen = np.zeros(len(cells), dtype=bool)
-    if n * r == len(cells):
-        seen[k * r + m] = True
-    if not seen.all():  # with n*r rows, every cell then appears once
-        raise InvalidParametersError(f"{path}: trace cells missing or repeated")
-    data = np.empty((n, r))
-    data[k, m] = cells["value"]
-    return FrogTrace(data, l)
+    # cell i must be (i // r, i % r): r is the last cell's m + 1, at most the cell count
+    r, i = min(int(cells["m"][-1]) + 1, len(cells)), np.arange(len(cells))
+    if r < 1 or not (np.array_equal(cells["k"], i // r) and np.array_equal(cells["m"], i % r)):
+        raise InvalidParametersError(f"{path}: trace cells missing, repeated or out of row-major order")
+    return FrogTrace(cells["value"].reshape(-1, r), l)
 
 
 def write_power_spectrum(path, values: np.ndarray):
-    arr = np.asarray(values, dtype=float)
+    arr = _power_spectrum(values)
     obj = {"n": int(arr.size), "values": [float(v) for v in arr]}
     Path(path).write_text(json.dumps(obj, sort_keys=True))
 
@@ -135,9 +128,9 @@ def write_power_spectrum(path, values: np.ndarray):
 def read_power_spectrum(path) -> np.ndarray:
     with _parsing(path):
         obj = _read_json(path)
-        arr = np.asarray(obj["values"], dtype=float)
-        if arr.ndim != 1 or arr.size != _json_count(obj["n"]):
-            raise InvalidParametersError("power-spectrum JSON length disagrees with n")
+        arr = _power_spectrum(obj["values"])
+        if arr.size != _json_count(obj["n"]):
+            raise InvalidParametersError(f"{path}: power-spectrum JSON length disagrees with n")
     return arr
 
 

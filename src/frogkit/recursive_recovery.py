@@ -111,6 +111,14 @@ class RecoveryReport:
     tail_residual: float
 
 
+def _power_spectrum(values) -> np.ndarray:
+    """``values`` as a read-only 1-D array of finite nonnegative floats (``recover`` and ``io``)."""
+    arr = _frozen_array(values, np.float64, 1, "power spectrum")
+    if not np.all(np.isfinite(arr) & (arr >= 0)):
+        raise InvalidParametersError("power spectrum entries must be finite and nonnegative")
+    return arr
+
+
 @functools.lru_cache(maxsize=None)
 def _columns(k: int | None, r: int) -> tuple[int, ...]:
     """One column per duplicate pair {m, r-m}, the smaller; for k not None
@@ -240,11 +248,9 @@ def recover(
     if settings.use_power_spectrum:
         if power_spectrum is None:
             raise InvalidParametersError("settings request a power spectrum: none given")
-        power_spectrum = _frozen_array(power_spectrum, np.float64, 1, "power spectrum")
+        power_spectrum = _power_spectrum(power_spectrum)
         if power_spectrum.size != n:
             raise InvalidParametersError("power spectrum must have length N")
-        if not np.all(np.isfinite(power_spectrum) & (power_spectrum >= 0)):
-            raise InvalidParametersError("power spectrum entries must be finite and nonnegative")
     if r == 3:
         # the two shift columns are reflections of each other and must agree
         gap = float(np.max(np.abs(trace.data[:, 1] - trace.data[:, 2])))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -171,13 +170,10 @@ def idft(xhat: Spectrum) -> Signal:
     return Signal(np.fft.ifft(xhat.values))
 
 
-@lru_cache(maxsize=64)
 def _roots_of_unity(n: int) -> np.ndarray:
-    """Read-only table ``w**j = exp(2*pi*i*j/n)`` for j = 0..n-1; a phase
-    ``w**e`` is read at ``e mod n``, reduced exactly in integers."""
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.flags.writeable = False
-    return roots
+    """The table ``w**j = exp(2*pi*i*j/n)`` for j = 0..n-1; a phase ``w**e``
+    is read at ``e mod n``, reduced exactly in integers."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def _cyclic_windows(values: np.ndarray) -> np.ndarray:
@@ -224,6 +220,8 @@ def frog_freq_coeffs(xhat: Spectrum, l: int) -> np.ndarray:
     """
     n = xhat.n
     r = _check_step(n, l)
+    if not np.all(np.isfinite(xhat.values)):
+        raise InvalidParametersError("spectrum must be finite")
     # column m convolves xhat * w**(l*m) with xhat; one FFT call does every column
     weighted = xhat.values[:, None] * _roots_of_unity(r)[np.outer(np.arange(n), np.arange(r)) % r]
     return np.fft.ifft(np.fft.fft(weighted, axis=0) * np.fft.fft(xhat.values)[:, None], axis=0) / n

@@ -112,6 +112,34 @@ def test_dist_rejects_non_finite_spectra(band, bad, which):
         dist_mod_group(*pair, band)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "g, band",
+    [(AmbiguityElement(shift=1.0), None), (AmbiguityElement(shift=0.5), BandlimitSpec(2)),
+     (AmbiguityElement(psi=0.3), None)],
+    ids=["integer shift", "fractional shift", "rotation"],
+)
+def test_apply_rejects_non_finite_spectra(g, band, bad):
+    # these returned NaN with a RuntimeWarning
+    with pytest.raises(InvalidParametersError, match="finite"):
+        apply(g, Spectrum([bad, 1.0, 1.0, 1.0]), band)
+
+
+def test_integer_shift_phases_are_exact_for_large_shifts():
+    # (shift mod N) * k is reduced mod N in integers; unreduced, the phase of
+    # an N = 4096 shift drifts by about 1e-13
+    n = 4096
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = np.arange(n)
+    shifts = [1, -1, n - 1, n + 1, 10**9, -(10**9), *rng.integers(-(10**9), 10**9, 40).tolist()]
+    for band in (None, BandlimitSpec(n // 4, 5)):
+        for s in shifts:
+            got = apply(AmbiguityElement(shift=float(s)), Spectrum(x), band).values
+            want = x * np.exp(2j * np.pi * ((-s * k) % n) / n)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(x), (s, band)
+
+
 @pytest.mark.parametrize("field", ["psi", "shift"])
 @pytest.mark.parametrize(
     "bad",

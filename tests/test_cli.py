@@ -478,6 +478,38 @@ def test_malformed_trace_csv_is_usage_error(tmp_path):
     assert res.stderr.strip() == "error: empty trace CSV"
 
 
+def test_trace_csv_cells_out_of_row_major_order_are_a_usage_error(tmp_path):
+    # every cell is present once, but two of them trade places
+    sig, tr = tmp_path / "s.json", tmp_path / "t.csv"
+    assert run_cli("synthesize", "--n", 8, "--b", 2, "--seed", 1, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 2, "--out", tr).returncode == 0
+    lines = tr.read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]
+    tr.write_text("\n".join(lines) + "\n")
+    res = run_cli("recover", "--trace", tr, "--l", 2, "--b", 2, "--out", tmp_path / "r.json")
+    assert_usage_error(res)
+    assert res.stderr.startswith(f"error: {tr}: ") and "row-major" in res.stderr
+
+
+def test_vector_json_lengths_that_disagree_with_n_name_the_file(tmp_path):
+    sig = tmp_path / "s.json"
+    sig.write_text('{"n": 3, "re": [1, 2], "im": [0, 0]}')
+    res = run_cli("trace", "--signal", sig, "--l", 1, "--out", tmp_path / "t.csv")
+    assert_usage_error(res)
+    assert res.stderr == f"error: {sig}: vector JSON lengths disagree with n\n"
+
+
+def test_power_spectrum_json_length_that_disagrees_with_n_names_the_file(tmp_path):
+    sig, tr, ps = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "ps.json"
+    assert run_cli("synthesize", "--n", 15, "--b", 5, "--seed", 3, "--out", sig).returncode == 0
+    assert run_cli("trace", "--signal", sig, "--l", 5, "--out", tr).returncode == 0
+    ps.write_text('{"n": 15, "values": [1, 2]}')
+    res = run_cli("recover", "--trace", tr, "--l", 5, "--b", 5, "--power-spectrum", ps,
+                  "--out", tmp_path / "r.json")
+    assert_usage_error(res)
+    assert res.stderr == f"error: {ps}: power-spectrum JSON length disagrees with n\n"
+
+
 def test_truncated_trace_csv_is_usage_error(tmp_path):
     """An N = 256 trace cut short, as a writer that fails partway leaves
     it, makes ``recover`` exit 2 with one ``error:`` line: cut after a line
@@ -545,7 +577,8 @@ def test_bad_power_spectrum_values_are_usage_errors(tmp_path):
     for bad in (float("nan"), float("inf"), -1.0):
         values = np.abs(dft(io.read_signal(sig)).values) ** 2
         values[4] = bad
-        io.write_power_spectrum(ps, values)
+        # by hand: write_power_spectrum refuses these values; json writes NaN and Infinity
+        ps.write_text(json.dumps({"n": values.size, "values": values.tolist()}))
         res = run_cli(
             "recover", "--trace", tr, "--l", 5, "--b", 5, "--power-spectrum", ps,
             "--out", tmp_path / "r.json",

@@ -197,7 +197,7 @@ def test_signal_json_round_trip_is_bitwise_exact(tmp_path, parts):
 
 
 @_TRACE_SETTINGS
-@given(values=_finite_vectors())
+@given(values=_finite_vectors().map(lambda v: np.where(v < 0, -v, v)))  # nonnegative, -0.0 kept
 def test_power_spectrum_round_trip_is_bitwise_exact(tmp_path, values):
     path = tmp_path / "ps.json"
     io.write_power_spectrum(path, values)
@@ -209,6 +209,19 @@ def test_power_spectrum_round_trip(rng, tmp_path):
     path = tmp_path / "ps.json"
     io.write_power_spectrum(path, ps)
     assert np.array_equal(io.read_power_spectrum(path), ps)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["a"], [[1, 2], [3, 4]], None, 5.0, [float("nan")], [float("inf")], [-1.0], [], [10**400]],
+    ids=["text", "2-D", "None", "scalar", "nan", "inf", "negative", "empty", "1e400"],
+)
+def test_power_spectrum_writer_takes_only_what_recover_takes(tmp_path, values):
+    # these raised a bare ValueError or TypeError, or wrote NaN (not JSON) or n = 0
+    path = tmp_path / "ps.json"
+    with pytest.raises(InvalidParametersError, match="power spectrum"):
+        io.write_power_spectrum(path, values)
+    assert not path.exists()
 
 
 def test_report_json_shape(rng, tmp_path):

@@ -212,3 +212,10 @@ def test_band_accepts_numpy_integers():
 def test_spectrum_keeps_non_finite_values():
     # a failed recovery may hand back such a spectrum; it is reported, not rejected
     assert np.isnan(Spectrum([1.0, np.nan]).values[1])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_freq_coeffs_reject_non_finite_spectra(bad):
+    # these returned NaN with a RuntimeWarning
+    with pytest.raises(InvalidParametersError, match="finite"):
+        frog_freq_coeffs(Spectrum([bad, 1.0, 1.0, 1.0]), 1)
