@@ -4,15 +4,26 @@
     python3 bench/outcomes.py --compare A.json B.json
 
 The library is imported from the ./src of the checkout this script sits in,
-and the ``recursion`` inputs come from that checkout's perfbench/workloads.py.
-To compare two checkouts, run a copy of this script in each.  Corpora:
+and the ``recursion`` inputs and the band draws of ``table`` come from that
+checkout's perfbench/workloads.py.  To compare two checkouts, run a copy of
+this script in each.  Corpora:
 
 * ``recursion``: ``Recursion.make_input`` of seed 7 (inputs 0..449) and seed 8
   (inputs 0..1499), run as the workload runs them: ``frog_trace`` at r = 4,
   ``recover`` and the banded ``dist_mod_group`` against the truth;
+* ``recursion_noisy``: the same inputs, with input i of seed s recovered from
+  its trace times 1 + eps*u, u in {-1, 0, 1} per entry drawn by
+  ``default_rng((s, i))``; ``changed`` lists each input whose outcome differs
+  from ``recursion``'s as ``[s, i, clean outcome, noisy outcome]``;
 * ``cli_shaped``: what ``frogkit synthesize --n 256 --b 8 --seed s`` writes,
   for s = 1..300, recovered at L = 1 with ``consistency_tol`` 1e-6 and scored
   against the DFT of the signal;
+* ``cli_shaped_starts``: the same with ``--start`` 3, 250 and -7 in turn;
+* ``table``: four routes (r = 4, r = 4 with the power spectrum, r = 8, r = 3
+  with the power spectrum) at six sizes each, seeds 0..19 per cell, with
+  B = N/4 (N/3 at r = 3), L = N/r and the default ``RecoverySettings``; the
+  spectrum of seed s is ``band_spectrum(default_rng(s), N, B)``.
+  ``recovered`` holds each route's count within 1e-6 per size;
 * ``basin_csv``: the SHA-256 of the seed-2024 criterion-8 grid as
   ``frogkit experiment --seed 2024`` writes it (N = 24, default lists, 100 trials).
 
@@ -21,7 +32,8 @@ group), ``missed`` (a report further away) or ``raised <type>``, with a digest
 of every report field, or of the raise's type, message and step.  Per corpus
 the file holds the counts, a SHA-256 over those fields in input order and the
 per-input list.  ``--compare`` prints the inputs whose outcome or digest
-differ and exits 1 if any do.
+differ and exits 1 if any do; a corpus that only one file holds is named and
+skipped, so files without the later corpora still compare.
 """
 
 from __future__ import annotations
@@ -39,6 +51,15 @@ ROOT = Path(__file__).resolve().parent.parent
 ACCURACY = 1e-6  # distance modulo the group that counts as a recovery
 RECURSION_SEEDS = ((7, 450), (8, 1500))  # (workload seed, inputs)
 CLI_N, CLI_B, CLI_SEEDS, CLI_TOL = 256, 8, range(1, 301), 1e-6
+CLI_STARTS = (3, 250, -7)  # the band starts of ``cli_shaped_starts``
+TABLE_ROUTES = {  # route: (r, with the power spectrum, B = N // this, sizes N)
+    "r=4": (4, False, 4, (24, 64, 96, 128, 192, 256)),
+    "r=4, power spectrum": (4, True, 4, (24, 64, 96, 128, 192, 256)),
+    "r=8": (8, False, 4, (24, 64, 96, 128, 192, 256)),
+    "r=3, power spectrum": (3, True, 3, (18, 48, 72, 96, 144, 192)),
+}
+TABLE_SEEDS = range(20)
+CORPORA = ("recursion", "recursion_noisy", "cli_shaped", "cli_shaped_starts", "table")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 BASIN = dict(n=24, l_values=(1, 2, 4, 8), sigma_values=(0.0, 0.25, 0.5, 1.0, 2.0),
@@ -86,10 +107,26 @@ def _corpus(results) -> dict:
             "sha256": total.hexdigest(), "outcomes": inputs}
 
 
-def recursion_results():
+def _workloads():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
+    return workloads
+
+
+def _scored(trace, band, settings, truth, power=None):
+    """``(report, group distance to truth)`` of one ``recover``, or ``(raise, None)``."""
+    from frogkit import FrogkitError, dist_mod_group, recover
+
+    try:
+        report = recover(trace, band, settings, power)
+    except FrogkitError as exc:
+        return exc, None
+    return report, dist_mod_group(report.spectrum, truth, band)[0]
+
+
+def recursion_results():
+    workloads = _workloads()
     lib = workloads.library()
     for seed, count in RECURSION_SEEDS:
         work = workloads.Recursion(lib, seed, None)
@@ -97,27 +134,51 @@ def recursion_results():
             yield work.run(work.make_input(i))
 
 
-def cli_shaped_results():
+def recursion_noisy_results():
     import numpy as np
 
-    from frogkit import (
-        BandlimitSpec, FrogkitError, RecoverySettings, Spectrum, dft, dist_mod_group,
-        frog_trace, idft, recover,
-    )
+    from frogkit import FrogTrace, frog_trace
 
-    band = BandlimitSpec(CLI_B)
+    workloads, eps = _workloads(), np.finfo(np.float64).eps
+    for seed, count in RECURSION_SEEDS:
+        work = workloads.Recursion(workloads.library(), seed, None)
+        for i in range(count):
+            xhat, signal, band = work.make_input(i)
+            trace = frog_trace(signal, signal.n // work.R)
+            u = np.random.default_rng((seed, i)).integers(-1, 2, size=trace.data.shape)
+            yield _scored(FrogTrace(trace.data * (1 + eps * u), trace.l), band, work.settings, xhat)
+
+
+def cli_shaped_results(starts=(0,)):
+    import numpy as np
+
+    from frogkit import BandlimitSpec, RecoverySettings, Spectrum, dft, frog_trace, idft
+
     settings = RecoverySettings(r=CLI_N, consistency_tol=CLI_TOL)
-    for seed in CLI_SEEDS:
-        rng = np.random.default_rng(seed)  # as ``frogkit synthesize`` draws the band
-        values = np.zeros(CLI_N, dtype=complex)
-        values[band.indices(CLI_N)] = rng.standard_normal(CLI_B) + 1j * rng.standard_normal(CLI_B)
-        signal = idft(Spectrum(values))
-        try:
-            report = recover(frog_trace(signal, 1), band, settings)
-        except FrogkitError as exc:
-            yield exc, None
-            continue
-        yield report, dist_mod_group(report.spectrum, dft(signal), band)[0]
+    for start in starts:
+        band = BandlimitSpec(CLI_B, start)
+        for seed in CLI_SEEDS:
+            rng = np.random.default_rng(seed)  # as ``frogkit synthesize`` draws the band
+            values = np.zeros(CLI_N, dtype=complex)
+            values[band.indices(CLI_N)] = rng.standard_normal(CLI_B) + 1j * rng.standard_normal(CLI_B)
+            signal = idft(Spectrum(values))
+            yield _scored(frog_trace(signal, 1), band, settings, dft(signal))
+
+
+def table_results():
+    import numpy as np
+
+    from frogkit import BandlimitSpec, RecoverySettings, frog_trace, idft
+
+    workloads = _workloads()
+    for r, power, per_b, sizes in TABLE_ROUTES.values():
+        settings = RecoverySettings(r=r, use_power_spectrum=power)
+        for n in sizes:
+            band = BandlimitSpec(n // per_b)
+            for seed in TABLE_SEEDS:
+                xhat = workloads.band_spectrum(np.random.default_rng(seed), n, band.b)
+                trace = frog_trace(idft(xhat), n // r)
+                yield _scored(trace, band, settings, xhat, np.abs(xhat.values) ** 2 if power else None)
 
 
 def basin_csv_sha256() -> str:
@@ -130,19 +191,33 @@ def basin_csv_sha256() -> str:
 
 
 def outcomes() -> dict:
+    recursion, noisy = _corpus(recursion_results()), _corpus(recursion_noisy_results())
+    keys = [(seed, i) for seed, count in RECURSION_SEEDS for i in range(count)]
+    noisy["changed"] = [[*key, x[0], y[0]] for key, x, y in
+                        zip(keys, recursion["outcomes"], noisy["outcomes"]) if x[0] != y[0]]
+    table = _corpus(table_results())
+    cells = iter(table["outcomes"])
+    table["recovered"] = {
+        route: [sum(next(cells)[0] == "recovered" for _ in TABLE_SEEDS) for _ in sizes]
+        for route, (*_, sizes) in TABLE_ROUTES.items()
+    }
     return {
         "schema": 1,
         "accuracy": ACCURACY,
-        "recursion": _corpus(recursion_results()),
+        "recursion": recursion,
+        "recursion_noisy": noisy,
         "cli_shaped": _corpus(cli_shaped_results()),
+        "cli_shaped_starts": _corpus(cli_shaped_results(CLI_STARTS)),
+        "table": table,
         "basin_csv": {"seed": BASIN["seed"], "sha256": basin_csv_sha256()},
     }
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per input, or corpus hash, that differs between two files."""
+    """One line per input, or corpus hash, that differs between two files,
+    over the corpora both hold."""
     lines = []
-    for name in ("recursion", "cli_shaped"):
+    for name in [c for c in CORPORA if c in a and c in b]:
         for i, (x, y) in enumerate(zip(a[name]["outcomes"], b[name]["outcomes"])):
             if x != y:
                 what = "outcome" if x[0] != y[0] else "report bits"
@@ -162,8 +237,11 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.compare:
         a, b = (json.loads(path.read_text()) for path in args.compare)
-        for name in ("recursion", "cli_shaped"):
-            print(f"{name}: {a[name]['counts']} -> {b[name]['counts']}")
+        for name in CORPORA:
+            if name in a and name in b:
+                print(f"{name}: {a[name]['counts']} -> {b[name]['counts']}")
+            elif name in a or name in b:
+                print(f"{name}: only in {args.compare[0] if name in a else args.compare[1]}, skipped")
         lines = compare(a, b)
         print("\n".join(lines) if lines else "no outcome, report digest or CSV hash differs")
         return 1 if lines else 0
@@ -174,8 +252,11 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     result = outcomes()
     args.out.write_text(json.dumps(result, sort_keys=True) + "\n")
-    for name in ("recursion", "cli_shaped"):
+    for name in CORPORA:
         print(f"{name}: {result[name]['counts']} sha256 {result[name]['sha256']}")
+    print(f"recursion_noisy changed: {result['recursion_noisy']['changed']}")
+    for route, recovered in result["table"]["recovered"].items():
+        print(f"table {route}: {recovered}")
     print(f"basin_csv: sha256 {result['basin_csv']['sha256']}")
     return 0
 

@@ -5,6 +5,8 @@
 The library is imported from the ./src of the checkout this script sits in.
 One run records, in this order:
 
+* the median time of perfbench/speed.py's ``reference_kernel``, the machine's
+  speed at the start of the run (the file is imported, not changed);
 * layer timings, best of 5, at N = 24, 64 and 256: ``frog_trace``,
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
@@ -16,6 +18,7 @@ One run records, in this order:
   basin, recursion and cli workloads at seed ``SEED``;
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
   criterion-3 times from the acceptance lines;
+* the reference kernel's median time again, at the end of the run;
 * the ``src/`` line count, the commit and the machine.
 
 Every metric is ``{"value": ..., "unit": ...}``; README.md gives the schema.
@@ -32,6 +35,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +49,7 @@ WORKLOADS = ("basin", "recursion", "cli")
 SEED = 1201  # the perfbench seed of every file, so that files compare across changes
 LAYER_SIZES = (24, 64, 256)
 REPEATS = 5
+REF_SAMPLES = 21  # reference-kernel runs per median, about 0.1 s
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-rP"]
@@ -172,6 +177,16 @@ def descend_call(per_cell: int):
     return lambda: _descend(ws, starts, data, LsOptions())
 
 
+def reference_kernel_ms() -> float:
+    """The median of ``REF_SAMPLES`` runs of perfbench's fixed reference kernel,
+    in ms, after its warm-up: the speed of the machine right now."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import speed
+
+    speed.warm_up()
+    return statistics.median(speed.reference_kernel() for _ in range(REF_SAMPLES)) * 1e3
+
+
 def layer_timings() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {f"layer.{name}": metric(best_time(fn) * 1e6, "us")
@@ -237,7 +252,8 @@ def main(argv=None) -> int:
     os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads, as in perfbench
     sys.path.insert(0, str(SRC))
     started = time.monotonic()
-    metrics = layer_timings()
+    metrics = {"reference_kernel.start_ms": metric(reference_kernel_ms(), "ms")}
+    metrics.update(layer_timings())
     runs = {w: perfbench(w, args.seconds) for w in WORKLOADS}
     for w, run in runs.items():
         for name, m in run.get("result", {}).get("metrics", {}).items():
@@ -246,6 +262,7 @@ def main(argv=None) -> int:
     if args.tier1:
         record, tier1_metrics = tier1()
         metrics.update(tier1_metrics)
+    metrics["reference_kernel.end_ms"] = metric(reference_kernel_ms(), "ms")
     metrics["src_lines"] = metric(
         sum(len(f.read_text().splitlines()) for f in sorted(SRC.rglob("*.py"))), "lines")
     metrics["bench.wall_s"] = metric(time.monotonic() - started, "s")
@@ -257,7 +274,8 @@ def main(argv=None) -> int:
         "commit": git("rev-parse", "HEAD"),
         "dirty": None if status is None else bool(status),
         "machine": machine(),
-        "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS},
+        "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS,
+                     "ref_samples": REF_SAMPLES},
         "metrics": metrics,
         "perfbench": runs,
         "tier1": record,

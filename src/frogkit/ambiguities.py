@@ -161,9 +161,11 @@ def dist_mod_group(
     Without a band the grid is the integers 0..N-1.  With a band the shift
     is continuous: the FFT of the band placed at its unwrapped exponents in
     a buffer of 16N is the overlap at steps of 1/16, and Newton refines every
-    grid peak that may lie next to the best shift to machine precision.  The
-    residual is then evaluated exactly at the candidates within float noise
-    of the best overlap.  Ties break toward smaller shift, then unreflected.
+    grid peak that may lie next to the best shift to machine precision.
+    Candidates within float noise of the best overlap are ranked by their
+    exact residual.  Smaller shift, then unreflected, breaks only residuals
+    that are bit-equal, so two elements whose distances agree to float noise
+    can swap between builds that round differently.
     """
     if a.n != b.n:
         raise InvalidParametersError("spectra must have equal length")

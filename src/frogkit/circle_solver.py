@@ -38,10 +38,10 @@ _COINCIDENT_TOL = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _check(offsets, radii) -> tuple[list, list]:
+def _check(offsets, radii, tol) -> tuple[list, list, float]:
     """Offsets and radii as lists of Python scalars, after the rules every
     circle system obeys: two 1-D sequences of s >= 2 finite values each, the
-    radii nonnegative."""
+    radii nonnegative; and the tolerance, ``default_tolerance`` for None."""
     v = _frozen_array(offsets, np.complex128, None, "offsets and radii")
     n = _frozen_array(radii, np.float64, None, "offsets and radii")
     if v.ndim != 1 or n.ndim != 1 or len(v) != len(n) or len(n) < 2:
@@ -51,7 +51,7 @@ def _check(offsets, radii) -> tuple[list, list]:
         raise InvalidParametersError("offsets and radii must be finite")
     if min(n) < 0:
         raise InvalidParametersError("radii must be nonnegative")
-    return v, n
+    return v, n, default_tolerance(n) if tol is None else _tolerance(tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -179,11 +179,9 @@ def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
     """Solve with s >= 3 complex offsets whose difference ratios are not all
     real.  Returns the unique candidate if its residual passes ``tol``,
     otherwise kind "none" (with the residual)."""
-    v, radii = _check(offsets, radii)
+    v, radii, tol = _check(offsets, radii, tol)
     if len(v) < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
-    tol = default_tolerance(radii) if tol is None else _tolerance(tol, "tol")
-
     if not any_nonreal(v, itertools.combinations(range(1, len(v)), 2)):
         raise DegenerateSystemError(
             "all offset-difference ratios are real (collinear offsets)"
@@ -205,11 +203,10 @@ def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSoluti
     the imaginary part from the first circle.  Returns kind "none" when the
     required squared imaginary part is negative beyond ``tol``.
     """
-    v, radii = _check(offsets, radii)
+    v, radii, tol = _check(offsets, radii, tol)
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
-    tol = default_tolerance(radii) if tol is None else _tolerance(tol, "tol")
 
     diffs = [vr[0] - x for x in vr[1:]]
     if max(map(abs, diffs)) <= _COINCIDENT_TOL * (1.0 + max(map(abs, vr))):

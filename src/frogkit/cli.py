@@ -18,17 +18,11 @@ from .ambiguities import AmbiguityElement, _trace_matches, trace_invariant  # no
 from .errors import FrogkitError, InvalidParametersError
 from .ls_solver import LsOptions, basin_experiment, ls_minimize
 from .recursive_recovery import RecoverySettings, recover
-from .signal_model import _MAX_N, BandlimitSpec, Spectrum, _tolerance, dft, frog_trace, idft
+from .signal_model import _MAX_N, BandlimitSpec, Spectrum, _seed, _tolerance, dft, frog_trace, idft
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
-    return np.random.default_rng(seed)
 
 
 def _synthesize(args) -> int:
@@ -37,7 +31,7 @@ def _synthesize(args) -> int:
         raise InvalidParametersError(f"need b <= N/2 (b={args.b}, N={args.n})")
     if args.n > _MAX_N:
         raise InvalidParametersError(f"need N <= {_MAX_N} (got N={args.n})")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     values = np.zeros(args.n, dtype=complex)
     idx = band.indices(args.n)
     values[idx] = rng.standard_normal(args.b) + 1j * rng.standard_normal(args.b)
@@ -110,7 +104,7 @@ def _verify(args) -> int:
     n = xhat.n
     if n < 2:
         raise InvalidParametersError(f"verify needs a signal of N >= 2 samples (got N={n})")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(_seed(args.seed))
     psi = float(rng.uniform(0, 2 * np.pi))
     ell = int(rng.integers(1, n))
     checks = [

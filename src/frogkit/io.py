@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidParametersError
 from .ls_solver import BasinGrid
-from .recursive_recovery import RecoveryReport, _power_spectrum
-from .signal_model import FrogTrace, Signal, Spectrum
+from .recursive_recovery import RecoveryReport
+from .signal_model import FrogTrace, Signal, Spectrum, _power_spectrum
 
 _FLOAT_FMT = "%.17g"
 _TRACE_ROW = np.dtype([("k", np.intp), ("m", np.intp), ("value", np.float64)])
@@ -29,12 +29,12 @@ _TRACE_ROW = np.dtype([("k", np.intp), ("m", np.intp), ("value", np.float64)])
 
 @contextmanager
 def _parsing(path):
-    """Report a file that cannot be parsed, or lacks a field, as a usage
-    error naming the file."""
+    """Report every error of a read as a usage error that names the file once:
+    a file that cannot be parsed, lacks a field or breaks a rule of its type."""
     try:
         yield
-    except InvalidParametersError:
-        raise
+    except InvalidParametersError as exc:
+        raise InvalidParametersError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise InvalidParametersError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
@@ -44,7 +44,7 @@ def _parsing(path):
 def _read_json(path) -> dict:
     obj = json.loads(Path(path).read_text())
     if not isinstance(obj, dict):
-        raise InvalidParametersError(f"{path}: expected a JSON object")
+        raise InvalidParametersError("expected a JSON object")
     return obj
 
 
@@ -62,12 +62,12 @@ def _json_count(n) -> int:
     return n
 
 
-def _vector_from_dict(obj: dict, path) -> np.ndarray:
+def _vector_from_dict(obj: dict) -> np.ndarray:
     n = _json_count(obj["n"])
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != (n,) or im.shape != (n,):
-        raise InvalidParametersError(f"{path}: vector JSON lengths disagree with n")
+        raise InvalidParametersError("vector JSON lengths disagree with n")
     values = np.empty(n, dtype=np.complex128)
     values.real, values.imag = re, im  # re + 1j*im would turn -0.0 into 0.0
     return values
@@ -79,7 +79,7 @@ def write_signal(path, signal: Signal):
 
 def read_signal(path) -> Signal:
     with _parsing(path):
-        return Signal(_vector_from_dict(_read_json(path), path))
+        return Signal(_vector_from_dict(_read_json(path)))
 
 
 def write_trace(path, trace: FrogTrace):
@@ -110,13 +110,13 @@ def read_trace(path, l: int) -> FrogTrace:
             raise InvalidParametersError("empty trace CSV")
         lines = body.removesuffix("\n").split("\n")
         cells = np.loadtxt(lines, _TRACE_ROW, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    if len(cells) != len(lines):  # loadtxt skips blank lines
-        raise InvalidParametersError(f"{path}: blank line in trace CSV")
-    # cell i must be (i // r, i % r): r is the last cell's m + 1, at most the cell count
-    r, i = min(int(cells["m"][-1]) + 1, len(cells)), np.arange(len(cells))
-    if r < 1 or not (np.array_equal(cells["k"], i // r) and np.array_equal(cells["m"], i % r)):
-        raise InvalidParametersError(f"{path}: trace cells missing, repeated or out of row-major order")
-    return FrogTrace(cells["value"].reshape(-1, r), l)
+        if len(cells) != len(lines):  # loadtxt skips blank lines
+            raise InvalidParametersError("blank line in trace CSV")
+        # cell i must be (i // r, i % r): r is the last cell's m + 1, at most the cell count
+        r, i = min(int(cells["m"][-1]) + 1, len(cells)), np.arange(len(cells))
+        if r < 1 or not (np.array_equal(cells["k"], i // r) and np.array_equal(cells["m"], i % r)):
+            raise InvalidParametersError("trace cells missing, repeated or out of row-major order")
+        return FrogTrace(cells["value"].reshape(-1, r), l)
 
 
 def write_power_spectrum(path, values: np.ndarray):
@@ -130,7 +130,7 @@ def read_power_spectrum(path) -> np.ndarray:
         obj = _read_json(path)
         arr = _power_spectrum(obj["values"])
         if arr.size != _json_count(obj["n"]):
-            raise InvalidParametersError(f"{path}: power-spectrum JSON length disagrees with n")
+            raise InvalidParametersError("power-spectrum JSON length disagrees with n")
     return arr
 
 

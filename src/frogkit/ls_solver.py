@@ -40,6 +40,7 @@ from .signal_model import (
     _cyclic_windows,
     _frozen_array,
     _integer,
+    _seed,
     dft,
     frog_trace,
     shift_product_coeffs,
@@ -382,7 +383,7 @@ def basin_experiment(
     batched.  The whole grid, every L and sigma, descends together as one
     real stack (split only to bound memory).
     """
-    n, trials, seed = _integer(n, "N"), _integer(trials, "trials"), _integer(seed, "seed")
+    n, trials, seed = _integer(n, "N"), _integer(trials, "trials"), _seed(seed)
     l_values = [_integer(l, "L") for l in l_values]
     sigma_values = _frozen_array(sigma_values, np.float64, 1, "sigma values")
     if n < 1 or trials < 1:
@@ -393,8 +394,6 @@ def basin_experiment(
         raise InvalidParametersError("need at least one L")
     if not np.all(np.isfinite(sigma_values)):
         raise InvalidParametersError(f"sigma values must be finite (got {sigma_values.tolist()})")
-    if seed < 0:
-        raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
     for l in l_values:
         _check_step(n, l)
 

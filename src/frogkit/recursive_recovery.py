@@ -49,7 +49,7 @@ from .errors import (
     UnderdeterminedSystemError,
 )
 from .signal_model import (
-    BandlimitSpec, FrogTrace, Spectrum, _frozen_array, _integer, _roots_of_unity, _tolerance,
+    BandlimitSpec, FrogTrace, Spectrum, _integer, _power_spectrum, _roots_of_unity, _tolerance,
 )
 
 _BRANCH_RATIO = 1e2  # pruning keeps candidates within this factor of the best
@@ -109,14 +109,6 @@ class RecoveryReport:
     success: bool
     measurement_reads: int
     tail_residual: float
-
-
-def _power_spectrum(values) -> np.ndarray:
-    """``values`` as a read-only 1-D array of finite nonnegative floats (``recover`` and ``io``)."""
-    arr = _frozen_array(values, np.float64, 1, "power spectrum")
-    if not np.all(np.isfinite(arr) & (arr >= 0)):
-        raise InvalidParametersError("power spectrum entries must be finite and nonnegative")
-    return arr
 
 
 @functools.lru_cache(maxsize=None)

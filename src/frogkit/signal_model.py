@@ -45,6 +45,22 @@ def _frozen_array(values, dtype, ndim: int | None, what: str) -> np.ndarray:
     return arr
 
 
+def _seed(value) -> int:
+    """``value`` as a Python int >= 0, the seed of a ``np.random.default_rng``."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise InvalidParametersError(f"seed must be nonnegative (got {seed})")
+    return seed
+
+
+def _power_spectrum(values) -> np.ndarray:
+    """``values`` as a read-only 1-D array of finite nonnegative floats."""
+    arr = _frozen_array(values, np.float64, 1, "power spectrum")
+    if not np.all(np.isfinite(arr) & (arr >= 0)):
+        raise InvalidParametersError("power spectrum entries must be finite and nonnegative")
+    return arr
+
+
 def _tolerance(value, name: str) -> float:
     """``value`` as a finite positive Python float.  A Python float, as the
     recursion passes to the circle solvers, skips the array conversion."""
@@ -100,11 +116,9 @@ class BandlimitSpec:
     start: int = 0
 
     def __post_init__(self):
-        try:  # held as Python ints, so the int64 range test below cannot overflow
-            object.__setattr__(self, "b", operator.index(self.b))
-            object.__setattr__(self, "start", operator.index(self.start))
-        except TypeError:
-            raise InvalidParametersError("bandlimit b and start must be integers") from None
+        # held as Python ints, so the int64 range test below cannot overflow
+        object.__setattr__(self, "b", _integer(self.b, "bandlimit b"))
+        object.__setattr__(self, "start", _integer(self.start, "bandlimit start"))
         if self.b < 1:
             raise InvalidParametersError("bandlimit b must be a positive integer")
         if not -(2**63) <= self.start <= 2**63 - self.b:

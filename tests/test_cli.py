@@ -475,7 +475,7 @@ def test_malformed_trace_csv_is_usage_error(tmp_path):
         tr.write_text(text)
         res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 1, "--out", tmp_path / "r.json")
         assert_usage_error(res)
-    assert res.stderr.strip() == "error: empty trace CSV"
+    assert res.stderr.strip() == f"error: {tr}: empty trace CSV"
 
 
 def test_trace_csv_cells_out_of_row_major_order_are_a_usage_error(tmp_path):
@@ -508,6 +508,36 @@ def test_power_spectrum_json_length_that_disagrees_with_n_names_the_file(tmp_pat
                   "--out", tmp_path / "r.json")
     assert_usage_error(res)
     assert res.stderr == f"error: {ps}: power-spectrum JSON length disagrees with n\n"
+
+
+_TWO_BY_TWO = "k,m,value\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n"  # the trace of an N = 2 signal at L = 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["recover", "--trace", "BAD", "--l", 1, "--b", 1], "k,m,value\n"),
+        (["recover", "--trace", "BAD", "--l", 1, "--b", 1], "a,b,c\n0,0,1\n"),
+        (["trace", "--signal", "BAD", "--l", 1], '{"n": 2.0, "re": [1, 2], "im": [0, 0]}'),
+        (["trace", "--signal", "BAD", "--l", 1], '{"n": 2, "re": [NaN, 2], "im": [0, 0]}'),
+        (["recover", "--trace", "GOOD", "--l", 1, "--b", 1, "--power-spectrum", "BAD"],
+         '{"n": 2, "values": [1, -1]}'),
+        (["recover", "--trace", "BAD", "--l", 2, "--b", 1], _TWO_BY_TWO),
+        (["recover", "--trace", "BAD", "--l", 1, "--b", 1], _TWO_BY_TWO.replace("\n1,0", "\n\n1,0")),
+        (["recover", "--trace", "GOOD", "--l", 1, "--b", 1, "--power-spectrum", "BAD"],
+         '{"n": 3, "values": [1, 1]}'),
+    ],
+    ids=["empty trace", "bad header", "float n", "non-finite signal", "negative power spectrum",
+         "trace shape against --l", "blank line", "power-spectrum length against n"],
+)
+def test_malformed_file_error_names_the_file_once(tmp_path, command, text):
+    bad, good = tmp_path / "bad", tmp_path / "good.csv"
+    bad.write_text(text)
+    good.write_text(_TWO_BY_TWO)
+    argv = [{"BAD": bad, "GOOD": good}.get(a, a) for a in command]
+    res = run_cli(*argv, "--out", tmp_path / "out")
+    assert_usage_error(res)
+    assert res.stderr.startswith(f"error: {bad}: ") and res.stderr.count(str(bad)) == 1, res.stderr
 
 
 def test_truncated_trace_csv_is_usage_error(tmp_path):

@@ -201,7 +201,8 @@ def test_band_exponents_must_fit_in_int64():
 
 @pytest.mark.parametrize("b, start", [(2.5, 0), (4, 2.5), (4.0, 0), (4, "1")])
 def test_band_rejects_non_integral_width_or_start(b, start):
-    with pytest.raises(InvalidParametersError, match="integers"):
+    name = "bandlimit b" if isinstance(start, int) else "bandlimit start"
+    with pytest.raises(InvalidParametersError, match=f"^{name} must be an integer$"):
         BandlimitSpec(b, start)
 
 
