@@ -11,13 +11,15 @@ One run records, in this order:
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
   ``solve_real_centers``; one ``_solve_row`` on a row of an N = 64
-  ``recursion`` input; ``_descend`` on real criterion-8 stacks of 2 and 10
+  ``recursion`` input; ``_descend`` on real criterion-8 stacks of 1, 2 and 10
   trials per cell; and at N = 256 ``read_trace``, ``write_trace``, one build
   of the command's parser and one ``frogkit verify``;
 * the result and info lines of ``perfbench/run.py --trace 0`` for the
   basin, recursion and cli workloads at seed ``SEED``;
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
   criterion-3 times from the acceptance lines;
+* the per-corpus input counts, outcome counts and SHA-256s of one
+  ``bench/outcomes.py`` run, and its seed-2024 basin CSV hash;
 * the reference kernel's median time again, at the end of the run;
 * the ``src/`` line count, the commit and the machine.
 
@@ -123,7 +125,7 @@ def layer_calls(workdir: Path) -> dict:
 
     calls.update({
         "solve_row.n64": solve_row_call(),
-        **{f"descend_basin.{per_cell}_per_cell": descend_call(per_cell) for per_cell in (2, 10)},
+        **{f"descend_basin.{per_cell}_per_cell": descend_call(per_cell) for per_cell in (1, 2, 10)},
         f"read_trace.n{n}": lambda: io.read_trace(trace_path, 1),
         f"write_trace.n{n}": lambda: io.write_trace(workdir / "written.csv", trace),
         "build_parser": build_parser,
@@ -159,8 +161,8 @@ def solve_row_call():
 def descend_call(per_cell: int):
     """One whole ``_descend`` of the real stack that ``basin_experiment`` builds
     for the criterion-8 grid (N = 24, L = 1, 2, 4, 8, five sigmas, seed 2024)
-    with ``per_cell`` trials per cell: 2 start at K = 2 backtracking steps per
-    kernel call, 10 at K = 1."""
+    with ``per_cell`` trials per cell: 1 (the ``basin`` workload's stack shape)
+    starts at K = 4 backtracking steps per kernel call, 2 at K = 2, 10 at K = 1."""
     import numpy as np
 
     from frogkit import LsOptions, Signal, frog_trace
@@ -201,6 +203,25 @@ def perfbench(workload: str, seconds: float) -> dict:
     out = {"command": cmd[1:], "exit_code": proc.returncode, "stderr": proc.stderr.strip()}
     with contextlib.suppress(IndexError, KeyError, ValueError):  # no result: the run failed
         out.update(info=json.loads(lines[-2])["info"], result=json.loads(lines[-1]))
+    return out
+
+
+def outcomes() -> dict:
+    """The input counts, outcome counts and SHA-256 of every corpus of one
+    ``bench/outcomes.py`` run, and its basin CSV hash; the per-input lists
+    stay in that script's own file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "outcomes.json"
+        cmd = [sys.executable, "bench/outcomes.py", "--out", str(path)]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        out = {"command": [cmd[1], "--out", "<temporary file>"], "exit_code": proc.returncode,
+               "stderr": proc.stderr.strip()}
+        with contextlib.suppress(OSError, KeyError, ValueError):  # no file: the run failed
+            found = json.loads(path.read_text())
+            out["corpora"] = {name: {key: corpus[key] for key in ("inputs", "counts", "sha256")}
+                              for name, corpus in found.items()
+                              if isinstance(corpus, dict) and "outcomes" in corpus}
+            out["basin_csv"] = found["basin_csv"]
     return out
 
 
@@ -262,6 +283,7 @@ def main(argv=None) -> int:
     if args.tier1:
         record, tier1_metrics = tier1()
         metrics.update(tier1_metrics)
+    same_results = outcomes()
     metrics["reference_kernel.end_ms"] = metric(reference_kernel_ms(), "ms")
     metrics["src_lines"] = metric(
         sum(len(f.read_text().splitlines()) for f in sorted(SRC.rglob("*.py"))), "lines")
@@ -279,10 +301,12 @@ def main(argv=None) -> int:
         "metrics": metrics,
         "perfbench": runs,
         "tier1": record,
+        "outcomes": same_results,
     }
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     ok = all(run["exit_code"] == 0 for run in runs.values())
     ok = ok and (not args.tier1 or record["exit_code"] == 0)
+    ok = ok and same_results["exit_code"] == 0 and "basin_csv" in same_results
     print(f"wrote {out} in {metrics['bench.wall_s']['value']:.0f} s ({'ok' if ok else 'FAILED'})")
     return 0 if ok else 1
 

@@ -49,6 +49,8 @@ def _trace(args) -> int:
 
 def _recover(args) -> int:
     _tolerance(args.tol, "--tol")
+    if args.l < 1:  # before the read, which would blame the trace file's shape
+        raise InvalidParametersError(f"--l must be >= 1 (got {args.l})")
     for flag in {"recursive": ("--init", "--max-iters"), "ls": ("--power-spectrum",)}[args.mode]:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise InvalidParametersError(f"{flag} does not apply to --mode {args.mode}")

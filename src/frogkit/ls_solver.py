@@ -20,6 +20,8 @@ live state holds more than ``_SPECULATE_ENTRIES / 2`` entries, so a large
 stack evaluates only the steps it needs, and at most the kernel's ``steps``:
 always 1 for the complex kernel of ``ls_minimize``.  The halved steps are
 exact, so the accepted step, the iterate and the objective do not depend on K.
+The speculative call computes the objective of every step tried but forms
+the state the gradient reads only for the step each trial accepts.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .signal_model import (
     Signal,
     _MAX_N,
     _check_step,
-    _cyclic_windows,
     _frozen_array,
     _integer,
     _seed,
@@ -72,7 +73,13 @@ _BATCH_ENTRIES = 1 << 20
 # grids.  The complex kernel keeps K = 1: on single ``ls_minimize`` descents
 # at N = 12-64, K = 2-4 saved up to 20% at some (N, L) and cost up to 20% at
 # others (N = 48, L = 1 at K = 3 and N = 64, L = 2 at K = 4), with no entry
-# budget that separates the two.
+# budget that separates the two.  Those times predate the speculative call
+# that forms the gradient's state for the accepted step only (``pick``) and
+# the cached start index of the shifted factor (``_Columns.start``).  With
+# both, whole ``_descend`` runs of the seed-2024 criterion-8 stacks at 1, 2
+# and 10 trials per cell took 445, 589 and 2,184 ms against 551, 1,024 and
+# 2,720 ms, and the 100-per-cell grid 21.2 s against 20.9 s (medians of six
+# alternating runs on the loaded 2-core machine); the budget was kept.
 _SPECULATE_ENTRIES = 8192
 
 
@@ -103,11 +110,14 @@ class BasinGrid:
 #   norm2(g) -> squared norm per trial;
 #   select(data, trials) -> (data, rows): the data of the stack of ``trials``
 #       (in that order, repeats allowed) and the rows of ``state`` they own;
-#   steps: the most backtracking steps one evaluate call tries per trial, on
+#   steps: the most backtracking steps one kernel call tries per trial, on
 #       the stack ``select(data, tile(arange(T), k))``, k <= steps;
 # and the real kernel, whose steps exceed 1, also has
-#   pick(data, state, first) -> from the state of k copies of the stack, the
-#       state of copy first[i] of each trial i, laid out as for ``data``.
+#   residual(z, data) -> (f, raw): evaluate's objective, with the pieces of
+#       its state left unscaled, as the speculative call needs them;
+#   pick(data, raw, first) -> from ``residual``'s raw of k copies of the
+#       stack, the state of copy first[i] of each trial i, laid out as for
+#       ``data``: the state evaluate gives for those copies, bit for bit.
 
 
 class _Workspace:
@@ -152,20 +162,24 @@ class _Columns:
     """Layout of a ragged stack of real trials at one N: column c is the
     product of trial ``rows[c]`` with its own shift by ``shift[c]`` and stands
     for ``count[c]`` trace columns; a trial's columns are consecutive.
-    ``half`` holds rows 0..N//2 of the trace column.  ``own`` and ``fwd``,
-    built when the gradient first asks, index entries p and (p + shift) mod N
-    of the column's trial in the flattened (T, N) iterate."""
+    ``half`` holds rows 0..N//2 of the trace column.  ``start``, built with
+    the layout, locates each column's shifted factor for ``_shifted``, so an
+    evaluation gathers it with one index.  ``own`` and ``fwd``, built when
+    the gradient first asks, list column by column the flat indices of
+    entries p and (p + shift) mod N of the column's trial in the (T, N)
+    iterate."""
 
     def __init__(self, n, rows, shift, count, half):
         self.n, self.rows, self.shift, self.count, self.half = n, rows, shift, count, half
+        self.start = rows * (2 * n) + shift
 
     @cached_property
     def own(self):
-        return self.rows[:, None] * self.n + np.arange(self.n)
+        return (self.rows[:, None] * self.n + np.arange(self.n)).ravel()
 
     @cached_property
     def fwd(self):
-        return self.rows[:, None] * self.n + (np.arange(self.n) + self.shift[:, None]) % self.n
+        return (self.rows[:, None] * self.n + (np.arange(self.n) + self.shift[:, None]) % self.n).ravel()
 
 
 class _RealWorkspace:
@@ -204,23 +218,34 @@ class _RealWorkspace:
         half = np.concatenate([np.asarray(tr)[:kept, : k // 2 + 1].T for tr, k in zip(traces, r)])
         return _Columns(self.n, rows, m * steps.take(rows), count, half)
 
-    def evaluate(self, z, data):
-        rows, shift, count, half = data.rows, data.shift, data.count, data.half
+    def residual(self, z, data):
+        rows, count = data.rows, data.count
         # column c multiplies z[rows[c]] by the same row shifted by shift[c]
-        coeffs = np.fft.rfft(z.take(rows, axis=0) * _cyclic_windows(z)[rows, shift], axis=-1)
-        err = half - (coeffs.real**2 + coeffs.imag**2)
+        # (in place, as err below: one buffer fewer each)
+        product = z.take(rows, axis=0)
+        product *= _shifted(z, data.start)
+        coeffs = np.fft.rfft(product, axis=-1)
+        err = coeffs.real**2
+        err += coeffs.imag**2
+        np.subtract(data.half, err, out=err)
         # einsum sums each column on its own, in the same order in any stack
         f = 0.5 * np.bincount(rows, count * np.einsum("ck,ck,k->c", err, err, self.weight), len(z))
-        err *= count[:, None]
-        return f, err * coeffs
+        return f, (err, coeffs)
+
+    def evaluate(self, z, data):
+        f, (err, coeffs) = self.residual(z, data)
+        return f, _state(data, err, coeffs)
 
     def gradient(self, z, data, state):
         # d/dz_p of |DFT(z * z[. + s])|^2 reaches z_p directly and, through
         # the shifted factor, z_(p + s); bincount adds both into each trial
-        back = np.fft.irfft(state, self.n, axis=-1)
-        size = z.size
-        g = np.bincount(data.own.ravel(), (z.take(data.fwd) * back).ravel(), size)
-        g += np.bincount(data.fwd.ravel(), (z.take(data.own) * back).ravel(), size)
+        back = np.fft.irfft(state, self.n, axis=-1).ravel()
+        term = z.take(data.fwd)
+        term *= back
+        g = np.bincount(data.own, term, z.size)
+        term = z.take(data.own)
+        term *= back
+        g += np.bincount(data.fwd, term, z.size)
         return (-2.0 * self.n) * g.reshape(z.shape)
 
     def norm2(self, g):
@@ -236,9 +261,27 @@ class _RealWorkspace:
             self.n, rows, data.shift.take(cols), data.count.take(cols), data.half.take(cols, axis=0)
         ), cols
 
-    def pick(self, data, state, first):
+    def pick(self, data, raw, first):
         cols = len(data.rows)
-        return state.reshape(-1, cols, state.shape[-1])[first.take(data.rows), np.arange(cols)]
+        at = first.take(data.rows) * cols + np.arange(cols)  # copy first[i] of each column
+        err, coeffs = raw
+        return _state(data, err.take(at, axis=0), coeffs.take(at, axis=0))
+
+
+def _shifted(z, start):
+    """The rows z[t, (s + p) mod N], p = 0..N-1, for each ``start = t*2N + s``
+    with 0 <= s < N.  Row j of the view below is entries j..j+N-1 of the
+    flattened rows [z, z], so one index gathers every shifted row."""
+    doubled = np.concatenate([z, z], axis=1).ravel()
+    n, step = z.shape[1], doubled.itemsize
+    windows = np.ndarray((max(doubled.size - n + 1, 0), n), doubled.dtype, doubled, 0, (step, step))
+    return windows[start]
+
+
+def _state(data, err, coeffs):
+    """The gradient's state: each column's err times its count times coeffs."""
+    err *= data.count[:, None]
+    return err * coeffs
 
 
 def _check_dims(z: Signal, trace: FrogTrace):
@@ -275,7 +318,7 @@ def _descend(ws, z: np.ndarray, data, opts: LsOptions):
     iters = np.zeros(len(z), dtype=np.int64)
     out_z, out_f, out_iters = np.empty_like(z), np.empty_like(f), np.empty_like(iters)
     live = np.arange(len(z))
-    k, tiled = _speculate(ws, data, state, len(z))
+    k, tiled, ladder, rank = _speculate(ws, data, state, len(z))
     while live.size:
         g = ws.gradient(z, data, state)
         gnorm2 = ws.norm2(g)
@@ -293,38 +336,37 @@ def _descend(ws, z: np.ndarray, data, opts: LsOptions):
             f_new, state_new = ws.evaluate(z_new, data)
             accepted = moving & (t > _MIN_STEP) & (f_new <= f - _DECREASE * t * gnorm2)
         else:  # each trial's first passing step, else its last one tried
-            t_all = step * _SHRINK ** np.arange(k)[:, None]  # exact: _SHRINK is 1/2
-            z_all = z - t_all[..., None] * g
-            f_all, state_new = ws.evaluate(z_all.reshape(-1, z.shape[1]), tiled)
-            f_all = f_all.reshape(k, -1)
-            passed = moving & (t_all > _MIN_STEP) & (f_all <= f - _DECREASE * t_all * gnorm2)
+            t_all = step * ladder
+            z_all = (z - t_all[..., None] * g).reshape(-1, z.shape[1])
+            f_all, raw = ws.residual(z_all, tiled)
+            bound = f - _DECREASE * t_all * gnorm2
+            passed = moving & (t_all > _MIN_STEP) & (f_all.reshape(k, -1) <= bound)
             accepted = passed.any(axis=0)
             first = np.where(accepted, passed.argmax(axis=0), k - 1)
-            rank = np.arange(len(z))
-            t, z_new, f_new = t_all[first, rank], z_all[first, rank], f_all[first, rank]
-            state_new = ws.pick(data, state_new, first)
-        pending = np.flatnonzero(moving & ~accepted)
-        while pending.size:
-            t[pending] *= _SHRINK
-            pending = pending[t[pending] > _MIN_STEP]
-            if not pending.size:
-                break
-            z_try = z[pending] - t[pending, None] * g[pending]
-            part, rows = ws.select(data, pending)
-            f_try, state_new[rows] = ws.evaluate(z_try, part)
-            ok = f_try <= f[pending] - _DECREASE * t[pending] * gnorm2[pending]
-            won = pending[ok]
-            z_new[won], f_new[won] = z_try[ok], f_try[ok]
-            accepted[won] = True
-            pending = pending[~ok]
-
-        stop = ~accepted
-        if stop.any():  # no step found: keep the iterate
-            z_new[stop], f_new[stop] = z[stop], f[stop]
+            at = first * len(z) + rank  # row of trial i's copy first[i] in the k copies
+            t, z_new, f_new = t_all.take(at), z_all.take(at, axis=0), f_all.take(at)
+            state_new = ws.pick(data, raw, first)
+        if not accepted.all():
+            pending = np.flatnonzero(moving & ~accepted)
+            while pending.size:
+                t[pending] *= _SHRINK
+                pending = pending[t[pending] > _MIN_STEP]
+                if not pending.size:
+                    break
+                z_try = z[pending] - t[pending, None] * g[pending]
+                part, rows = ws.select(data, pending)
+                f_try, state_new[rows] = ws.evaluate(z_try, part)
+                ok = f_try <= f[pending] - _DECREASE * t[pending] * gnorm2[pending]
+                won = pending[ok]
+                z_new[won], f_new[won] = z_try[ok], f_try[ok]
+                accepted[won] = True
+                pending = pending[~ok]
+            kept = ~accepted  # no step found: keep the iterate
+            z_new[kept], f_new[kept] = z[kept], f[kept]
         z, f, state = z_new, f_new, state_new
         step = t / _SHRINK  # allow the next step to be larger
         iters += accepted
-        stop |= iters >= opts.max_iters
+        stop = ~accepted | (iters >= opts.max_iters)
         if stop.any():
             done, keep = live[stop], np.flatnonzero(~stop)
             out_z[done], out_f[done], out_iters[done] = z[stop], f[stop], iters[stop]
@@ -332,15 +374,18 @@ def _descend(ws, z: np.ndarray, data, opts: LsOptions):
             if live.size:
                 data, rows = ws.select(data, keep)
                 state = state[rows]
-                k, tiled = _speculate(ws, data, state, len(z))
+                k, tiled, ladder, rank = _speculate(ws, data, state, len(z))
     return out_z, out_f, out_iters
 
 
 def _speculate(ws, data, state, size):
-    """How many backtracking steps one kernel call tries per trial, and the
-    data of that many copies of the stack of ``size`` trials."""
+    """How many backtracking steps k one kernel call tries per trial, the data
+    of k copies of the stack of ``size`` trials, the step factors 1, 1/2, ...,
+    1/2^(k-1) as a column (exact: _SHRINK is 1/2) and ``arange(size)``."""
     k = min(ws.steps, max(1, _SPECULATE_ENTRIES // state.size))
-    return k, (ws.select(data, np.tile(np.arange(size), k))[0] if k > 1 else data)
+    rank = np.arange(size)
+    tiled = ws.select(data, np.tile(rank, k))[0] if k > 1 else data
+    return k, tiled, _SHRINK ** np.arange(k)[:, None], rank
 
 
 def ls_minimize(

@@ -540,6 +540,17 @@ def test_malformed_file_error_names_the_file_once(tmp_path, command, text):
     assert res.stderr.startswith(f"error: {bad}: ") and res.stderr.count(str(bad)) == 1, res.stderr
 
 
+@pytest.mark.parametrize("l", [0, -1, -4])
+def test_recover_step_below_one_names_the_option_not_the_file(tmp_path, l):
+    # a valid trace file: an L below 1 is the option's fault, not the file's
+    trace = tmp_path / "t.csv"
+    trace.write_text(_TWO_BY_TWO)
+    res = run_cli("recover", "--trace", trace, "--l", l, "--b", 1, "--out", tmp_path / "r.json")
+    assert_usage_error(res)
+    assert res.stderr == f"error: --l must be >= 1 (got {l})\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_truncated_trace_csv_is_usage_error(tmp_path):
     """An N = 256 trace cut short, as a writer that fails partway leaves
     it, makes ``recover`` exit 2 with one ``error:`` line: cut after a line

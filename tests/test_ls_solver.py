@@ -19,6 +19,7 @@ from frogkit import (
     ls_objective,
 )
 from frogkit import ls_solver
+from frogkit.signal_model import _cyclic_windows
 from conftest import random_signal
 
 
@@ -330,6 +331,54 @@ def test_real_stack_matches_complex_objective_and_gradient(stack):
     assert np.array_equal(ws.select(data, sub)[1], np.flatnonzero(np.isin(data.rows, sub)))
 
 
+def _reference_evaluate(ws, z, data):
+    """The real kernel's objective and state by its plain formulas: the
+    shifted factor from the window of all cyclic shifts, and the state of
+    every column."""
+    windows = _cyclic_windows(z)
+    coeffs = np.fft.rfft(z[data.rows] * windows[data.rows, data.shift], axis=-1)
+    err = data.half - (coeffs.real**2 + coeffs.imag**2)
+    f = 0.5 * np.bincount(data.rows, data.count * np.einsum("ck,ck,k->c", err, err, ws.weight), len(z))
+    err *= data.count[:, None]
+    return f, err * coeffs
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=_real_stacks(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_real_kernel_matches_its_plain_formulas_bit_for_bit(stack, k, seed):
+    n, steps, traces, z, sub, shuffled = stack
+    ws = ls_solver._RealWorkspace(n)
+    data = ws.stack(steps, [tr.data for tr in traces])
+    size = len(steps)
+    # the whole stack, a subset, any order with repeats, and k tiled copies
+    for trials in (np.arange(size), sub, shuffled, np.tile(np.arange(size), k)):
+        part, _ = ws.select(data, trials)
+        f, state = ws.evaluate(z[trials], part)
+        f_ref, state_ref = _reference_evaluate(ws, z[trials], part)
+        assert _same_bits(f, f_ref) and _same_bits(state, state_ref)
+        assert _same_bits(ws.residual(z[trials], part)[0], f_ref)
+    # k candidates per trial, as one speculative call tries them; ``pick``
+    # gives the state of each trial's chosen candidate, from every column's
+    # state by a fancy index, and the state ``evaluate`` gives that candidate
+    rng = np.random.default_rng(seed)
+    z_all = z - (0.5 ** np.arange(k))[:, None, None] * rng.standard_normal((1, size, n))
+    tiled, _ = ws.select(data, np.tile(np.arange(size), k))
+    f_all, raw = ws.residual(z_all.reshape(-1, n), tiled)
+    _, state_all = _reference_evaluate(ws, z_all.reshape(-1, n), tiled)
+    first = rng.integers(0, k, size)
+    cols = len(data.rows)
+    picked = ws.pick(data, raw, first)
+    chosen = z_all[first, np.arange(size)]
+    assert _same_bits(picked, state_all.reshape(k, cols, -1)[first[data.rows], np.arange(cols)])
+    f_new, state_new = ws.evaluate(chosen, data)
+    assert _same_bits(picked, state_new)
+    assert _same_bits(f_new, f_all.reshape(k, -1)[first, np.arange(size)])
+
+
 def _stop_reason(n, l, trace, z, f, iters, opts):
     """Why a real descent that ended at z stopped."""
     ws = ls_solver._RealWorkspace(n)
@@ -390,15 +439,16 @@ def _real_runs(n, runs, seed):
 
 
 def _count_evaluations(monkeypatch):
-    """Record the stack size of each evaluate call."""
+    """Record the stack size of each kernel call: ``evaluate`` and the
+    speculative call both run ``residual`` once."""
     calls = []
-    evaluate = ls_solver._RealWorkspace.evaluate
+    residual = ls_solver._RealWorkspace.residual
 
     def spy(ws, z, data):
         calls.append(len(z))
-        return evaluate(ws, z, data)
+        return residual(ws, z, data)
 
-    monkeypatch.setattr(ls_solver._RealWorkspace, "evaluate", spy)
+    monkeypatch.setattr(ls_solver._RealWorkspace, "residual", spy)
     return calls
 
 
