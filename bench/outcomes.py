@@ -24,6 +24,13 @@ this script in each.  Corpora:
   B = N/4 (N/3 at r = 3), L = N/r and the default ``RecoverySettings``; the
   spectrum of seed s is ``band_spectrum(default_rng(s), N, B)``.
   ``recovered`` holds each route's count within 1e-6 per size;
+* ``sweeps``: the same at r = 8 (N = 24, 64, 128, 256), r = 16 (N = 32, 64,
+  128, 256) and r = 32 (N = 64, 128, 256), with B = N/4 (N/8 at r = 32),
+  without the power spectrum; ``recovered`` as in ``table``;
+* ``scales``: the N = 16, B = 4, r = 4 spectra of seeds 0..2 drawn as in
+  ``table``, each trace multiplied by s = 16^k for k = -64, -60, ..., 64 and by
+  1e-16, 1e250 and 1e-300, and each recovery scored against the truth times
+  s^(1/4);
 * ``basin_csv``: the SHA-256 of the seed-2024 criterion-8 grid as
   ``frogkit experiment --seed 2024`` writes it (N = 24, default lists, 100 trials).
 
@@ -58,8 +65,16 @@ TABLE_ROUTES = {  # route: (r, with the power spectrum, B = N // this, sizes N)
     "r=8": (8, False, 4, (24, 64, 96, 128, 192, 256)),
     "r=3, power spectrum": (3, True, 3, (18, 48, 72, 96, 144, 192)),
 }
+SWEEP_ROUTES = {  # as TABLE_ROUTES
+    "r=8": (8, False, 4, (24, 64, 128, 256)),
+    "r=16": (16, False, 4, (32, 64, 128, 256)),
+    "r=32": (32, False, 8, (64, 128, 256)),
+}
 TABLE_SEEDS = range(20)
-CORPORA = ("recursion", "recursion_noisy", "cli_shaped", "cli_shaped_starts", "table")
+SCALE_N, SCALE_B, SCALE_R, SCALE_SEEDS = 16, 4, 4, range(3)
+SCALES = (*(16.0**k for k in range(-64, 65, 4)), 1e-16, 1e250, 1e-300)  # trace factors s
+CORPORA = ("recursion", "recursion_noisy", "cli_shaped", "cli_shaped_starts", "table",
+           "sweeps", "scales")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 BASIN = dict(n=24, l_values=(1, 2, 4, 8), sigma_values=(0.0, 0.25, 0.5, 1.0, 2.0),
@@ -165,13 +180,13 @@ def cli_shaped_results(starts=(0,)):
             yield _scored(frog_trace(signal, 1), band, settings, dft(signal))
 
 
-def table_results():
+def table_results(routes=TABLE_ROUTES):
     import numpy as np
 
     from frogkit import BandlimitSpec, RecoverySettings, frog_trace, idft
 
     workloads = _workloads()
-    for r, power, per_b, sizes in TABLE_ROUTES.values():
+    for r, power, per_b, sizes in routes.values():
         settings = RecoverySettings(r=r, use_power_spectrum=power)
         for n in sizes:
             band = BandlimitSpec(n // per_b)
@@ -179,6 +194,28 @@ def table_results():
                 xhat = workloads.band_spectrum(np.random.default_rng(seed), n, band.b)
                 trace = frog_trace(idft(xhat), n // r)
                 yield _scored(trace, band, settings, xhat, np.abs(xhat.values) ** 2 if power else None)
+
+
+def scales_results():
+    import numpy as np
+
+    from frogkit import BandlimitSpec, FrogTrace, RecoverySettings, Spectrum, frog_trace, idft
+
+    workloads, band = _workloads(), BandlimitSpec(SCALE_B)
+    settings = RecoverySettings(r=SCALE_R)
+    for seed in SCALE_SEEDS:
+        xhat = workloads.band_spectrum(np.random.default_rng(seed), SCALE_N, SCALE_B)
+        trace = frog_trace(idft(xhat), SCALE_N // SCALE_R)
+        for s in SCALES:  # the trace is homogeneous of degree 4 in the signal
+            truth = Spectrum(xhat.values * s**0.25)
+            yield _scored(FrogTrace(trace.data * s, trace.l), band, settings, truth)
+
+
+def _recovered(corpus: dict, routes: dict) -> dict:
+    """Each route's count of inputs recovered within 1e-6, per size."""
+    cells = iter(corpus["outcomes"])
+    return {route: [sum(next(cells)[0] == "recovered" for _ in TABLE_SEEDS) for _ in sizes]
+            for route, (*_, sizes) in routes.items()}
 
 
 def basin_csv_sha256() -> str:
@@ -195,12 +232,9 @@ def outcomes() -> dict:
     keys = [(seed, i) for seed, count in RECURSION_SEEDS for i in range(count)]
     noisy["changed"] = [[*key, x[0], y[0]] for key, x, y in
                         zip(keys, recursion["outcomes"], noisy["outcomes"]) if x[0] != y[0]]
-    table = _corpus(table_results())
-    cells = iter(table["outcomes"])
-    table["recovered"] = {
-        route: [sum(next(cells)[0] == "recovered" for _ in TABLE_SEEDS) for _ in sizes]
-        for route, (*_, sizes) in TABLE_ROUTES.items()
-    }
+    table, sweeps = _corpus(table_results()), _corpus(table_results(SWEEP_ROUTES))
+    table["recovered"] = _recovered(table, TABLE_ROUTES)
+    sweeps["recovered"] = _recovered(sweeps, SWEEP_ROUTES)
     return {
         "schema": 1,
         "accuracy": ACCURACY,
@@ -209,6 +243,8 @@ def outcomes() -> dict:
         "cli_shaped": _corpus(cli_shaped_results()),
         "cli_shaped_starts": _corpus(cli_shaped_results(CLI_STARTS)),
         "table": table,
+        "sweeps": sweeps,
+        "scales": _corpus(scales_results()),
         "basin_csv": {"seed": BASIN["seed"], "sha256": basin_csv_sha256()},
     }
 
@@ -255,8 +291,9 @@ def main(argv=None) -> int:
     for name in CORPORA:
         print(f"{name}: {result[name]['counts']} sha256 {result[name]['sha256']}")
     print(f"recursion_noisy changed: {result['recursion_noisy']['changed']}")
-    for route, recovered in result["table"]["recovered"].items():
-        print(f"table {route}: {recovered}")
+    for name in ("table", "sweeps"):
+        for route, recovered in result[name]["recovered"].items():
+            print(f"{name} {route}: {recovered}")
     print(f"basin_csv: sha256 {result['basin_csv']['sha256']}")
     return 0
 

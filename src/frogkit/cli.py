@@ -49,8 +49,6 @@ def _trace(args) -> int:
 
 def _recover(args) -> int:
     _tolerance(args.tol, "--tol")
-    if args.l < 1:  # before the read, which would blame the trace file's shape
-        raise InvalidParametersError(f"--l must be >= 1 (got {args.l})")
     for flag in {"recursive": ("--init", "--max-iters"), "ls": ("--power-spectrum",)}[args.mode]:
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise InvalidParametersError(f"{flag} does not apply to --mode {args.mode}")
@@ -210,6 +208,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if (l := getattr(args, "l", 1)) < 1:  # before any read, which would blame the file
+            raise InvalidParametersError(f"--l must be >= 1 (got {l})")
         # overflow is an outcome here (a failed descent, a trace that is not
         # finite), reported by the exit code and its one line, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):

@@ -429,18 +429,16 @@ def basin_experiment(
     real stack (split only to bound memory).
     """
     n, trials, seed = _integer(n, "N"), _integer(trials, "trials"), _seed(seed)
-    l_values = [_integer(l, "L") for l in l_values]
     sigma_values = _frozen_array(sigma_values, np.float64, 1, "sigma values")
     if n < 1 or trials < 1:
         raise InvalidParametersError(f"need N >= 1 and trials >= 1 (got N={n}, trials={trials})")
     if n > _MAX_N:
         raise InvalidParametersError(f"need N <= {_MAX_N} (got N={n})")
+    l_values = [n // _check_step(n, l) for l in l_values]  # N // (N/L): each L as a Python int
     if not l_values:
         raise InvalidParametersError("need at least one L")
     if not np.all(np.isfinite(sigma_values)):
         raise InvalidParametersError(f"sigma values must be finite (got {sigma_values.tolist()})")
-    for l in l_values:
-        _check_step(n, l)
 
     ws = _RealWorkspace(n)
     wins = np.zeros((len(sigma_values), len(l_values)))

@@ -147,12 +147,11 @@ class FrogTrace:
 
     def __post_init__(self):
         arr = _frozen_array(self.data, np.float64, 2, "trace data")
-        n, r = arr.shape
-        object.__setattr__(self, "l", _integer(self.l, "step L"))
-        if self.l < 1 or n != r * self.l:
+        if _check_step(arr.shape[0], self.l) != arr.shape[1]:
             raise InvalidParametersError(
                 f"trace shape {arr.shape} inconsistent with L={self.l}: need r = N/L"
             )
+        object.__setattr__(self, "l", operator.index(self.l))
         if not np.all(np.isfinite(arr)):
             raise InvalidParametersError("trace entries must be finite")
         if np.min(arr) < 0:
@@ -168,10 +167,13 @@ class FrogTrace:
         return self.data.shape[1]
 
 
-def _check_step(n: int, l: int) -> int:
-    if _integer(l, "step L") < 1 or n % l != 0:
-        raise InvalidParametersError(f"step L={l} must divide N={n}")
-    return n // l
+def _check_step(n: int, l) -> int:
+    """r = N/L, for a step L that is an integer >= 1 dividing N: the one home of that rule."""
+    if (step := _integer(l, "step L")) < 1:
+        raise InvalidParametersError(f"step L must be >= 1 (got {step})")
+    if n % step != 0:
+        raise InvalidParametersError(f"step L={step} must divide N={n}")
+    return n // step
 
 
 def dft(x: Signal) -> Spectrum:

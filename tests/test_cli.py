@@ -541,14 +541,20 @@ def test_malformed_file_error_names_the_file_once(tmp_path, command, text):
 
 
 @pytest.mark.parametrize("l", [0, -1, -4])
-def test_recover_step_below_one_names_the_option_not_the_file(tmp_path, l):
-    # a valid trace file: an L below 1 is the option's fault, not the file's
-    trace = tmp_path / "t.csv"
+@pytest.mark.parametrize("command", ["trace", "recover", "verify"])
+def test_recover_step_below_one_names_the_option_not_the_file(tmp_path, command, l):
+    # valid input files: an L below 1 is the option's fault, not the file's,
+    # and every command that takes --l says so before it reads or writes a file
+    sig, trace, out = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "out"
+    io.write_signal(sig, Signal(np.ones(4)))
     trace.write_text(_TWO_BY_TWO)
-    res = run_cli("recover", "--trace", trace, "--l", l, "--b", 1, "--out", tmp_path / "r.json")
+    argv = {"trace": ["--signal", sig, "--out", out],
+            "recover": ["--trace", trace, "--b", 1, "--out", out],
+            "verify": ["--signal", sig]}[command]
+    res = run_cli(command, *argv, "--l", l)
     assert_usage_error(res)
     assert res.stderr == f"error: --l must be >= 1 (got {l})\n"
-    assert not (tmp_path / "r.json").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json", "t.csv"]
 
 
 def test_truncated_trace_csv_is_usage_error(tmp_path):

@@ -590,6 +590,8 @@ def test_basin_rejects_empty_trials_and_signals():
 def test_basin_rejects_bad_step():
     with pytest.raises(InvalidParametersError):
         basin_experiment(12, [5], [0.0], trials=2, seed=0)
+    with pytest.raises(InvalidParametersError, match=r"^step L must be >= 1 \(got 0\)$"):
+        basin_experiment(8, [0], [0.0], 1, 0)
 
 
 @pytest.mark.parametrize(

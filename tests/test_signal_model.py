@@ -73,6 +73,13 @@ def test_shift_product_coeffs_stack_equals_single(rng):
 def test_frog_trace_rejects_bad_step():
     with pytest.raises(InvalidParametersError):
         frog_trace(delta(6), 4)
+    # each broken rule of the step is named: L >= 1, then L divides N
+    for make in (lambda: frog_trace(delta(4), 0), lambda: frog_freq_coeffs(dft(delta(4)), -1),
+                 lambda: FrogTrace(np.ones((4, 4)), 0)):
+        with pytest.raises(InvalidParametersError, match=r"^step L must be >= 1 \(got"):
+            make()
+    with pytest.raises(InvalidParametersError, match="^step L=3 must divide N=8$"):
+        FrogTrace(np.ones((8, 4)), 3)
 
 
 @pytest.mark.parametrize("make", [lambda: FrogTrace(np.ones((8, 4)), 2.0),
