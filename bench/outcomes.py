@@ -32,14 +32,20 @@ this script in each.  Corpora:
   1e-16, 1e250 and 1e-300, and each recovery scored against the truth times
   s^(1/4);
 * ``basin_csv``: the SHA-256 of the seed-2024 criterion-8 grid as
-  ``frogkit experiment --seed 2024`` writes it (N = 24, default lists, 100 trials).
+  ``frogkit experiment --seed 2024`` writes it (N = 24, default lists, 100 trials);
+* ``ls_scales``: the LS descent at scale s, not a corpus, since its results are
+  descents: a complex N = 16, L = 4 truth and start drawn by ``default_rng(1)``,
+  the start times s and the trace times s^4, 200 iterations; per s the
+  iterations and the final objective over s^8.
 
 Per input the outcome is ``recovered`` (within 1e-6 of the truth modulo the
 group), ``missed`` (a report further away) or ``raised <type>``, with a digest
 of every report field, or of the raise's type, message and step.  Per corpus
 the file holds the counts, a SHA-256 over those fields in input order and the
 per-input list.  ``--compare`` prints the inputs whose outcome or digest
-differ and exits 1 if any do; a corpus that only one file holds is named and
+differ, then one line per corpus with the inputs compared, the outcome changes
+and the changes in report bits only, and exits 1 if any input, hash or
+``ls_scales`` entry differs; a corpus that only one file holds is named and
 skipped, so files without the later corpora still compare.
 """
 
@@ -79,6 +85,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 BASIN = dict(n=24, l_values=(1, 2, 4, 8), sigma_values=(0.0, 0.25, 0.5, 1.0, 2.0),
              trials=100, seed=2024)
+LS_N, LS_L, LS_SEED, LS_ITERS = 16, 4, 1, 200
+LS_SCALES = (2.0**-40, 2.0**-10, 1.0, 2.0**5, 300.0, 2.0**20, 2.0**100)  # start factors s
 
 
 def _fields(result) -> bytes:
@@ -227,6 +235,25 @@ def basin_csv_sha256() -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def ls_scales() -> dict:
+    """Iterations and f/s^8 of the LS descent from the start times s on the
+    trace times s^4, for each s in ``LS_SCALES``."""
+    import numpy as np
+
+    from frogkit import FrogTrace, LsOptions, Signal, frog_trace, ls_minimize
+
+    rng = np.random.default_rng(LS_SEED)
+    trace = frog_trace(Signal(rng.standard_normal(LS_N) + 1j * rng.standard_normal(LS_N)), LS_L)
+    start = rng.standard_normal(LS_N) + 1j * rng.standard_normal(LS_N)
+    runs = []
+    for s in LS_SCALES:
+        with np.errstate(over="ignore", invalid="ignore"):  # as ``frogkit recover --mode ls``
+            _, f, iters = ls_minimize(Signal(start * s), FrogTrace(trace.data * s**4, LS_L),
+                                      LsOptions(max_iters=LS_ITERS))
+        runs.append({"s": s, "iterations": iters, "f_over_s8": f / s**8})
+    return {"n": LS_N, "l": LS_L, "seed": LS_SEED, "max_iters": LS_ITERS, "scales": runs}
+
+
 def outcomes() -> dict:
     recursion, noisy = _corpus(recursion_results()), _corpus(recursion_noisy_results())
     keys = [(seed, i) for seed, count in RECURSION_SEEDS for i in range(count)]
@@ -246,23 +273,35 @@ def outcomes() -> dict:
         "sweeps": sweeps,
         "scales": _corpus(scales_results()),
         "basin_csv": {"seed": BASIN["seed"], "sha256": basin_csv_sha256()},
+        "ls_scales": ls_scales(),
     }
 
 
-def compare(a: dict, b: dict) -> list[str]:
-    """One line per input, or corpus hash, that differs between two files,
-    over the corpora both hold."""
-    lines = []
+def compare(a: dict, b: dict) -> tuple[list[str], list[str]]:
+    """One line per input, corpus hash or ``ls_scales`` run that differs
+    between two files, over the corpora both hold; and one summary line per
+    such corpus."""
+    lines, summary = [], []
     for name in [c for c in CORPORA if c in a and c in b]:
+        changed = Counter()
         for i, (x, y) in enumerate(zip(a[name]["outcomes"], b[name]["outcomes"])):
             if x != y:
                 what = "outcome" if x[0] != y[0] else "report bits"
+                changed[what] += 1
                 lines.append(f"{name} input {i}: {what}: {x[0]} -> {y[0]}")
         if a[name]["inputs"] != b[name]["inputs"]:
             lines.append(f"{name}: {a[name]['inputs']} -> {b[name]['inputs']} inputs")
+        summary.append(f"{name}: {min(a[name]['inputs'], b[name]['inputs'])} inputs compared, "
+                       f"{changed['outcome']} outcome changes, "
+                       f"{changed['report bits']} changes in report bits only")
     if a["basin_csv"] != b["basin_csv"]:
         lines.append(f"basin_csv: {a['basin_csv']['sha256']} -> {b['basin_csv']['sha256']}")
-    return lines
+    if "ls_scales" in a and "ls_scales" in b:
+        for x, y in zip(a["ls_scales"]["scales"], b["ls_scales"]["scales"]):
+            if x != y:
+                lines.append(f"ls_scales s={x['s']!r}: {x['iterations']} -> {y['iterations']} "
+                             f"iterations, f/s^8 {x['f_over_s8']!r} -> {y['f_over_s8']!r}")
+    return lines, summary
 
 
 def main(argv=None) -> int:
@@ -273,13 +312,14 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.compare:
         a, b = (json.loads(path.read_text()) for path in args.compare)
-        for name in CORPORA:
-            if name in a and name in b:
-                print(f"{name}: {a[name]['counts']} -> {b[name]['counts']}")
-            elif name in a or name in b:
+        for name in (*CORPORA, "ls_scales"):
+            if (name in a) != (name in b):
                 print(f"{name}: only in {args.compare[0] if name in a else args.compare[1]}, skipped")
-        lines = compare(a, b)
+            elif name in a and name in CORPORA:
+                print(f"{name}: {a[name]['counts']} -> {b[name]['counts']}")
+        lines, summary = compare(a, b)
         print("\n".join(lines) if lines else "no outcome, report digest or CSV hash differs")
+        print("\n".join(summary))
         return 1 if lines else 0
     if args.out is None:
         p.error("give --out, or --compare A B")
@@ -295,6 +335,8 @@ def main(argv=None) -> int:
         for route, recovered in result[name]["recovered"].items():
             print(f"{name} {route}: {recovered}")
     print(f"basin_csv: sha256 {result['basin_csv']['sha256']}")
+    for run in result["ls_scales"]["scales"]:
+        print(f"ls_scales s={run['s']!r}: {run['iterations']} iterations, f/s^8 {run['f_over_s8']!r}")
     return 0
 
 

@@ -19,7 +19,8 @@ One run records, in this order:
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
   criterion-3 times from the acceptance lines;
 * the per-corpus input counts, outcome counts and SHA-256s of one
-  ``bench/outcomes.py`` run, and its seed-2024 basin CSV hash;
+  ``bench/outcomes.py`` run, its seed-2024 basin CSV hash and its LS scale
+  record;
 * the reference kernel's median time again, at the end of the run;
 * the ``src/`` line count, the commit and the machine.
 
@@ -208,8 +209,8 @@ def perfbench(workload: str, seconds: float) -> dict:
 
 def outcomes() -> dict:
     """The input counts, outcome counts and SHA-256 of every corpus of one
-    ``bench/outcomes.py`` run, and its basin CSV hash; the per-input lists
-    stay in that script's own file."""
+    ``bench/outcomes.py`` run, its basin CSV hash and its LS scale record; the
+    per-input lists stay in that script's own file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "outcomes.json"
         cmd = [sys.executable, "bench/outcomes.py", "--out", str(path)]
@@ -222,6 +223,7 @@ def outcomes() -> dict:
                               for name, corpus in found.items()
                               if isinstance(corpus, dict) and "outcomes" in corpus}
             out["basin_csv"] = found["basin_csv"]
+            out["ls_scales"] = found["ls_scales"]
     return out
 
 
@@ -306,7 +308,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     ok = all(run["exit_code"] == 0 for run in runs.values())
     ok = ok and (not args.tier1 or record["exit_code"] == 0)
-    ok = ok and same_results["exit_code"] == 0 and "basin_csv" in same_results
+    ok = ok and same_results["exit_code"] == 0
+    ok = ok and all(key in same_results for key in ("basin_csv", "ls_scales"))
     print(f"wrote {out} in {metrics['bench.wall_s']['value']:.0f} s ({'ok' if ok else 'FAILED'})")
     return 0 if ok else 1
 

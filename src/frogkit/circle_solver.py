@@ -151,8 +151,10 @@ def _refine_candidate(z: complex, offsets: list, radii: list) -> tuple[complex, 
 
     For consistent systems this polishes the linear-reduction answer to the
     exact intersection; for inconsistent ones it brings the reported
-    residual down to the local infeasibility level instead of whatever the
-    radical-center point happens to give.
+    residual down to the local infeasibility level.  It stops at the first
+    step that does not lower the residual: below rounding noise the steps
+    only wander (they ran half of all polishes to the cap), and a spurious
+    branch's residual only has to be large enough to prune.
     """
     diffs = [z + v for v in offsets]
     dists = list(map(abs, diffs))
@@ -168,8 +170,9 @@ def _refine_candidate(z: complex, offsets: list, radii: list) -> tuple[complex, 
         diffs = [z + v for v in offsets]
         dists = list(map(abs, diffs))
         res = max(map(abs, map(operator.sub, dists, radii)))
-        if res < best_res:
-            best, best_res = z, res
+        if not res < best_res:
+            break
+        best, best_res = z, res
         if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
             break
     return best, best_res

@@ -9,6 +9,7 @@ from frogkit import (
     DegenerateSystemError,
     InvalidParametersError,
     UnderdeterminedSystemError,
+    circle_solver,
     ratio_is_nonreal,
     solve_generic,
     solve_real_centers,
@@ -284,6 +285,28 @@ def test_least_squares_step_matches_lstsq():
     assert ranks == {1, 2}
 
 
+def test_polish_stops_at_its_first_step_that_does_not_lower_the_residual(monkeypatch):
+    # an inconsistent system: without the stop rule the polish runs all 12
+    # steps, though its residual stops falling after a few
+    offsets, radii, z0 = [0j, 1 + 0j, 1j], [1.0, 1.0, 2.0], 0.3 + 0.4j
+    steps = []
+
+    def counted(rows, rhs):
+        steps.append(_least_squares_2(rows, rhs))
+        return steps[-1]
+
+    monkeypatch.setattr(circle_solver, "_least_squares_2", counted)
+    z, residual = circle_solver._refine_candidate(z0, offsets, radii)
+    visited = [z0]
+    for dx, dy in steps:
+        visited.append(visited[-1] + complex(dx, dy))
+    res = [max(abs(abs(p + v) - r) for v, r in zip(offsets, radii)) for p in visited]
+    assert 1 < len(steps) < 12
+    assert all(b < a for a, b in zip(res[:-2], res[1:-1]))  # every step but the last lowered it
+    assert not res[-1] < res[-2]
+    assert (z, residual) == (visited[-2], min(res))
+
+
 def _mirror(z, point, u):
     """Reflection of z in the line of centres -point - t*u."""
     return np.conj((z + point) / u) * u - point
@@ -328,8 +351,10 @@ def test_collinear_row3_keeps_upper_candidate_first():
 
 
 # The solvers as they were when each solve took a validated system of numpy
-# arrays, the centres -v_i and the radii.  The scalar solvers must reproduce
-# them bit for bit: the recursion amplifies a one-ulp change tenfold per row.
+# arrays, the centres -v_i and the radii, with the polish stopping at its
+# first step that does not lower the residual.  The scalar solvers must
+# reproduce them bit for bit: the recursion amplifies a one-ulp change
+# tenfold per row.
 
 
 def _reference_arrays(centers, radii):
@@ -372,8 +397,9 @@ def _reference_refine_candidate(z, pairs):
         )
         z = z + complex(dx, dy)
         res = _reference_max_error(z, pairs)
-        if res < best_res:
-            best, best_res = z, res
+        if not res < best_res:
+            break
+        best, best_res = z, res
         if math.hypot(dx, dy) < 1e-15 * (1.0 + abs(z)):
             break
     return best, best_res
