@@ -11,9 +11,10 @@ One run records, in this order:
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
   ``solve_real_centers``; one ``_solve_row`` on a row of an N = 64
-  ``recursion`` input; ``_descend`` on real criterion-8 stacks of 1, 2 and 10
-  trials per cell; and at N = 256 ``read_trace``, ``write_trace``, one build
-  of the command's parser and one ``frogkit verify``;
+  ``recursion`` input; one whole ``recover`` of the first N = 32 and the
+  first N = 64 ``recursion`` inputs; ``_descend`` on real criterion-8 stacks
+  of 1, 2 and 10 trials per cell; and at N = 256 ``read_trace``,
+  ``write_trace``, one build of the command's parser and one ``frogkit verify``;
 * the result and info lines of ``perfbench/run.py --trace 0`` for the
   basin, recursion and cli workloads at seed ``SEED``;
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
@@ -126,6 +127,7 @@ def layer_calls(workdir: Path) -> dict:
 
     calls.update({
         "solve_row.n64": solve_row_call(),
+        **{f"recover.n{n}": recover_call(n) for n in (32, 64)},
         **{f"descend_basin.{per_cell}_per_cell": descend_call(per_cell) for per_cell in (1, 2, 10)},
         f"read_trace.n{n}": lambda: io.read_trace(trace_path, 1),
         f"write_trace.n{n}": lambda: io.write_trace(workdir / "written.csv", trace),
@@ -135,23 +137,39 @@ def layer_calls(workdir: Path) -> dict:
     return calls
 
 
+def recursion_input(n: int):
+    """The trace, band and settings of the first N = n ``recursion`` input
+    (B = n/4, r = 4), drawn by perfbench's ``Recursion.make_input``."""
+    from frogkit import frog_trace
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import Recursion
+
+    workload = Recursion(None, SEED, "")
+    _, signal, band = workload.make_input(Recursion.CYCLE.index(n))
+    return frog_trace(signal, n // Recursion.R), band, workload.settings
+
+
+def recover_call(n: int):
+    """One whole ``recover`` of the first N = n ``recursion`` input."""
+    from frogkit import recover
+
+    trace, band, settings = recursion_input(n)
+    return lambda: recover(trace, band, settings)
+
+
 def solve_row_call():
     """One ``_solve_row`` at row 12 of the first N = 64 ``recursion`` input
     (B = 16, r = 4), a three-circle row, on the branch ``recover`` returns."""
     import math
 
-    import numpy as np
-
-    from frogkit import BandlimitSpec, RecoverySettings, Spectrum, frog_trace, idft, recover
+    from frogkit import recover
     from frogkit.recursive_recovery import _Branch, _columns, _solve_row
     from frogkit.signal_model import _roots_of_unity
 
-    n, b, r, k = 64, 16, 4, 12
-    rng = np.random.default_rng((SEED, n, 0))  # as perfbench's Recursion.make_input draws it
-    values = np.zeros(n, dtype=complex)
-    values[:b] = rng.standard_normal(b) + 1j * rng.standard_normal(b)
-    trace = frog_trace(idft(Spectrum(values)), n // r)
-    report = recover(trace, BandlimitSpec(b), RecoverySettings(r=r))
+    n, r, k = 64, 4, 12
+    trace, band, settings = recursion_input(n)
+    report = recover(trace, band, settings)
     w, ms, row = _roots_of_unity(r).tolist(), _columns(k % r, r)[:3], trace.data[k].tolist()
     radii = [n * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % r]) for m in ms]
     scale = 1.0 + max(radii)

@@ -23,6 +23,7 @@ the product in integers, exact for shifts far outside [0, N).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,14 @@ class AmbiguityElement:
             raise InvalidParametersError("psi and shift must be finite real numbers")
 
 
+@functools.lru_cache(maxsize=64)
+def _band_table(band: BandlimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The band's exponents and positions in a length-``n`` spectrum, read-only."""
+    exps, pos = band.exponents(n), band.indices(n)
+    exps.flags.writeable = pos.flags.writeable = False
+    return exps, pos
+
+
 def _apply_raw(
     values: np.ndarray,
     psi: float,
@@ -68,7 +77,7 @@ def _apply_raw(
         elif band is None:
             raise InvalidUseError("fractional shift requires a bandlimit specification")
         else:
-            exps, pos = band.exponents(n), band.indices(n)
+            exps, pos = _band_table(band, n)
         out[pos] *= np.exp(-2j * np.pi * ((shift % n) * exps % n) / n)
     if psi != 0.0:
         out = out * np.exp(1j * psi)
@@ -175,7 +184,6 @@ def dist_mod_group(
     if bnorm == 0.0:
         raise InvalidParametersError("reference spectrum must be nonzero")
     n = a.n
-    bases = np.stack([a.values, np.conj(a.values)])  # unreflected, reflected
     # |overlap| rounds at about eps * ||a|| * ||b||
     noise = 1e-12 * float(np.linalg.norm(a.values)) * bnorm
 
@@ -184,12 +192,13 @@ def dist_mod_group(
     if band is None:  # the integer shifts 0..N-1
         over, exps, pos, width = 1, np.arange(n), slice(None), 0.0
     else:  # continuous shifts, at steps of 1/16
-        over, exps, pos = 16, band.exponents(n), band.indices(n)
+        over, (exps, pos) = 16, _band_table(band, n)
         # Bernstein: the overlap has exponential type w = pi*(b-1)/N about the
         # band centre, so the grid point nearest the best shift is within a
         # factor 1 - w/32 of it; polish every grid peak that high (or argmax)
         width = np.pi * (band.b - 1) / (32.0 * n)
-    coeffs = bases[:, pos] * np.conj(b.values[pos])
+    av, bc = a.values[pos], np.conj(b.values[pos])
+    coeffs = np.array([av * bc, np.conj(av) * bc])  # unreflected, reflected
     grid = np.zeros((2, over * n), dtype=np.complex128)
     grid[:, exps % (over * n)] = coeffs
     on_grid = np.abs(np.fft.fft(grid, axis=-1))

@@ -105,18 +105,6 @@ def any_nonreal(v, pairs) -> bool:
     return False
 
 
-def _difference_rows(v: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the real linear system in (Re z, Im z) from subtracting
-    equation pairs (1, j)."""
-    d = np.conj(v[0]) - np.conj(v[1:])
-    # Re{z * (c + i*d)} = Re(z)*c - Im(z)*d per row
-    mat = np.column_stack([d.real, -d.imag])
-    rhs = 0.5 * (
-        radii[0] ** 2 - radii[1:] ** 2 + np.abs(v[1:]) ** 2 - np.abs(v[0]) ** 2
-    )
-    return mat, rhs
-
-
 def _least_squares_2(rows, rhs) -> tuple[float, float]:
     """``np.linalg.lstsq(rows, rhs, rcond=None)`` for s x 2 ``rows``, in floats:
     Cramer's rule on the normal equations ``A x = g`` (``A = rows^T rows``),
@@ -190,9 +178,15 @@ def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
             "all offset-difference ratios are real (collinear offsets)"
         )
 
-    # numpy's |v|^2: Python's abs() can differ in the last bit, which the recursion amplifies
-    mat, rhs = _difference_rows(np.array(v), np.array(radii))
-    z0 = complex(*_least_squares_2(mat.tolist(), rhs.tolist()))
+    # rows (0, j) of the system in (Re z, Im z), rounded as numpy did (the recursion amplifies
+    # the last bit): |v|^2 by numpy, not abs(); entry 0 by numpy scalars; other r^2 n * n, not pow
+    c0, r0_sq = v[0].conjugate(), float(np.float64(radii[0]) ** 2)
+    v0_sq = float(np.abs(np.complex128(v[0])) ** 2)
+    d = [c0 - c.conjugate() for c in v[1:]]  # Re{z * d} = Re(z)*Re(d) - Im(z)*Im(d)
+    rows = [(c.real, -c.imag) for c in d]
+    rhs = [0.5 * (r0_sq - nj * nj + vj_sq - v0_sq)
+           for nj, vj_sq in zip(radii[1:], (np.abs(np.array(v[1:])) ** 2).tolist())]
+    z0 = complex(*_least_squares_2(rows, rhs))
     z, residual = _refine_candidate(z0, v, radii)
     if residual <= tol:
         return CircleSolution("unique", z, None, residual)

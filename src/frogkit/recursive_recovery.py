@@ -35,7 +35,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,20 +122,25 @@ def _columns(k: int | None, r: int) -> tuple[int, ...]:
     return tuple(m for m in range(r // 2 + 1) if k is None or (2 * k * m - r) % (2 * r))
 
 
+@functools.lru_cache(maxsize=128)  # every row of a recursion with b <= 64
+def _twiddles(r: int, lo: int, top: int, ms) -> tuple[tuple[complex, ...], ...]:
+    """Per column m of ``ms``, the phases ``w^(j*m)`` of ``_roots_of_unity(r)``, j = lo..top."""
+    w = _roots_of_unity(r).tolist()
+    return tuple(tuple(w[(j * m) % r] for j in range(lo, top + 1)) for m in ms)
+
+
 def _row_sums(coeffs, k: int, ms, w) -> list[complex]:
     """Row k's sums ``sum_j x_j * x_(k-j) * w^(j*m)`` over every product of
-    two known entries ``coeffs``, one per column m of ``ms``.  With entries
-    0..k-1 known, the sum over 1 + w^(k*m) is the offset v_m of entry k; with
-    the whole band known (k >= b) the sum is the row's prediction."""
+    two known entries ``coeffs``, one per column m of the tuple ``ms``.  With
+    entries 0..k-1 known, the sum over 1 + w^(k*m) is the offset v_m of entry
+    k; with the whole band known (k >= b) the sum is the row's prediction."""
     top = len(coeffs) - 1
     lo = k - top
     q = [coeffs[j] * coeffs[k - j] for j in range(lo, top + 1)]
-    r = len(w)
-    return [sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j) for m in ms]
+    return [sum(map(operator.mul, q, row), 0j) for row in _twiddles(len(w), lo, top, ms)]
 
 
-@dataclass(frozen=True)
-class _Branch:
+class _Branch(NamedTuple):
     coeffs: tuple[complex, ...]
     residuals: tuple[float, ...]
     x3_choice: int | None = None

@@ -18,7 +18,6 @@ from frogkit.circle_solver import (
     _COINCIDENT_TOL,
     _EPS,
     CircleSolution,
-    _difference_rows,
     _least_squares_2,
     default_tolerance,
 )
@@ -365,6 +364,19 @@ def _reference_max_error(z, pairs):
     return max(abs(abs(z - c) - r) for c, r in pairs)
 
 
+def _reference_difference_rows(v, radii):
+    """Rows of the real linear system in (Re z, Im z) from subtracting
+    equation pairs (0, j), in numpy: its rounding of |v|^2 and r^2 is the
+    one the scalar solver must keep."""
+    d = np.conj(v[0]) - np.conj(v[1:])
+    # Re{z * (c + i*d)} = Re(z)*c - Im(z)*d per row
+    mat = np.column_stack([d.real, -d.imag])
+    rhs = 0.5 * (
+        radii[0] ** 2 - radii[1:] ** 2 + np.abs(v[1:]) ** 2 - np.abs(v[0]) ** 2
+    )
+    return mat, rhs
+
+
 def _reference_least_squares_2(rows, rhs):
     a11 = a12 = a22 = g1 = g2 = det = num1 = num2 = 0.0
     for i, ((xi, yi), bi) in enumerate(zip(rows, rhs)):
@@ -424,7 +436,7 @@ def _reference_solve_generic(centers, radii, tol=None):
             break
     if not nonreal:
         raise DegenerateSystemError("collinear centers")
-    mat, rhs = _difference_rows(v, radii)
+    mat, rhs = _reference_difference_rows(v, radii)
     z0 = complex(*_reference_least_squares_2(mat.tolist(), rhs.tolist()))
     pairs = list(zip(centers.tolist(), radii.tolist()))
     z, residual = _reference_refine_candidate(z0, pairs)
@@ -499,6 +511,22 @@ def test_generic_solve_matches_reference_bitwise(s, z, offsets, factors, perturb
     ref = _bits(lambda: _reference_solve_generic(*_reference_arrays([-c for c in v], radii), tol))
     assert _bits(lambda: solve_generic(np.array(v), np.array(radii), tol)) == ref
     assert _bits(lambda: solve_generic(v, radii, tol)) == ref  # the recursion's input
+
+
+def test_generic_solve_matches_reference_bitwise_on_seeded_systems():
+    # 3,000 systems of 3-5 circles at scales 0.1..1000, half of them
+    # inconsistent: about 1 in 1,200 squares differs between r ** 2 (C pow)
+    # and numpy's r * r, and a third of the moduli between Python's abs()
+    # and numpy's, so a solve that rounds either way misses the reference
+    rng = np.random.default_rng(2027)
+    for i in range(3000):
+        s, scale = 3 + i % 3, 10.0 ** rng.uniform(-1.0, 3.0)
+        v = ((rng.standard_normal(s) + 1j * rng.standard_normal(s)) * scale).tolist()
+        z = complex(*rng.standard_normal(2)) * scale
+        radii = [abs(z + c) * (rng.uniform(0.9, 1.1) if i % 2 else 1.0) for c in v]
+        tol = (None, 1e-7 * scale)[i // 2 % 2]
+        ref = _bits(lambda: _reference_solve_generic(*_reference_arrays([-c for c in v], radii), tol))
+        assert _bits(lambda: solve_generic(v, radii, tol)) == ref, i
 
 
 @settings(max_examples=300, deadline=None)

@@ -198,6 +198,26 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("r", [3, 4, 8, 256])
+def test_row_sums_match_the_direct_formula_bitwise(r):
+    # the cached phase rows multiply q_j * w in the order the direct sum does,
+    # on rows that add an entry (k < b) and rows past the band (k >= b)
+    rng = np.random.default_rng(r)
+    w = _roots_of_unity(r).tolist()
+    ms = tuple(range(r))
+    for b in (2, 5, 9):
+        band = (rng.standard_normal(b) + 1j * rng.standard_normal(b)) * 10.0 ** rng.uniform(-2, 2, b)
+        for k in range(2, 2 * b - 1):
+            coeffs = band[:k].tolist() if k < b else band.tolist()
+            lo, top = k - len(coeffs) + 1, len(coeffs) - 1
+            q = [coeffs[j] * coeffs[k - j] for j in range(lo, top + 1)]
+            want = [sum([qj * w[(j * m) % r] for j, qj in enumerate(q, lo)], 0j) for m in ms]
+            got = _row_sums(coeffs, k, ms, w)
+            assert [(x.real.hex(), x.imag.hex()) for x in got] == [
+                (x.real.hex(), x.imag.hex()) for x in want
+            ], (b, k)
+
+
 def _report_bits(report):
     """Every field of a report, with its arrays and floats as exact bits."""
     return (
