@@ -10,11 +10,12 @@ One run records, in this order:
 * layer timings, best of 5, at N = 24, 64 and 256: ``frog_trace``,
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
-  ``solve_real_centers``; one ``_solve_row`` on a row of an N = 64
-  ``recursion`` input; one whole ``recover`` of the first N = 32 and the
-  first N = 64 ``recursion`` inputs; ``_descend`` on real criterion-8 stacks
-  of 1, 2 and 10 trials per cell; and at N = 256 ``read_trace``,
-  ``write_trace``, one build of the command's parser and one ``frogkit verify``;
+  ``solve_real_centers``; one ``_solve_row`` on a three-circle and one on a
+  two-circle row of an N = 64 ``recursion`` input; one whole ``recover`` of
+  the first N = 32 and the first N = 64 ``recursion`` inputs; ``_descend``
+  on real criterion-8 stacks of 1, 2 and 10 trials per cell; and at N = 256
+  ``read_trace``, ``write_trace``, one build of the command's parser and one
+  ``frogkit verify``;
 * the result and info lines of ``perfbench/run.py --trace 0`` for the
   basin, recursion and cli workloads at seed ``SEED``;
 * with ``--tier1 1``, the tier-1 wall clock and the criterion-8 and
@@ -126,7 +127,8 @@ def layer_calls(workdir: Path) -> dict:
             assert main(["verify", "--signal", str(sig_path), "--l", "1", "--b", str(b)]) == 0
 
     calls.update({
-        "solve_row.n64": solve_row_call(),
+        "solve_row.n64": solve_row_call(12),
+        "solve_row_pair.n64": solve_row_call(13),
         **{f"recover.n{n}": recover_call(n) for n in (32, 64)},
         **{f"descend_basin.{per_cell}_per_cell": descend_call(per_cell) for per_cell in (1, 2, 10)},
         f"read_trace.n{n}": lambda: io.read_trace(trace_path, 1),
@@ -158,16 +160,17 @@ def recover_call(n: int):
     return lambda: recover(trace, band, settings)
 
 
-def solve_row_call():
-    """One ``_solve_row`` at row 12 of the first N = 64 ``recursion`` input
-    (B = 16, r = 4), a three-circle row, on the branch ``recover`` returns."""
+def solve_row_call(k: int):
+    """One ``_solve_row`` at row k of the first N = 64 ``recursion`` input
+    (B = 16, r = 4), on the branch ``recover`` returns: row 12 is a
+    three-circle row, row 13 a two-circle (collinear) one."""
     import math
 
     from frogkit import recover
     from frogkit.recursive_recovery import _Branch, _columns, _solve_row
     from frogkit.signal_model import _roots_of_unity
 
-    n, r, k = 64, 4, 12
+    n, r = 64, 4
     trace, band, settings = recursion_input(n)
     report = recover(trace, band, settings)
     w, ms, row = _roots_of_unity(r).tolist(), _columns(k % r, r)[:3], trace.data[k].tolist()

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle_solver import _COINCIDENT_TOL, CircleSolution, solve_generic, solve_real_centers
+from .circle_solver import _COINCIDENT_TOL, solve_generic, solve_real_centers
 from .errors import (
     AmbiguousBranchError,
     DegenerateSignalError,
@@ -155,13 +155,15 @@ class _Branch(NamedTuple):
         )
 
 
-def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
+def _solve_collinear(offsets, radii, point, direction, tol) -> tuple[tuple[complex, ...], float]:
     """Solve ``|z + v_i| = n_i`` with the offsets on the line ``point + t * direction``.
 
     In the frame ``w = (z + point) / u``, ``u = direction / |direction|``, the
     offsets ``(v_i - point) / u`` are real: ``solve_real_centers`` gives the
-    pair there, ``Im w >= 0`` first, mapped back.  Coincident offsets or
-    offsets off the line raise ``DegenerateSystemError``."""
+    pair there.  Returns its candidates mapped back, ``Im w >= 0`` first (one
+    if they map to one point), and its residual: all that the recursion reads,
+    so no second ``CircleSolution`` is built.  Coincident offsets or offsets
+    off the line raise ``DegenerateSystemError``."""
     if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
         raise DegenerateSystemError("coincident offsets")
     # rounds as numpy's complex / real did; the recursion amplifies the last bit
@@ -171,11 +173,7 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> CircleSolution:
         raise DegenerateSystemError("offsets are not on the given line")
     # the module global, as for every solve here, so that a wrapper sees the call
     sol = solve_real_centers([w.real for w in rotated], radii, tol=tol)
-
-    def back(w):
-        return None if w is None else w * u - point
-
-    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
+    return tuple(dict.fromkeys(w * u - point for w in sol.candidates)), sol.residual
 
 
 def _solve_row(branch, k, ms, w, radii, scale, tol):
@@ -193,25 +191,20 @@ def _solve_row(branch, k, ms, w, radii, scale, tol):
 
     if len(offsets) >= 3 and k > 3:
         sol = solve_generic(offsets, radii, tol=tol)
-        return [branch.extended(sol.z / x0, sol.residual / scale)]
-
-    # collinear offsets: row 2's are real, row 3's lie on the line through
-    # the origin along x2 (which ``recover`` checked), and two circles always are
-    if k == 2:
-        point, direction = 0j, 1.0 + 0j
-    elif k == 3:
-        point, direction = 0j, coeffs[2]
+        zs, res = sol.candidates, sol.residual
     else:
-        point, direction = offsets[0], offsets[1] - offsets[0]
-    sol = _solve_collinear(offsets, radii, point, direction, tol)
-    rel = sol.residual / scale
-    if k == 2:
-        # reflection gauge: the pair has Im >= 0 first
-        return [branch.extended(sol.z / x0, rel)]
-    return [
-        branch.extended(u / x0, rel, x3_choice=idx if k == 3 else None)
-        for idx, u in enumerate(sol.candidates)
-    ]
+        # collinear offsets: row 2's are real, row 3's lie on the line through
+        # the origin along x2 (which ``recover`` checked), and two circles always are
+        if k == 2:
+            point, direction = 0j, 1.0 + 0j
+        elif k == 3:
+            point, direction = 0j, coeffs[2]
+        else:
+            point, direction = offsets[0], offsets[1] - offsets[0]
+        zs, res = _solve_collinear(offsets, radii, point, direction, tol)
+    # row 2 keeps its pair's first point (Im >= 0: the reflection gauge); row 3 forks
+    return [branch.extended(z / x0, res / scale, x3_choice=idx if k == 3 else None)
+            for idx, z in enumerate(zs[:1] if k == 2 else zs)]
 
 
 def _check_row(branch, k, ms, w, meas, scale):

@@ -319,13 +319,22 @@ def test_collinear_planted_pair_off_origin():
         offsets = [point + t * direction for t in (-1.0, 0.5, 2.0)]
         z = complex(*rng.uniform(-2, 2, 2))
         radii = [abs(z + v) for v in offsets]
-        sol = _solve_collinear(offsets, radii, point, direction, None)
-        assert sol.kind == "pair"
+        candidates, _ = _solve_collinear(offsets, radii, point, direction, None)
+        assert len(candidates) == 2
         u = direction / abs(direction)
-        got = sorted(sol.candidates, key=lambda c: abs(c - z))
+        got = sorted(candidates, key=lambda c: abs(c - z))
         assert abs(got[0] - z) <= 1e-10
         assert abs(got[-1] - _mirror(z, point, u)) <= 1e-10
-        assert ((sol.z + point) / u).imag >= 0
+        assert ((candidates[0] + point) / u).imag >= 0
+
+
+def test_collinear_pair_that_maps_to_one_point_is_one_candidate():
+    # the pair -0.5 +- 0.87i of the real frame differs only below the last
+    # bit of the imaginary part -1e20 once mapped back: one candidate, as
+    # the mapped solution's ``candidates`` gave
+    candidates, residual = _solve_collinear([1e20j, 1e20j + 1], [1.0, 1.0], 1e20j, 1.0, None)
+    assert candidates == (complex(-0.5, -1e20),)
+    assert residual <= 1e-15
 
 
 def test_collinear_coincident_offsets_rejected():
@@ -343,10 +352,10 @@ def test_collinear_row3_keeps_upper_candidate_first():
         w = _roots_of_unity(4).tolist()
         offsets = [v / (1.0 + w[3 * m]) for v, m in zip(_row_sums(prefix, 3, (0, 1), w), (0, 1))]
         radii = [abs(prefix[0] * x3 + v) for v in offsets]
-        sol = _solve_collinear(offsets, radii, 0j, prefix[2], None)
+        (upper, lower), _ = _solve_collinear(offsets, radii, 0j, prefix[2], None)
         u = prefix[2] / abs(prefix[2])
-        assert (sol.z / u).imag >= 0 and (sol.z_conjugate / u).imag <= 0
-        assert min(abs(c - prefix[0] * x3) for c in sol.candidates) <= 1e-10
+        assert (upper / u).imag >= 0 and (lower / u).imag <= 0
+        assert min(abs(c - prefix[0] * x3) for c in (upper, lower)) <= 1e-10
 
 
 # The solvers as they were when each solve took a validated system of numpy
@@ -479,7 +488,9 @@ def _reference_solve_collinear(offsets, radii, point, direction, tol=None):
     def back(w):
         return None if w is None else w * u - point
 
-    return CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
+    # the candidates of the solution mapped back, as the recursion read them
+    mapped = CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
+    return mapped.candidates, mapped.residual
 
 
 def _bits(call):
@@ -490,6 +501,15 @@ def _bits(call):
         return type(exc)
     exact = [None if w is None else (w.real.hex(), w.imag.hex()) for w in (sol.z, sol.z_conjugate)]
     return sol.kind, *exact, sol.residual.hex()
+
+
+def _candidate_bits(call):
+    """A collinear solve's candidates and residual as exact bits."""
+    try:
+        candidates, residual = call()
+    except Exception as exc:
+        return type(exc)
+    return [(w.real.hex(), w.imag.hex()) for w in candidates], residual.hex()
 
 
 _coord = st.floats(-4.0, 4.0, allow_subnormal=False)
@@ -549,5 +569,5 @@ def test_real_and_collinear_solves_match_reference_bitwise(s, z, xs, factors, pe
     point, angle = line
     direction = complex(math.cos(angle), math.sin(angle))
     offsets = [point + x * direction for x in xs[:s]]
-    ref = _bits(lambda: _reference_solve_collinear(offsets, radii, point, direction, 1e-7))
-    assert _bits(lambda: _solve_collinear(offsets, radii, point, direction, 1e-7)) == ref
+    ref = _candidate_bits(lambda: _reference_solve_collinear(offsets, radii, point, direction, 1e-7))
+    assert _candidate_bits(lambda: _solve_collinear(offsets, radii, point, direction, 1e-7)) == ref

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,11 +25,13 @@ from frogkit import (
     recover,
 )
 from frogkit import recursive_recovery
+from frogkit.circle_solver import CircleSolution
 from frogkit.recursive_recovery import (
     _Branch,
     _check_row,
     _columns,
     _row_sums,
+    _solve_row,
 )
 from frogkit.signal_model import _roots_of_unity
 from conftest import direct_trace, random_band_spectrum
@@ -248,6 +251,82 @@ def test_recover_calls_the_solvers_through_module_globals(monkeypatch):
         monkeypatch.setattr(recursive_recovery, name, counted)
     assert _report_bits(recover(trace, band, settings)) == plain
     assert min(calls.values()) >= 1, calls
+
+
+def test_recover_builds_one_circle_solution_per_solve(monkeypatch):
+    # a collinear row hands back the candidates of its real solve, it does
+    # not build a second, mapped solution
+    xhat, band = random_band_spectrum(np.random.default_rng(11), 32, 8)
+    trace, settings = trace_of(xhat, 8), RecoverySettings(r=4)
+    calls = dict.fromkeys(("solve_generic", "solve_real_centers", "CircleSolution"), 0)
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("solve_generic", "solve_real_centers"):
+        monkeypatch.setattr(recursive_recovery, name, count(name, getattr(recursive_recovery, name)))
+    monkeypatch.setattr(CircleSolution, "__init__", count("CircleSolution", CircleSolution.__init__))
+    recover(trace, band, settings)
+    assert min(calls.values()) >= 1, calls
+    assert calls["CircleSolution"] == calls["solve_generic"] + calls["solve_real_centers"], calls
+
+
+class TestSolveRowByKind:
+    """``_solve_row`` on the winning branch of a recursion-style input
+    (N = 64, B = 16, r = 4), one row of each kind."""
+
+    N, R = 64, 4
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        xhat, band = random_band_spectrum(np.random.default_rng(21), self.N, self.N // self.R)
+        trace = trace_of(xhat, self.N // self.R)
+        report = recover(trace, band, RecoverySettings(r=self.R))
+        assert report.success
+        return trace, report.spectrum.values[: band.b].tolist()
+
+    def solve(self, case, k, x3_choice=None):
+        """The children of the winner's first k entries at row k, read as
+        ``recover`` reads it, and the row's columns."""
+        trace, values = case
+        w, row = _roots_of_unity(self.R).tolist(), trace.data[k].tolist()
+        ms = _columns(k % self.R, self.R)[:3]
+        radii = [self.N * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % self.R]) for m in ms]
+        scale = 1.0 + max(radii)
+        parent = _Branch(tuple(values[:k]), (0.0,) * k, x3_choice)
+        children = _solve_row(parent, k, ms, w, radii, scale, 1e-7 * scale)
+        for child in children:
+            assert child.coeffs[:k] == parent.coeffs and len(child.coeffs) == k + 1
+            assert child.residuals[:k] == parent.residuals and len(child.residuals) == k + 1
+        # the winner's entry is among the children, within the tolerance
+        assert min(abs(c.coeffs[k] - values[k]) for c in children) <= 1e-7 * scale, k
+        return children, ms
+
+    def test_row2_keeps_one_child_in_the_upper_half_plane(self, case):
+        children, ms = self.solve(case, 2)
+        assert len(ms) == 2 and len(children) == 1
+        assert children[0].coeffs[2].imag >= 0 and children[0].x3_choice is None
+
+    def test_row3_forks_into_both_candidates(self, case):
+        children, ms = self.solve(case, 3)
+        assert len(ms) == 2
+        assert [c.x3_choice for c in children] == [0, 1]
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 9, 13, 15])
+    def test_two_circle_row_keeps_the_parent_fork(self, case, k):
+        children, ms = self.solve(case, k, x3_choice=1)
+        assert len(ms) == 2 and 1 <= len(children) <= 2
+        assert all(c.x3_choice == 1 for c in children)
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_three_circle_row_gives_one_child(self, case, k):
+        children, ms = self.solve(case, k, x3_choice=0)
+        assert len(ms) == 3 and len(children) == 1
+        assert children[0].x3_choice == 0
 
 
 class TestSelectEquations:
