@@ -56,21 +56,14 @@ def _check(offsets, radii, tol) -> tuple[list, list, float]:
 
 @dataclass(frozen=True)
 class CircleSolution:
-    """Outcome of a solve.  ``kind`` is "unique", "pair" or "none"; the
-    residual is always reported so callers can apply their own tolerance."""
+    """Outcome of a solve.  ``kind`` is "unique", "pair" or "none".
+    ``candidates`` holds both points of a pair (one if it collapsed), else the
+    one point, for kind "none" the least-residual one; the residual is always
+    reported so callers can apply their own tolerance."""
 
     kind: Literal["unique", "pair", "none"]
-    z: complex | None
-    z_conjugate: complex | None
+    candidates: tuple[complex, ...]
     residual: float
-
-    @property
-    def candidates(self) -> tuple[complex, ...]:
-        """Both points of a pair (one if it collapsed), else ``z``; for kind
-        "none" that is the least-residual point, for callers that prune."""
-        if self.kind == "pair" and self.z_conjugate != self.z:
-            return (self.z, self.z_conjugate)
-        return (self.z,)
 
 
 def default_tolerance(radii) -> float:
@@ -168,8 +161,8 @@ def _refine_candidate(z: complex, offsets: list, radii: list) -> tuple[complex, 
 
 def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
     """Solve with s >= 3 complex offsets whose difference ratios are not all
-    real.  Returns the unique candidate if its residual passes ``tol``,
-    otherwise kind "none" (with the residual)."""
+    real.  Returns one candidate, the refined point: kind "unique" if its
+    residual passes ``tol``, otherwise kind "none" (with the residual)."""
     v, radii, tol = _check(offsets, radii, tol)
     if len(v) < 3:
         raise InvalidParametersError("generic solve needs at least 3 equations")
@@ -188,17 +181,16 @@ def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
            for nj, vj_sq in zip(radii[1:], (np.abs(np.array(v[1:])) ** 2).tolist())]
     z0 = complex(*_least_squares_2(rows, rhs))
     z, residual = _refine_candidate(z0, v, radii)
-    if residual <= tol:
-        return CircleSolution("unique", z, None, residual)
-    return CircleSolution("none", z, None, residual)
+    return CircleSolution("unique" if residual <= tol else "none", (z,), residual)
 
 
 def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSolution:
     """Solve with all offsets real: solutions come in conjugate pairs.
 
     The real part comes from the (least-squares) linear difference equations;
-    the imaginary part from the first circle.  Returns kind "none" when the
-    required squared imaginary part is negative beyond ``tol``.
+    the imaginary part b from the first circle.  Kind "pair" holds a + ib and
+    a - ib, one point if b is 0 (tangent circles); kind "none", when b^2 is
+    negative beyond ``tol``, holds the point a.  The residual is the first point's.
     """
     v, radii, tol = _check(offsets, radii, tol)
     if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
@@ -214,9 +206,9 @@ def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSoluti
 
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:
-        kind, z, z_conjugate = "none", complex(a, 0.0), None
+        kind, candidates = "none", (complex(a, 0.0),)
     else:
         b = math.sqrt(max(b_sq, 0.0))
-        kind, z, z_conjugate = "pair", complex(a, b), complex(a, -b)
-    residual = max([abs(abs(z + c) - r) for c, r in zip(v, radii)])
-    return CircleSolution(kind, z, z_conjugate, residual)
+        kind, candidates = "pair", (complex(a, b), complex(a, -b)) if b else (complex(a, b),)
+    residual = max([abs(abs(candidates[0] + c) - r) for c, r in zip(v, radii)])
+    return CircleSolution(kind, candidates, residual)

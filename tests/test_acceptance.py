@@ -165,8 +165,8 @@ def test_criterion_6_circle_solver_oracle():
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         v = nonreal_offsets()
         sol = solve_generic(v, np.abs(z + v))
-        assert sol.kind == "unique"
-        worst_planted = max(worst_planted, abs(sol.z - z))
+        assert sol.kind == "unique" and len(sol.candidates) == 1
+        worst_planted = max(worst_planted, abs(sol.candidates[0] - z))
 
     disagreements = 0
     for _ in range(1000):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_generic_planted_example():
     assert np.allclose(radii, [abs(2 + 1j), abs(1 + 1j), 2.0])
     sol = solve_generic(offsets, radii)
     assert sol.kind == "unique"
-    assert abs(sol.z - z) <= 1e-12
+    assert abs(sol.candidates[0] - z) <= 1e-12
     assert sol.residual <= 1e-12
 
 
@@ -69,7 +70,7 @@ def test_generic_planted_random():
                 continue
         sol = solve_generic(*planted_system(v, z))
         assert sol.kind == "unique"
-        assert abs(sol.z - z) <= 1e-9
+        assert abs(sol.candidates[0] - z) <= 1e-9
 
 
 def test_generic_overdetermined_uses_all_equations():
@@ -78,7 +79,7 @@ def test_generic_overdetermined_uses_all_equations():
     v = rng.uniform(-2, 2, 6) + 1j * rng.uniform(-2, 2, 6)
     sol = solve_generic(*planted_system(v, z))
     assert sol.kind == "unique"
-    assert abs(sol.z - z) <= 1e-10
+    assert abs(sol.candidates[0] - z) <= 1e-10
 
 
 def test_real_centers_planted_pair():
@@ -86,8 +87,8 @@ def test_real_centers_planted_pair():
     assert np.allclose(radii, [1.0, np.sqrt(2)])
     sol = solve_real_centers(offsets, radii)
     assert sol.kind == "pair"
-    assert abs(sol.z - 1j) <= 1e-12
-    assert abs(sol.z_conjugate - (-1j)) <= 1e-12
+    assert abs(sol.candidates[0] - 1j) <= 1e-12
+    assert abs(sol.candidates[1] - (-1j)) <= 1e-12
 
 
 def test_real_centers_impossible():
@@ -98,7 +99,22 @@ def test_real_centers_impossible():
 def test_real_centers_tangent_collapses():
     sol = solve_real_centers(*planted_system([0.0, 2.0], 1.0 + 0j))
     assert sol.kind == "pair"
-    assert sol.z == sol.z_conjugate == 1.0 + 0j
+    assert sol.candidates == (1.0 + 0j,)
+
+
+def test_solution_is_kind_candidates_and_residual():
+    # the points of a solve live only in ``candidates``, collapsed where solved
+    assert [f.name for f in dataclasses.fields(CircleSolution)] == ["kind", "candidates", "residual"]
+    solves = [
+        ("unique", 1, solve_generic(*planted_system([0, -1, -1j], 2 + 1j))),
+        ("none", 1, solve_generic([0, -1, -1j], [1.0, 1.0, 10.0])),
+        ("none", 1, solve_real_centers([0.0, 1.0], [1.0, 5.0])),
+        ("pair", 2, solve_real_centers(*planted_system([0.0, 1.0], 1j))),
+        ("pair", 1, solve_real_centers(*planted_system([0.0, 2.0], 1.0 + 0j))),  # tangent
+    ]
+    for kind, count, sol in solves:
+        assert sol.kind == kind and len(sol.candidates) == count, sol
+        assert type(sol.candidates) is tuple and all(type(w) is complex for w in sol.candidates)
 
 
 def test_real_centers_conjugate_closure():
@@ -110,7 +126,7 @@ def test_real_centers_conjugate_closure():
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         sol = solve_real_centers(*planted_system(v, z))
         assert sol.kind == "pair"
-        assert sol.z_conjugate == np.conj(sol.z)
+        assert sol.candidates[1] == np.conj(sol.candidates[0])
 
 
 def test_real_centers_underdetermined():
@@ -131,14 +147,14 @@ def test_translation_equivariance():
     _, radii = planted_system(v, z)
     base = solve_generic(v, radii)
     moved = solve_generic(v + w, radii)
-    assert abs((base.z - w) - moved.z) <= 1e-12
+    assert abs((base.candidates[0] - w) - moved.candidates[0]) <= 1e-12
 
     vr = np.array([0.0, 1.0], dtype=complex)
     zr = 0.5 + 0.8j
     _, radii = planted_system(vr, zr)
     base = solve_real_centers(vr, radii)
     shifted = solve_real_centers(vr + 0.25, radii)
-    assert abs((base.z - 0.25) - shifted.z) <= 1e-12
+    assert abs((base.candidates[0] - 0.25) - shifted.candidates[0]) <= 1e-12
 
 
 def test_ratio_is_nonreal_cases():
@@ -449,7 +465,7 @@ def _reference_solve_generic(centers, radii, tol=None):
     z0 = complex(*_reference_least_squares_2(mat.tolist(), rhs.tolist()))
     pairs = list(zip(centers.tolist(), radii.tolist()))
     z, residual = _reference_refine_candidate(z0, pairs)
-    return CircleSolution("unique" if residual <= tol else "none", z, None, residual)
+    return CircleSolution("unique" if residual <= tol else "none", (z,), residual)
 
 
 def _reference_solve_real_centers(centers, radii, tol=None):
@@ -470,10 +486,12 @@ def _reference_solve_real_centers(centers, radii, tol=None):
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:
         z = complex(a, 0.0)
-        return CircleSolution("none", z, None, _reference_max_error(z, pairs))
+        return CircleSolution("none", (z,), _reference_max_error(z, pairs))
     b = math.sqrt(max(b_sq, 0.0))
     z = complex(a, b)
-    return CircleSolution("pair", z, complex(a, -b), _reference_max_error(z, pairs))
+    # a pair whose points are equal (b == 0) is one candidate
+    candidates = tuple(dict.fromkeys((z, complex(a, -b))))
+    return CircleSolution("pair", candidates, _reference_max_error(z, pairs))
 
 
 def _reference_solve_collinear(offsets, radii, point, direction, tol=None):
@@ -484,13 +502,9 @@ def _reference_solve_collinear(offsets, radii, point, direction, tol=None):
     if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
         raise DegenerateSystemError("offsets are not on the given line")
     sol = _reference_solve_real_centers(*_reference_arrays([-w.real for w in rotated], radii), tol=tol)
-
-    def back(w):
-        return None if w is None else w * u - point
-
-    # the candidates of the solution mapped back, as the recursion read them
-    mapped = CircleSolution(sol.kind, back(sol.z), back(sol.z_conjugate), sol.residual)
-    return mapped.candidates, mapped.residual
+    # the candidates of the solution mapped back, as the recursion reads them,
+    # with a pair that maps to one point kept as one candidate
+    return tuple(dict.fromkeys(w * u - point for w in sol.candidates)), sol.residual
 
 
 def _bits(call):
@@ -499,8 +513,8 @@ def _bits(call):
         sol = call()
     except Exception as exc:  # the reference's exception type must match too
         return type(exc)
-    exact = [None if w is None else (w.real.hex(), w.imag.hex()) for w in (sol.z, sol.z_conjugate)]
-    return sol.kind, *exact, sol.residual.hex()
+    exact = [(w.real.hex(), w.imag.hex()) for w in sol.candidates]
+    return sol.kind, exact, sol.residual.hex()
 
 
 def _candidate_bits(call):
