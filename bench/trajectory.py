@@ -7,7 +7,9 @@ One run records, in this order:
 
 * the median time of perfbench/speed.py's ``reference_kernel``, the machine's
   speed at the start of the run (the file is imported, not changed);
-* layer timings, best of 5, at N = 24, 64 and 256: ``frog_trace``,
+* layer timings, best of 5, each right after a short median of the
+  reference kernel (``layer.<name>.ref_ms``, the machine's speed at that
+  moment), at N = 24, 64 and 256: ``frog_trace``,
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
   ``solve_real_centers``; one ``_solve_row`` on a three-circle and one on a
@@ -55,6 +57,7 @@ SEED = 1201  # the perfbench seed of every file, so that files compare across ch
 LAYER_SIZES = (24, 64, 256)
 REPEATS = 5
 REF_SAMPLES = 21  # reference-kernel runs per median, about 0.1 s
+LAYER_REF_SAMPLES = 5  # reference-kernel runs right before each layer timing
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-rP"]
@@ -174,10 +177,11 @@ def solve_row_call(k: int):
     trace, band, settings = recursion_input(n)
     report = recover(trace, band, settings)
     w, ms, row = _roots_of_unity(r).tolist(), _columns(k % r, r)[:3], trace.data[k].tolist()
-    radii = [n * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % r]) for m in ms]
+    denoms = [1.0 + w[(k * m) % r] for m in ms]
+    radii = [n * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
     scale = 1.0 + max(radii)
     branch = _Branch(tuple(report.spectrum.values[:k].tolist()), (0.0,) * k)
-    return lambda: _solve_row(branch, k, ms, w, radii, scale, 1e-7 * scale)
+    return lambda: _solve_row(branch, k, ms, w, denoms, radii, scale, 1e-7 * scale)
 
 
 def descend_call(per_cell: int):
@@ -201,20 +205,24 @@ def descend_call(per_cell: int):
     return lambda: _descend(ws, starts, data, LsOptions())
 
 
-def reference_kernel_ms() -> float:
-    """The median of ``REF_SAMPLES`` runs of perfbench's fixed reference kernel,
+def reference_kernel_ms(samples: int = REF_SAMPLES) -> float:
+    """The median of ``samples`` runs of perfbench's fixed reference kernel,
     in ms, after its warm-up: the speed of the machine right now."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import speed
 
     speed.warm_up()
-    return statistics.median(speed.reference_kernel() for _ in range(REF_SAMPLES)) * 1e3
+    return statistics.median(speed.reference_kernel() for _ in range(samples)) * 1e3
 
 
 def layer_timings() -> dict:
+    """Each layer's best time, after the reference kernel's time right before it."""
+    metrics = {}
     with tempfile.TemporaryDirectory() as tmp:
-        return {f"layer.{name}": metric(best_time(fn) * 1e6, "us")
-                for name, fn in layer_calls(Path(tmp)).items()}
+        for name, fn in layer_calls(Path(tmp)).items():
+            metrics[f"layer.{name}.ref_ms"] = metric(reference_kernel_ms(LAYER_REF_SAMPLES), "ms")
+            metrics[f"layer.{name}"] = metric(best_time(fn) * 1e6, "us")
+    return metrics
 
 
 def perfbench(workload: str, seconds: float) -> dict:
@@ -320,7 +328,7 @@ def main(argv=None) -> int:
         "dirty": None if status is None else bool(status),
         "machine": machine(),
         "settings": {"seed": SEED, "seconds": args.seconds, "repeats": REPEATS,
-                     "ref_samples": REF_SAMPLES},
+                     "ref_samples": REF_SAMPLES, "layer_ref_samples": LAYER_REF_SAMPLES},
         "metrics": metrics,
         "perfbench": runs,
         "tier1": record,

@@ -33,6 +33,7 @@ from .errors import InvalidParametersError, InvalidUseError
 from .signal_model import BandlimitSpec, Spectrum, frog_trace, idft
 
 _INT_TOL = 1e-12
+_OVER = 16  # banded overlap grid points per unit shift
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,13 @@ class AmbiguityElement:
 
 
 @functools.lru_cache(maxsize=64)
-def _band_table(band: BandlimitSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The band's exponents and positions in a length-``n`` spectrum, read-only."""
+def _band_table(band: BandlimitSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The band's exponents, their positions in a length-``n`` spectrum and
+    their cells of the banded overlap grid, ``exps % (_OVER * n)``, read-only."""
     exps, pos = band.exponents(n), band.indices(n)
-    exps.flags.writeable = pos.flags.writeable = False
-    return exps, pos
+    cells = exps % (_OVER * n)
+    exps.flags.writeable = pos.flags.writeable = cells.flags.writeable = False
+    return exps, pos, cells
 
 
 def _apply_raw(
@@ -77,7 +80,7 @@ def _apply_raw(
         elif band is None:
             raise InvalidUseError("fractional shift requires a bandlimit specification")
         else:
-            exps, pos = _band_table(band, n)
+            exps, pos, _ = _band_table(band, n)
         out[pos] *= np.exp(-2j * np.pi * ((shift % n) * exps % n) / n)
     if psi != 0.0:
         out = out * np.exp(1j * psi)
@@ -125,20 +128,25 @@ def _best_rotation_residual(u: np.ndarray, b: np.ndarray) -> tuple[float, float]
     """
     inner = np.vdot(b, u)  # sum conj(b) * u
     psi = float(-np.angle(inner)) if inner != 0 else 0.0
-    d2 = float(np.linalg.norm(u * np.exp(1j * psi) - b) ** 2)
+    d2 = _norm(u * np.exp(1j * psi) - b) ** 2
     return d2, psi
 
 
-def _newton_polish(coeffs: np.ndarray, freqs: np.ndarray, s0: float, radius: float):
-    """Sharpen a grid maximizer ``s0`` of ``|sum coeffs*exp(i*freqs*s)|``;
-    returns the shift and the modulus there.
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, summed as it sums it."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _newton_polish(derivs: np.ndarray, ifreqs: np.ndarray, s0: float, radius: float):
+    """Sharpen a grid maximizer ``s0`` of ``|sum coeffs*exp(ifreqs*s)|``, given the
+    rows ``derivs`` = ``coeffs * ifreqs**p``, p = 0..2; returns the shift and the
+    modulus there.
 
     The squared modulus is smooth, so Newton on its derivative reaches
     machine precision from a grid point.  Falls back to ``s0`` if the
     iteration leaves the bracket ``s0 +- radius``.
     """
-    ifreqs = 1j * freqs
-    derivs = np.stack([coeffs, coeffs * ifreqs, coeffs * ifreqs**2])
     s = s0
     for _ in range(60):
         c, c1, c2 = (derivs @ np.exp(ifreqs * s)).tolist()
@@ -153,7 +161,7 @@ def _newton_polish(coeffs: np.ndarray, freqs: np.ndarray, s0: float, radius: flo
         s += delta
         if abs(delta) < 1e-14 * (1.0 + abs(s)):
             break
-    return s, abs(np.dot(coeffs, np.exp(ifreqs * s)))
+    return s, abs(np.dot(derivs[0], np.exp(ifreqs * s)))
 
 
 def dist_mod_group(
@@ -178,21 +186,21 @@ def dist_mod_group(
     """
     if a.n != b.n:
         raise InvalidParametersError("spectra must have equal length")
-    if not (np.all(np.isfinite(a.values)) and np.all(np.isfinite(b.values))):
+    if not (np.isfinite(a.values).all() and np.isfinite(b.values).all()):
         raise InvalidParametersError("spectra must be finite")
-    bnorm = float(np.linalg.norm(b.values))
+    bnorm = _norm(b.values)
     if bnorm == 0.0:
         raise InvalidParametersError("reference spectrum must be nonzero")
     n = a.n
     # |overlap| rounds at about eps * ||a|| * ||b||
-    noise = 1e-12 * float(np.linalg.norm(a.values)) * bnorm
+    noise = 1e-12 * _norm(a.values) * bnorm
 
     # a * conj(b) at the exponents a shift multiplies, on `over` grid points per
     # unit shift: point j is shift j/over, exp(-2*pi*i*e*j/(over*N)), of period over*N in e
     if band is None:  # the integer shifts 0..N-1
-        over, exps, pos, width = 1, np.arange(n), slice(None), 0.0
+        over, exps, pos, cells, width = 1, np.arange(n), slice(None), slice(None), 0.0
     else:  # continuous shifts, at steps of 1/16
-        over, (exps, pos) = 16, _band_table(band, n)
+        over, (exps, pos, cells) = _OVER, _band_table(band, n)
         # Bernstein: the overlap has exponential type w = pi*(b-1)/N about the
         # band centre, so the grid point nearest the best shift is within a
         # factor 1 - w/32 of it; polish every grid peak that high (or argmax)
@@ -200,7 +208,7 @@ def dist_mod_group(
     av, bc = a.values[pos], np.conj(b.values[pos])
     coeffs = np.array([av * bc, np.conj(av) * bc])  # unreflected, reflected
     grid = np.zeros((2, over * n), dtype=np.complex128)
-    grid[:, exps % (over * n)] = coeffs
+    grid[:, cells] = coeffs
     on_grid = np.abs(np.fft.fft(grid, axis=-1))
     refls, at = np.nonzero(on_grid >= (1.0 - width) * on_grid.max() - noise)
     shifts, overlap = at / over, on_grid[refls, at]
@@ -208,8 +216,9 @@ def dist_mod_group(
         peak = (overlap >= on_grid[refls, at - 1]) & (overlap > on_grid[refls, (at + 1) % (over * n)])
         peak[np.argmax(overlap)] = True
         refls, at = refls[peak], at[peak]
-        freqs = -2.0 * np.pi * exps / n
-        polished = [_newton_polish(coeffs[r], freqs, j / over, 1.0 / over) for r, j in zip(refls, at)]
+        ifreqs = 1j * (-2.0 * np.pi * exps / n)
+        derivs = np.stack([coeffs, coeffs * ifreqs, coeffs * ifreqs**2], axis=1)
+        polished = [_newton_polish(derivs[r], ifreqs, j / over, 1.0 / over) for r, j in zip(refls, at)]
         shifts, overlap = np.array(polished).T
 
     candidates = []  # (d2, shift, refl, psi)

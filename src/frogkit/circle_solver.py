@@ -2,9 +2,9 @@
 
 Geometrically these are circle-intersection problems in the complex plane:
 equation i is the circle of radius n_i centered at -v_i.  The solvers take
-the offsets v_i and the radii n_i as two 1-D numeric sequences (lists or
-arrays), check them and work on Python scalars, which is the form the
-recursion builds its systems in.  Two solver regimes:
+the offsets v_i and the radii n_i as two 1-D numeric sequences, check them
+and work on Python scalars: lists (the recursion's form) convert item by item,
+arrays through numpy, to the same values and messages.  Two solver regimes:
 
 * generic complex offsets, at least three equations, some offset-difference
   ratio nonreal: the pairwise differences of the squared equations form a
@@ -38,15 +38,27 @@ _COINCIDENT_TOL = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _scalars(values, convert, dtype) -> list | None:
+    """``values`` as Python scalars, None if not 1-D: a list or tuple item by item
+    with ``convert``, which rounds as numpy's cast; what that refuses (None is
+    nan, nesting a shape), an array and anything else as numpy reads them."""
+    if isinstance(values, (list, tuple)):
+        try:
+            return list(map(convert, values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    arr = _frozen_array(values, dtype, None, "offsets and radii")
+    return arr.tolist() if arr.ndim == 1 else None
+
+
 def _check(offsets, radii, tol) -> tuple[list, list, float]:
     """Offsets and radii as lists of Python scalars, after the rules every
     circle system obeys: two 1-D sequences of s >= 2 finite values each, the
     radii nonnegative; and the tolerance, ``default_tolerance`` for None."""
-    v = _frozen_array(offsets, np.complex128, None, "offsets and radii")
-    n = _frozen_array(radii, np.float64, None, "offsets and radii")
-    if v.ndim != 1 or n.ndim != 1 or len(v) != len(n) or len(n) < 2:
+    v = _scalars(offsets, complex, np.complex128)
+    n = _scalars(radii, float, np.float64)
+    if v is None or n is None or len(v) != len(n) or len(n) < 2:
         raise InvalidParametersError("need s >= 2 offsets with matching radii")
-    v, n = v.tolist(), n.tolist()
     if not (all(map(cmath.isfinite, v)) and all(map(math.isfinite, n))):
         raise InvalidParametersError("offsets and radii must be finite")
     if min(n) < 0:
@@ -193,7 +205,7 @@ def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSoluti
     negative beyond ``tol``, holds the point a.  The residual is the first point's.
     """
     v, radii, tol = _check(offsets, radii, tol)
-    if max(abs(c.imag) for c in v) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
+    if max([abs(c.imag) for c in v]) > _COINCIDENT_TOL * (1.0 + max(map(abs, v))):
         raise InvalidParametersError("offsets must be real for this solver")
     vr = [c.real for c in v]
 
@@ -202,7 +214,7 @@ def solve_real_centers(offsets, radii, tol: float | None = None) -> CircleSoluti
         raise UnderdeterminedSystemError("all offsets equal: real part unconstrained")
     rhs = [0.5 * (radii[0] ** 2 - n**2 + x**2 - vr[0] ** 2)
            for n, x in zip(radii[1:], vr[1:])]
-    a = sum(d * h for d, h in zip(diffs, rhs)) / sum(d * d for d in diffs)
+    a = sum(map(operator.mul, diffs, rhs)) / sum(map(operator.mul, diffs, diffs))
 
     b_sq = radii[0] ** 2 - (a + vr[0]) ** 2
     if b_sq < -tol:

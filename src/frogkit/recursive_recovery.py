@@ -164,29 +164,27 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> tuple[tuple[compl
     if they map to one point), and its residual: all that the recursion reads,
     so no second ``CircleSolution`` is built.  Coincident offsets or offsets
     off the line raise ``DegenerateSystemError``."""
-    if max(abs(v - offsets[0]) for v in offsets) <= _COINCIDENT_TOL * (1.0 + max(radii)):
+    if max([abs(v - offsets[0]) for v in offsets]) <= _COINCIDENT_TOL * (1.0 + max(radii)):
         raise DegenerateSystemError("coincident offsets")
     # rounds as numpy's complex / real did; the recursion amplifies the last bit
     u = direction * (1.0 / abs(direction))
     rotated = [(v - point) / u for v in offsets]
-    if max(abs(w.imag) for w in rotated) > 1e-9 * (1.0 + max(map(abs, rotated))):
+    if max([abs(w.imag) for w in rotated]) > 1e-9 * (1.0 + max(map(abs, rotated))):
         raise DegenerateSystemError("offsets are not on the given line")
     # the module global, as for every solve here, so that a wrapper sees the call
     sol = solve_real_centers([w.real for w in rotated], radii, tol=tol)
-    return tuple(dict.fromkeys(w * u - point for w in sol.candidates)), sol.residual
+    return tuple(dict.fromkeys([w * u - point for w in sol.candidates])), sol.residual
 
 
-def _solve_row(branch, k, ms, w, radii, scale, tol):
+def _solve_row(branch, k, ms, w, denoms, radii, scale, tol):
     """Candidate continuations of one branch at row k, read at columns ``ms``
-    with the row's ``radii`` (one more is the power-spectrum circle, centred
-    at the origin), residual ``scale`` and absolute ``tol``.  Children above
-    tolerance are produced too; the caller prunes them and does the fork
-    accounting."""
+    with the row's ``denoms`` 1 + w^(k*m), its ``radii`` (one more is the
+    power-spectrum circle, centred at the origin), residual ``scale`` and
+    absolute ``tol``.  Children above tolerance are produced too; the caller
+    prunes them and does the fork accounting."""
     coeffs = branch.coeffs
     x0 = coeffs[0].real
-    r = len(w)
-    sums = _row_sums(coeffs, k, ms, w)
-    offsets = [v / (1.0 + w[(k * m) % r]) for v, m in zip(sums, ms)]
+    offsets = [v / d for v, d in zip(_row_sums(coeffs, k, ms, w), denoms)]
     offsets += [0j] * (len(radii) - len(ms))
 
     if len(offsets) >= 3 and k > 3:
@@ -211,10 +209,8 @@ def _check_row(branch, k, ms, w, meas, scale):
     """The branch with row k >= b read as a pure consistency check: its
     mismatch against the measured N*sqrt(trace) ``meas`` of the columns
     ``ms``, over ``scale``, is the row's residual."""
-    worst = 0.0
-    for v, mag in zip(_row_sums(branch.coeffs, k, ms, w), meas):
-        worst = max(worst, abs(abs(v) - mag))
-    return branch.extended(None, worst / scale)
+    mismatch = [abs(abs(v) - mag) for v, mag in zip(_row_sums(branch.coeffs, k, ms, w), meas)]
+    return branch.extended(None, max(0.0, *mismatch) / scale)
 
 
 def recover(
@@ -298,15 +294,16 @@ def recover(
             scale = 1.0 + max(meas)
             children = [_check_row(br, k, ms, w, meas, scale) for br in branches]
         else:
-            # shared by every branch: the row's radii, scale and tolerance
-            radii = [n * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % r]) for m in ms]
+            # shared by every branch: the row's 1 + w^(km), radii, scale and tolerance
+            denoms = [1.0 + w[(k * m) % r] for m in ms]
+            radii = [n * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
             if ps_radii is not None and k > 3:
                 radii.append(ps_radii[k])
             scale = 1.0 + max(radii)
             atol = tol * scale
             for br in branches:
                 try:
-                    children.extend(_solve_row(br, k, ms, w, radii, scale, atol))
+                    children.extend(_solve_row(br, k, ms, w, denoms, radii, scale, atol))
                 except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
                     errors.append(exc)
         if not children:
@@ -317,12 +314,13 @@ def recover(
         # best one; at the row where the parents hold both entry-3 sides and
         # the kept children one, record each side's smallest residual (inf
         # for a side whose branches all raised)
-        best = min(c.residuals[-1] for c in children)
+        best = min([c.residuals[-1] for c in children])
         if best > _FAIL_FACTOR * tol:
             raise InconsistentTraceError(f"no branch fits the trace at row {k}", step=k)
         keep = max(tol, _BRANCH_RATIO * best)
         kept = [c for c in children if c.residuals[-1] <= keep]
-        if len({br.x3_choice for br in branches}) == 2 and len({c.x3_choice for c in kept}) == 1:
+        if x3_pair is None and len({br.x3_choice for br in branches}) == 2 \
+                and len({c.x3_choice for c in kept}) == 1:
             x3_pair = tuple(
                 min((c.residuals[-1] for c in children if c.x3_choice == side), default=np.inf)
                 for side in (0, 1)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -23,7 +24,7 @@ from frogkit.circle_solver import (
     default_tolerance,
 )
 from frogkit.recursive_recovery import _row_sums, _solve_collinear
-from frogkit.signal_model import _roots_of_unity
+from frogkit.signal_model import _frozen_array, _roots_of_unity, _tolerance
 
 from conftest import grid_min_residual
 
@@ -270,6 +271,97 @@ def test_tol_must_be_one_finite_positive_number(solve, offsets, radii, tol, matc
 def test_tol_is_converted_to_a_float(solve, offsets, radii):
     for tol in (np.float64(0.25), np.float32(0.25), "0.25", 1):
         assert solve(offsets, radii, tol=tol) == solve(offsets, radii, tol=float(tol))
+
+
+def _reference_check(offsets, radii, tol):
+    """``circle_solver._check`` as it was when both sequences went through
+    numpy arrays: the item-by-item conversion must keep its values and texts."""
+    v = _frozen_array(offsets, np.complex128, None, "offsets and radii")
+    n = _frozen_array(radii, np.float64, None, "offsets and radii")
+    if v.ndim != 1 or n.ndim != 1 or len(v) != len(n) or len(n) < 2:
+        raise InvalidParametersError("need s >= 2 offsets with matching radii")
+    v, n = v.tolist(), n.tolist()
+    if not (all(map(cmath.isfinite, v)) and all(map(math.isfinite, n))):
+        raise InvalidParametersError("offsets and radii must be finite")
+    if min(n) < 0:
+        raise InvalidParametersError("radii must be nonnegative")
+    return v, n, default_tolerance(n) if tol is None else _tolerance(tol, "tol")
+
+
+def _check_outcome(check, build_offsets, build_radii, tol):
+    """A check's lists and tolerance as exact bits and types, or the error it raised."""
+    try:
+        v, n, tol = check(build_offsets(), build_radii(), tol)
+    except Exception as exc:  # an escaping warning, too, must match
+        return type(exc), str(exc)
+    return ([(type(c), c.real.hex(), c.imag.hex()) for c in v],
+            [(type(x), x.hex()) for x in n], tol.hex())
+
+
+_NUMPY_SCALARS = (np.float32, np.float64, np.int64, np.bool_, np.complex64, np.complex128)
+_ITEM = st.one_of(
+    st.floats(), st.complex_numbers(), st.integers(-2**70, 2**70), st.booleans(),
+    st.sampled_from([10**400, math.nan, math.inf, -0.0]),
+    st.builds(lambda kind, x: kind(x), st.sampled_from(_NUMPY_SCALARS), st.floats(-1e3, 1e3)),
+    st.sampled_from(["1.5", "2j", "(1+2j)", " 3 ", "-4", "nan", "inf", "1e400", "1_0", "abc", ""]),
+    st.text(alphabet="0123456789.+-ejJinfa_() ", max_size=6),
+    st.none(),
+)
+# the 1-D arrays, each dtype built from values it holds without a cast warning
+_ARRAY = st.one_of(
+    st.lists(st.floats(width=32), max_size=4).map(lambda x: np.array(x, dtype=np.float32)),
+    st.lists(st.floats(), max_size=4).map(lambda x: np.array(x, dtype=np.float64)),
+    st.lists(st.complex_numbers(width=64), max_size=4).map(lambda x: np.array(x, dtype=np.complex64)),
+    st.lists(st.complex_numbers(), max_size=4).map(lambda x: np.array(x, dtype=np.complex128)),
+    st.lists(st.integers(-2**63, 2**63 - 1), max_size=4).map(lambda x: np.array(x, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda x: np.array(x, dtype=bool)),
+)
+
+
+@st.composite
+def _system_input(draw):
+    """A builder of one offsets or radii argument: a fresh object per call, so a
+    generator is read once by each check."""
+    items = draw(st.lists(_ITEM, max_size=4))
+    form = draw(st.sampled_from(
+        ["list", "tuple", "generator", "array", "column", "row", "nested", "ragged", "whole"]))
+    if form == "tuple":
+        return lambda: tuple(items)
+    if form == "generator":
+        return lambda: (x for x in items)
+    if form == "array":
+        array = draw(_ARRAY)
+        return lambda: array.copy()
+    if form in ("column", "row"):
+        array = draw(_ARRAY)
+        return lambda: array.reshape((-1, 1) if form == "column" else (1, -1))
+    if form == "nested":
+        return lambda: [[x] for x in items]
+    if form == "ragged":
+        return lambda: [[x] * (i % 2 + 1) for i, x in enumerate(items)]
+    if form == "whole":
+        item = draw(_ITEM)
+        return lambda: item
+    return lambda: list(items)
+
+
+# plain lists of finite numbers, so that a good share of the pairs pass every rule
+_VALID_OFFSETS = st.lists(st.complex_numbers(max_magnitude=1e3), min_size=2, max_size=4)
+_VALID_RADII = st.lists(st.floats(0.0, 1e3), min_size=2, max_size=4)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    offsets=st.one_of(_system_input(), _VALID_OFFSETS.map(lambda v: lambda: list(v))),
+    radii=st.one_of(_system_input(), _VALID_RADII.map(lambda n: lambda: list(n))),
+    tol=st.sampled_from([None, 1e-7]),
+)
+def test_check_matches_the_array_conversion(offsets, radii, tol):
+    """Lists, tuples, generators, arrays of six dtypes, nested and ragged lists
+    and single values, of numbers, numpy scalars, strings and None: the same
+    lists bit for bit, or the same error and message."""
+    want = _check_outcome(_reference_check, offsets, radii, tol)
+    assert _check_outcome(circle_solver._check, offsets, radii, tol) == want
 
 
 def test_generic_solve_needs_three_circles():

@@ -295,10 +295,11 @@ class TestSolveRowByKind:
         trace, values = case
         w, row = _roots_of_unity(self.R).tolist(), trace.data[k].tolist()
         ms = _columns(k % self.R, self.R)[:3]
-        radii = [self.N * math.sqrt(row[m]) / abs(1.0 + w[(k * m) % self.R]) for m in ms]
+        denoms = [1.0 + w[(k * m) % self.R] for m in ms]
+        radii = [self.N * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
         scale = 1.0 + max(radii)
         parent = _Branch(tuple(values[:k]), (0.0,) * k, x3_choice)
-        children = _solve_row(parent, k, ms, w, radii, scale, 1e-7 * scale)
+        children = _solve_row(parent, k, ms, w, denoms, radii, scale, 1e-7 * scale)
         for child in children:
             assert child.coeffs[:k] == parent.coeffs and len(child.coeffs) == k + 1
             assert child.residuals[:k] == parent.residuals and len(child.residuals) == k + 1
@@ -664,3 +665,62 @@ class TestBranchAccounting:
         self._patch(monkeypatch, hook)
         with pytest.raises(AmbiguousBranchError, match="^2 branches remain consistent with the trace$"):
             recover(trace, band, settings)
+
+
+def _near_line_spectrum(seed, n, b, eps):
+    """A band in ``recover``'s gauge (entries 0 and 1 real positive) whose
+    entry 3 sits at angle ``eps`` off the line through 0 and entry 2, the line
+    row 3's two candidates mirror across: the candidates are then close, and
+    rows past 4 are needed to part them."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+    x = x / (x[0] / abs(x[0]))
+    x = x * np.exp(-1j * np.angle(x[1]) * np.arange(b))
+    x[3] = x[2] / abs(x[2]) * abs(x[3]) * (1 + 1j * eps)
+    values = np.zeros(n, dtype=complex)
+    values[:b] = x
+    return Spectrum(values), BandlimitSpec(b)
+
+
+class TestForkSettles:
+    """``x3_branch`` and ``x3_branch_residuals`` where the entry-3 fork settles
+    at row 4 (N = 20, B = 5) and where it settles at row 12 (N = 64, B = 16,
+    entry 3 within 3e-7 of the line): each side's smallest residual at the row
+    that parted them, and nothing from the rows after."""
+
+    @pytest.mark.parametrize(
+        "build, l, row, branch, loser_residual",
+        [
+            (lambda: random_band_spectrum(np.random.default_rng(3), 20, 5), 5, 4, "second",
+             0.012474644444080436),
+            (lambda: _near_line_spectrum(24, 64, 16, 3e-7), 16, 12, "first", 2.957262917677732e-07),
+        ],
+        ids=["row 4", "row 12"],
+    )
+    def test_fork_result(self, monkeypatch, build, l, row, branch, loser_residual):
+        seen = {}  # row -> every child of every branch
+
+        def logged(read):
+            def row(br, k, *args):
+                children = read(br, k, *args)
+                seen.setdefault(k, []).extend(children if isinstance(children, list) else [children])
+                return children
+            return row
+
+        for name in ("_solve_row", "_check_row"):
+            monkeypatch.setattr(recursive_recovery, name, logged(getattr(recursive_recovery, name)))
+        xhat, band = build()
+        report = recover(trace_of(xhat, l), band, RecoverySettings(r=4))
+        winner = ("first", "second").index(branch)
+        assert report.success and report.x3_branch == branch
+        # both sides reach the row, only the winner leaves it
+        assert {c.x3_choice for c in seen[row]} == {0, 1}
+        assert {c.x3_choice for c in seen[row + 1]} == {winner}
+        assert report.x3_branch_residuals == tuple(
+            min(c.residuals[-1] for c in seen[row] if c.x3_choice == side) for side in (0, 1)
+        )
+        assert report.x3_branch_residuals[winner] == report.step_residuals[row]
+        # recorded before the accounting stopped at the settled fork; the
+        # winner's residual is float noise, and a 1-ulp trace moves the loser's
+        # by up to 0.3% at row 12
+        assert report.x3_branch_residuals[1 - winner] == pytest.approx(loser_residual, rel=1e-2)
