@@ -39,9 +39,9 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _scalars(values, convert, dtype) -> list | None:
-    """``values`` as Python scalars, None if not 1-D: a list or tuple item by item
-    with ``convert``, which rounds as numpy's cast; what that refuses (None is
-    nan, nesting a shape), an array and anything else as numpy reads them."""
+    """``values`` as a list of Python scalars, or None if not 1-D.  A list or tuple
+    converts item by item with ``convert``, which rounds as numpy's cast; numpy
+    reads arrays, other inputs and what ``convert`` refuses (None is nan)."""
     if isinstance(values, (list, tuple)):
         try:
             return list(map(convert, values))
