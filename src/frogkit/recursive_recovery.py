@@ -319,8 +319,8 @@ def recover(
             raise InconsistentTraceError(f"no branch fits the trace at row {k}", step=k)
         keep = max(tol, _BRANCH_RATIO * best)
         kept = [c for c in children if c.residuals[-1] <= keep]
-        if x3_pair is None and len({br.x3_choice for br in branches}) == 2 \
-                and len({c.x3_choice for c in kept}) == 1:
+        if x3_pair is None and (len({br.x3_choice for br in branches}) == 2
+                                and len({c.x3_choice for c in kept}) == 1):
             x3_pair = tuple(
                 min((c.residuals[-1] for c in children if c.x3_choice == side), default=np.inf)
                 for side in (0, 1)
