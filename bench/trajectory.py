@@ -12,10 +12,10 @@ One run records, in this order:
   moment), at N = 24, 64 and 256: ``frog_trace``,
   ``frog_freq_coeffs``, banded and unbanded ``dist_mod_group``,
   ``ls_objective`` with ``ls_gradient``, ``solve_generic`` and
-  ``solve_real_centers``; one ``_solve_row`` on a three-circle and one on a
-  two-circle row of an N = 64 ``recursion`` input; one whole ``recover`` of
-  the first N = 32 and the first N = 64 ``recursion`` inputs; ``_descend``
-  on real criterion-8 stacks of 1, 2 and 10 trials per cell; and at N = 256
+  ``solve_real_centers``; ``_solve_row`` on a three-circle and a two-circle
+  row as one ``recover`` of an N = 64 ``recursion`` input calls it; one whole
+  ``recover`` of the first N = 32 and N = 64 ``recursion`` inputs; ``_descend``
+  as ``basin_experiment`` calls it at 1, 2 and 10 trials per cell; and at N = 256
   ``read_trace``, ``write_trace``, one build of the command's parser and one
   ``frogkit verify``;
 * the result and info lines of ``perfbench/run.py --trace 0`` for the
@@ -49,6 +49,7 @@ import tempfile
 import time
 import timeit
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -146,8 +147,6 @@ def recursion_input(n: int):
     """The trace, band and settings of the first N = n ``recursion`` input
     (B = n/4, r = 4), drawn by perfbench's ``Recursion.make_input``."""
     from frogkit import frog_trace
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import Recursion
 
     workload = Recursion(None, SEED, "")
@@ -165,50 +164,37 @@ def recover_call(n: int):
 
 def solve_row_call(k: int):
     """One ``_solve_row`` at row k of the first N = 64 ``recursion`` input
-    (B = 16, r = 4), on the branch ``recover`` returns: row 12 is a
-    three-circle row, row 13 a two-circle (collinear) one."""
-    import math
+    (B = 16, r = 4), on the arguments one ``recover`` of it passes for the
+    branch it returns: row 12 is a three-circle row, row 13 a two-circle
+    (collinear) one."""
+    from frogkit import recover, recursive_recovery
 
-    from frogkit import recover
-    from frogkit.recursive_recovery import _Branch, _columns, _solve_row
-    from frogkit.signal_model import _roots_of_unity
-
-    n, r = 64, 4
-    trace, band, settings = recursion_input(n)
-    report = recover(trace, band, settings)
-    w, ms, row = _roots_of_unity(r).tolist(), _columns(k % r, r)[:3], trace.data[k].tolist()
-    denoms = [1.0 + w[(k * m) % r] for m in ms]
-    radii = [n * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
-    scale = 1.0 + max(radii)
-    branch = _Branch(tuple(report.spectrum.values[:k].tolist()), (0.0,) * k)
-    return lambda: _solve_row(branch, k, ms, w, denoms, radii, scale, 1e-7 * scale)
+    trace, band, settings = recursion_input(64)
+    solve_row = recursive_recovery._solve_row
+    with mock.patch.object(recursive_recovery, "_solve_row", wraps=solve_row) as spy:
+        winner = tuple(recover(trace, band, settings).spectrum.values[:k].tolist())
+    args = next(c.args for c in spy.call_args_list if c.args[1] == k and c.args[0].coeffs == winner)
+    return lambda: solve_row(*args)
 
 
 def descend_call(per_cell: int):
-    """One whole ``_descend`` of the real stack that ``basin_experiment`` builds
+    """One whole ``_descend`` on the arguments ``basin_experiment`` passes it
     for the criterion-8 grid (N = 24, L = 1, 2, 4, 8, five sigmas, seed 2024)
-    with ``per_cell`` trials per cell: 1 (the ``basin`` workload's stack shape)
-    starts at K = 4 backtracking steps per kernel call, 2 at K = 2, 10 at K = 1."""
-    import numpy as np
+    with ``per_cell`` trials per cell, one real stack: 1 (the ``basin``
+    workload's stack shape) starts at K = 4 backtracking steps per kernel
+    call, 2 at K = 2, 10 at K = 1."""
+    from frogkit import basin_experiment, ls_solver
 
-    from frogkit import LsOptions, Signal, frog_trace
-    from frogkit.ls_solver import _descend, _draw_trial, _RealWorkspace
-
-    n, l_values, sigmas = 24, (1, 2, 4, 8), (0.0, 0.25, 0.5, 1.0, 2.0)
-    runs = [(i, j, t) for j in range(len(l_values))
-            for i in range(len(sigmas)) for t in range(per_cell)]
-    draws = [_draw_trial(n, sigmas[i], (2024, i, j, t)) for i, j, t in runs]
-    steps = [l_values[j] for _, j, _ in runs]
-    ws = _RealWorkspace(n)
-    data = ws.stack(steps, [frog_trace(Signal(x), l).data for (x, _), l in zip(draws, steps)])
-    starts = np.array([start for _, start in draws])
-    return lambda: _descend(ws, starts, data, LsOptions())
+    descend = ls_solver._descend
+    with mock.patch.object(ls_solver, "_descend", wraps=descend) as spy:
+        basin_experiment(24, (1, 2, 4, 8), (0.0, 0.25, 0.5, 1.0, 2.0), per_cell, 2024)
+    (args,) = [call.args for call in spy.call_args_list]  # one real stack
+    return lambda: descend(*args)
 
 
 def reference_kernel_ms(samples: int = REF_SAMPLES) -> float:
     """The median of ``samples`` runs of perfbench's fixed reference kernel,
     in ms, after its warm-up: the speed of the machine right now."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import speed
 
     speed.warm_up()
@@ -302,7 +288,7 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
 
     os.environ.update({var: "1" for var in THREAD_VARS})  # before numpy loads, as in perfbench
-    sys.path.insert(0, str(SRC))
+    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]  # frogkit, and perfbench's speed and workloads
     started = time.monotonic()
     metrics = {"reference_kernel.start_ms": metric(reference_kernel_ms(), "ms")}
     metrics.update(layer_timings())

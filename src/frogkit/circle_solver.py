@@ -2,8 +2,8 @@
 
 Geometrically these are circle-intersection problems in the complex plane:
 equation i is the circle of radius n_i centered at -v_i.  The solvers take
-the offsets v_i and the radii n_i as two 1-D numeric sequences, check them
-and work on Python scalars: lists (the recursion's form) convert item by item,
+the offsets v_i and the real radii n_i as two 1-D sequences, check them and
+work on Python scalars: lists (the recursion's form) convert item by item,
 arrays through numpy, to the same values and messages.  Two solver regimes:
 
 * generic complex offsets, at least three equations, some offset-difference
@@ -51,12 +51,19 @@ def _scalars(values, convert, dtype) -> list | None:
     return arr.tolist() if arr.ndim == 1 else None
 
 
+def _real(x) -> float:
+    """``float(x)``, refusing a numpy complex as it refuses a Python one."""
+    if isinstance(x, np.complexfloating):
+        raise TypeError("complex radius")
+    return float(x)
+
+
 def _check(offsets, radii, tol) -> tuple[list, list, float]:
     """Offsets and radii as lists of Python scalars, after the rules every
     circle system obeys: two 1-D sequences of s >= 2 finite values each, the
     radii nonnegative; and the tolerance, ``default_tolerance`` for None."""
     v = _scalars(offsets, complex, np.complex128)
-    n = _scalars(radii, float, np.float64)
+    n = _scalars(radii, _real, np.float64)
     if v is None or n is None or len(v) != len(n) or len(n) < 2:
         raise InvalidParametersError("need s >= 2 offsets with matching radii")
     if not (all(map(cmath.isfinite, v)) and all(map(math.isfinite, n))):
@@ -183,9 +190,9 @@ def solve_generic(offsets, radii, tol: float | None = None) -> CircleSolution:
             "all offset-difference ratios are real (collinear offsets)"
         )
 
-    # rows (0, j) of the system in (Re z, Im z), rounded as numpy did (the recursion amplifies
-    # the last bit): |v|^2 by numpy, not abs(); entry 0 by numpy scalars; other r^2 n * n, not pow
-    c0, r0_sq = v[0].conjugate(), float(np.float64(radii[0]) ** 2)
+    # rows (0, j) of the system in (Re z, Im z), rounded as numpy did (the recursion amplifies the
+    # last bit): |v|^2 by numpy, whose complex abs is not Python's; r0^2 by pow, r_j^2 by n * n
+    c0, r0_sq = v[0].conjugate(), radii[0] ** 2
     v0_sq = float(np.abs(np.complex128(v[0])) ** 2)
     d = [c0 - c.conjugate() for c in v[1:]]  # Re{z * d} = Re(z)*Re(d) - Im(z)*Im(d)
     rows = [(c.real, -c.imag) for c in d]

@@ -12,10 +12,10 @@ with w^(k*m) = -1 carry no information about z and are skipped; columns m and
 r-m duplicate each other and only one of the pair is used.  Each row reads
 the first three columns left, the same ones on every branch.
 
-Rows run on Python scalars.  Each row is read once: its radii, scale and
-tolerance are shared by every branch.  Per branch, one helper, ``_row_sums``,
-forms the row's sums over products of known entries, which are the offsets
-of a row that adds an entry and the prediction of a row that only checks.
+Rows run on Python scalars.  ``_read_row`` is the one place a row's inputs
+are formed, once for every branch.  Per branch, ``_row_sums`` forms the row's
+sums over products of known entries, which are the offsets of a row that adds
+an entry and the prediction of a row that only checks.
 
 Gauge fixing absorbs the symmetry group: entries 0 and 1 of the band are made
 real nonnegative (rotation and continuous translation), and the reflection
@@ -177,11 +177,9 @@ def _solve_collinear(offsets, radii, point, direction, tol) -> tuple[tuple[compl
 
 
 def _solve_row(branch, k, ms, w, denoms, radii, scale, tol):
-    """Candidate continuations of one branch at row k, read at columns ``ms``
-    with the row's ``denoms`` 1 + w^(k*m), its ``radii`` (one more is the
-    power-spectrum circle, centred at the origin), residual ``scale`` and
-    absolute ``tol``.  Children above tolerance are produced too; the caller
-    prunes them and does the fork accounting."""
+    """Candidate continuations of one branch at row k, from the row's inputs as
+    ``_read_row`` forms them (the last radius past ``ms`` is the power-spectrum
+    circle).  Children above tolerance are produced too; the caller prunes."""
     coeffs = branch.coeffs
     x0 = coeffs[0].real
     offsets = [v / d for v, d in zip(_row_sums(coeffs, k, ms, w), denoms)]
@@ -211,6 +209,30 @@ def _check_row(branch, k, ms, w, meas, scale):
     ``ms``, over ``scale``, is the row's residual."""
     mismatch = [abs(abs(v) - mag) for v, mag in zip(_row_sums(branch.coeffs, k, ms, w), meas)]
     return branch.extended(None, max(0.0, *mismatch) / scale)
+
+
+def _read_row(branches, k, b, ms, row, n, w, tol, ps_radii=None):
+    """Row k read on every branch: a band row (k < b) gives ``_solve_row``'s
+    children and the errors of degenerate branches, a row past the band one
+    ``_check_row`` child per branch.  The one place a row's inputs are formed
+    from trace ``row`` at the columns ``ms``: N*sqrt(trace), 1 + w^(km), the
+    radii (with the circle ``ps_radii[k]`` from row 4 on), scale and tolerance."""
+    if k >= b:
+        meas = [n * math.sqrt(row[m]) for m in ms]
+        scale = 1.0 + max(meas)
+        return [_check_row(br, k, ms, w, meas, scale) for br in branches], []
+    denoms = [1.0 + w[(k * m) % len(w)] for m in ms]
+    radii = [n * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
+    if ps_radii is not None and k > 3:
+        radii.append(ps_radii[k])
+    scale = 1.0 + max(radii)
+    children, errors = [], []
+    for br in branches:
+        try:
+            children.extend(_solve_row(br, k, ms, w, denoms, radii, scale, tol * scale))
+        except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
+            errors.append(exc)
+    return children, errors
 
 
 def recover(
@@ -263,9 +285,7 @@ def recover(
     if x0 <= tiny:
         raise DegenerateSignalError("leading band entry vanishes")
 
-    ps_radii = None
-    if settings.use_power_spectrum:
-        ps_radii = (x0 * np.sqrt(power_spectrum[band.indices(n)])).tolist()
+    ps_radii = None if power_spectrum is None else (x0 * np.sqrt(power_spectrum[band.indices(n)])).tolist()
 
     branches = [_Branch((complex(x0),), (0.0,))]
     if b >= 2:
@@ -285,27 +305,7 @@ def recover(
     for k in range(2, 2 * b - 1):
         if k == 3 and b > 3 and abs(branches[0].coeffs[2]) <= tiny:
             raise DegenerateSignalError("band entry 2 vanishes; the row-3 rotation is undefined")
-        ms, row = plan[k], rows[k]
-        children: list[_Branch] = []
-        errors: list[Exception] = []
-        if k >= b:
-            # shared by every branch: the measured N*sqrt(trace) and the scale
-            meas = [n * math.sqrt(row[m]) for m in ms]
-            scale = 1.0 + max(meas)
-            children = [_check_row(br, k, ms, w, meas, scale) for br in branches]
-        else:
-            # shared by every branch: the row's 1 + w^(km), radii, scale and tolerance
-            denoms = [1.0 + w[(k * m) % r] for m in ms]
-            radii = [n * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
-            if ps_radii is not None and k > 3:
-                radii.append(ps_radii[k])
-            scale = 1.0 + max(radii)
-            atol = tol * scale
-            for br in branches:
-                try:
-                    children.extend(_solve_row(br, k, ms, w, denoms, radii, scale, atol))
-                except (DegenerateSystemError, UnderdeterminedSystemError) as exc:
-                    errors.append(exc)
+        children, errors = _read_row(branches, k, b, plan[k], rows[k], n, w, tol, ps_radii)
         if not children:
             raise InconsistentTraceError(
                 f"every branch degenerated at row {k}", step=k

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,10 @@ def _frozen_array(values, dtype, ndim: int | None, what: str) -> np.ndarray:
     """``values`` as a read-only, non-empty ``ndim``-D array of ``dtype``, or with
     ``ndim=None`` as a writable array of any shape, for a caller that checks it."""
     try:
-        arr = np.array(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or out of range
+        with warnings.catch_warnings():  # numpy casts complex to real with only a warning
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError, np.exceptions.ComplexWarning):  # ragged, text, huge, complex
         raise InvalidParametersError(f"{what} must be numeric") from None
     if ndim is None:
         return arr

@@ -38,6 +38,10 @@ def grid_min_residual(offsets, radii, box: float, levels: int = 4) -> float:
     return float(np.min(best))
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_signal(rng, n):
     return Signal(rng.standard_normal(n) + 1j * rng.standard_normal(n))
 

@@ -23,8 +23,8 @@ from frogkit.circle_solver import (
     _least_squares_2,
     default_tolerance,
 )
-from frogkit.recursive_recovery import _row_sums, _solve_collinear
-from frogkit.signal_model import _frozen_array, _roots_of_unity, _tolerance
+from frogkit.recursive_recovery import _solve_collinear
+from frogkit.signal_model import _frozen_array, _tolerance
 
 from conftest import grid_min_residual
 
@@ -457,8 +457,8 @@ def test_collinear_row3_keeps_upper_candidate_first():
     for _ in range(20):
         prefix = [1.3, 0.7] + [complex(*rng.standard_normal(2))]
         x3 = complex(*rng.standard_normal(2))
-        w = _roots_of_unity(4).tolist()
-        offsets = [v / (1.0 + w[3 * m]) for v, m in zip(_row_sums(prefix, 3, (0, 1), w), (0, 1))]
+        # row 3's offsets lie on the line through the origin along x2
+        offsets = [t * prefix[2] for t in rng.standard_normal(2)]
         radii = [abs(prefix[0] * x3 + v) for v in offsets]
         (upper, lower), _ = _solve_collinear(offsets, radii, 0j, prefix[2], None)
         u = prefix[2] / abs(prefix[2])

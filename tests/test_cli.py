@@ -157,32 +157,21 @@ def test_recover_round_trip(tmp_path):
     assert max(report["step_residuals"]) <= 1e-7
 
 
-def test_recover_with_inconsistent_tail_exits_1(tmp_path):
-    # every step residual of this seed is ~1e-12, but the consistency rows
-    # past the band miss by ~2e-4: a wrong recovery, not a success
-    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
-    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100012, "--out", sig).returncode == 0
-    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
-    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
-    assert res.returncode == 1, res.stderr
-    report = json.loads(rep.read_text())
-    assert report["success"] is False
-    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
-
-
 def test_recover_with_a_tail_row_inconsistent_by_construction_exits_1(tmp_path):
-    # this seed recovers to ~1e-12; scaling trace row 10, past the band, by
-    # 1 + 2e-4 leaves every band row fitting and the consistency rows not
-    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
-    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100001, "--out", sig).returncode == 0
-    data = frog_trace(io.read_signal(sig), 1).data.copy()
-    data[10] *= 1 + 2e-4
-    io.write_trace(tr, FrogTrace(data, 1))
-    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
-    assert res.returncode == 1, res.stderr
-    report = json.loads(rep.read_text())
-    assert report["success"] is False
-    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
+    # each seed recovers to ~1e-12; scaling one trace row past the band (rows
+    # 8..14), a middle one or the last, by 1 + 2e-4 leaves every band row
+    # fitting and the consistency rows not: a wrong trace, not a success
+    for seed, row in ((100001, 10), (100002, 14)):
+        sig, tr, rep = (tmp_path / f"{seed}.{suffix}" for suffix in ("s.json", "t.csv", "r.json"))
+        assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", seed, "--out", sig).returncode == 0
+        data = frog_trace(io.read_signal(sig), 1).data.copy()
+        data[row] *= 1 + 2e-4
+        io.write_trace(tr, FrogTrace(data, 1))
+        res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
+        assert res.returncode == 1, res.stderr
+        report = json.loads(rep.read_text())
+        assert report["success"] is False
+        assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
 
 
 def test_recover_that_raises_exits_1_with_one_line(tmp_path):
@@ -634,11 +623,8 @@ def test_bad_power_spectrum_values_are_usage_errors(tmp_path):
         assert "power spectrum" in res.stderr
 
 
-def test_bad_tol_is_usage_error_in_both_modes(tmp_path):
-    sig, tr, out = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
-    assert run_cli("synthesize", "--n", 12, "--b", 3, "--seed", 0, "--out", sig).returncode == 0
-    assert run_cli("trace", "--signal", sig, "--l", 1, "--out", tr).returncode == 0
-    recover = ("recover", "--trace", tr, "--l", 1, "--b", 3, "--out", out)
+def test_bad_tol_is_usage_error_in_both_modes(recover_files):
+    sig, _, recover = recover_files
     for tol in ("nan", "inf", "-1"):
         res = run_cli(*recover, f"--tol={tol}")
         assert_usage_error(res)

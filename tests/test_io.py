@@ -17,7 +17,7 @@ from frogkit import (
     recover,
 )
 from frogkit import io
-from conftest import random_band_spectrum, random_signal
+from conftest import random_band_spectrum, random_signal, same_bits
 
 
 def test_signal_json_round_trip(rng, tmp_path):
@@ -182,10 +182,6 @@ def _finite_vectors(size=st.integers(1, 12)):
     return size.flatmap(lambda n: hnp.arrays(np.float64, n, elements=_FINITE_VALUES))
 
 
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 @_TRACE_SETTINGS
 @given(parts=st.integers(1, 12).flatmap(lambda n: st.tuples(*[_finite_vectors(st.just(n))] * 2)))
 def test_signal_json_round_trip_is_bitwise_exact(tmp_path, parts):
@@ -193,7 +189,7 @@ def test_signal_json_round_trip_is_bitwise_exact(tmp_path, parts):
     values.real, values.imag = parts
     path = tmp_path / "s.json"
     io.write_signal(path, Signal(values))
-    assert _same_bits(io.read_signal(path).values, values)
+    assert same_bits(io.read_signal(path).values, values)
 
 
 @_TRACE_SETTINGS
@@ -201,7 +197,7 @@ def test_signal_json_round_trip_is_bitwise_exact(tmp_path, parts):
 def test_power_spectrum_round_trip_is_bitwise_exact(tmp_path, values):
     path = tmp_path / "ps.json"
     io.write_power_spectrum(path, values)
-    assert _same_bits(io.read_power_spectrum(path), values)
+    assert same_bits(io.read_power_spectrum(path), values)
 
 
 def test_power_spectrum_round_trip(rng, tmp_path):

@@ -20,7 +20,7 @@ from frogkit import (
 )
 from frogkit import ls_solver
 from frogkit.signal_model import _cyclic_windows
-from conftest import random_signal
+from conftest import random_signal, same_bits
 
 
 def finite_difference_gradient(z, trace):
@@ -343,10 +343,6 @@ def _reference_evaluate(ws, z, data):
     return f, err * coeffs
 
 
-def _same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @settings(max_examples=60, deadline=None)
 @given(stack=_real_stacks(), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_real_kernel_matches_its_plain_formulas_bit_for_bit(stack, k, seed):
@@ -359,8 +355,8 @@ def test_real_kernel_matches_its_plain_formulas_bit_for_bit(stack, k, seed):
         part, _ = ws.select(data, trials)
         f, state = ws.evaluate(z[trials], part)
         f_ref, state_ref = _reference_evaluate(ws, z[trials], part)
-        assert _same_bits(f, f_ref) and _same_bits(state, state_ref)
-        assert _same_bits(ws.residual(z[trials], part)[0], f_ref)
+        assert same_bits(f, f_ref) and same_bits(state, state_ref)
+        assert same_bits(ws.residual(z[trials], part)[0], f_ref)
     # k candidates per trial, as one speculative call tries them; ``pick``
     # gives the state of each trial's chosen candidate, from every column's
     # state by a fancy index, and the state ``evaluate`` gives that candidate
@@ -373,10 +369,10 @@ def test_real_kernel_matches_its_plain_formulas_bit_for_bit(stack, k, seed):
     cols = len(data.rows)
     picked = ws.pick(data, raw, first)
     chosen = z_all[first, np.arange(size)]
-    assert _same_bits(picked, state_all.reshape(k, cols, -1)[first[data.rows], np.arange(cols)])
+    assert same_bits(picked, state_all.reshape(k, cols, -1)[first[data.rows], np.arange(cols)])
     f_new, state_new = ws.evaluate(chosen, data)
-    assert _same_bits(picked, state_new)
-    assert _same_bits(f_new, f_all.reshape(k, -1)[first, np.arange(size)])
+    assert same_bits(picked, state_new)
+    assert same_bits(f_new, f_all.reshape(k, -1)[first, np.arange(size)])
 
 
 def _stop_reason(n, l, trace, z, f, iters, opts):

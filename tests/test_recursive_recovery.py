@@ -1,5 +1,5 @@
-import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,13 +26,7 @@ from frogkit import (
 )
 from frogkit import recursive_recovery
 from frogkit.circle_solver import CircleSolution
-from frogkit.recursive_recovery import (
-    _Branch,
-    _check_row,
-    _columns,
-    _row_sums,
-    _solve_row,
-)
+from frogkit.recursive_recovery import _Branch, _columns, _read_row, _row_sums
 from frogkit.signal_model import _roots_of_unity
 from conftest import direct_trace, random_band_spectrum
 
@@ -97,47 +91,45 @@ class TestSettings:
             recover(trace_of(xhat, 4), BandlimitSpec(9, 0), RecoverySettings(r=4))
 
 
-def _offset(prefix, k, m, r):
-    """Offset v_m of row k from band entries 0..k-1, as the recursion forms it."""
-    w = _roots_of_unity(r).tolist()
-    (s,) = _row_sums(list(map(complex, prefix[:k])), k, (m,), w)
-    return s / (1.0 + w[(k * m) % r])
+def _row_sum(prefix, k, m, r):
+    """Row k's sum at column m over band entries 0..k-1, as the recursion forms
+    it: the offset v_m of entry k times 1 + w^(k*m)."""
+    (s,) = _row_sums(list(map(complex, prefix[:k])), k, (m,), _roots_of_unity(r).tolist())
+    return s
 
 
 class TestPyramidCenters:
     def test_row4_column0_hand_value(self, rng):
         prefix = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got = _offset(prefix, 4, 0, 8)
-        assert abs(got - (prefix[1] * prefix[3] + prefix[2] ** 2 / 2)) < 1e-12
+        got = _row_sum(prefix, 4, 0, 8)
+        assert abs(got - (2 * prefix[1] * prefix[3] + prefix[2] ** 2)) < 1e-12
 
     def test_matches_frequency_domain_oracle(self, rng):
-        # offsets equal the zeroed-entry row coefficients, renormalized
+        # row sums equal the zeroed-entry row coefficients, times N
         n, b, l = 24, 8, 6
         r = n // l
         xhat, _ = random_band_spectrum(rng, n, b)
-        omega = np.exp(2j * np.pi / r)
         for k in range(2, b):
             zeroed = xhat.values.copy()
             zeroed[k] = 0.0
             coeffs = frog_freq_coeffs(Spectrum(zeroed), l)
             for m in _columns(k % r, r):
-                expected = n * coeffs[k, m] / (1 + omega ** (k * m))
-                got = _offset(xhat.values[:k], k, m, r)
+                expected = n * coeffs[k, m]
+                got = _row_sum(xhat.values[:k], k, m, r)
                 assert abs(got - expected) <= 1e-9 * (1 + abs(expected))
 
 
-def _reference_pyramid_centers(prefix, k, m, r):
-    """The one-column offset as numpy array arithmetic, per call."""
+def _reference_row_sum(prefix, k, m, r):
+    """The one-column row sum as numpy array arithmetic, per call."""
     prefix = np.asarray(prefix, dtype=np.complex128)
     j = np.arange(1, k)
     if j.size == 0:
         return 0j
     w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
-    s = np.sum(prefix[j] * prefix[k - j] * w_jm)
-    return complex(s / (1.0 + np.exp(2j * np.pi * ((k * m) % r) / r)))
+    return complex(np.sum(prefix[j] * prefix[k - j] * w_jm))
 
 
-def _reference_tail_residual(coeffs, k, n, r, reader, b):
+def _reference_tail_residual(coeffs, k, n, r, data, b):
     """The tail-row mismatch as numpy array arithmetic, per column."""
     prefix = np.asarray(coeffs, dtype=np.complex128)
     ms = list(range(r // 2 + 1))[:3]  # one column per pair {m, r-m}
@@ -146,7 +138,7 @@ def _reference_tail_residual(coeffs, k, n, r, reader, b):
     for m in ms:
         w_jm = np.exp(2j * np.pi * ((j * m) % r) / r)
         pred = float(abs(np.sum(prefix[j] * prefix[k - j] * w_jm))) if j.size else 0.0
-        meas = n * reader.magnitude(k, m)
+        meas = n * float(np.sqrt(data[k, m]))
         scale = max(scale, 1.0 + meas)
         worst = max(worst, abs(pred - meas))
     return worst / scale, ms
@@ -159,14 +151,6 @@ def _reference_usable_columns(k, r):
         if not degenerate and (m == 0 or (r - m) % r not in keep):
             keep.append(m)
     return keep
-
-
-class _ArrayReader:
-    def __init__(self, data):
-        self.data = data
-
-    def magnitude(self, k, m):
-        return float(np.sqrt(self.data[k, m]))
 
 
 _entry = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
@@ -184,19 +168,19 @@ def test_offsets_and_tail_match_numpy_reference(coeffs, r, k, data):
     b = len(coeffs)
     row = data.draw(st.integers(2, b - 1), label="row")
     for m in _columns(row % r, r):
-        want = _reference_pyramid_centers(coeffs, row, m, r)
-        assert abs(_offset(coeffs, row, m, r) - want) <= 1e-12 * (1 + abs(want))
+        want = _reference_row_sum(coeffs, row, m, r)
+        assert abs(_row_sum(coeffs, row, m, r) - want) <= 1e-12 * (1 + abs(want))
 
     tail_row = data.draw(st.integers(b, 2 * b - 2), label="tail row")
     n = 2 * b
-    reader = _ArrayReader(np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r)))
+    trace = np.random.default_rng(r * b).uniform(0.0, 100.0, (n, r))
     ms = _columns(None, r)[:3]  # the plan's columns past the band
-    meas = [n * reader.magnitude(tail_row, m) for m in ms]
     branch = _Branch(tuple(coeffs), ())
-    checked = _check_row(branch, tail_row, ms, _roots_of_unity(r).tolist(), meas, 1.0 + max(meas))
+    w = _roots_of_unity(r).tolist()
+    (checked,), _ = _read_row([branch], tail_row, b, ms, trace[tail_row].tolist(), n, w, 1e-7)
     (got,) = checked.residuals
     assert checked.coeffs == tuple(coeffs)
-    want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, reader, b)
+    want, want_ms = _reference_tail_residual(coeffs, tail_row, n, r, trace, b)
     assert list(ms) == want_ms
     assert abs(got - want) <= 1e-12 * (1 + abs(want))
 
@@ -257,22 +241,15 @@ def test_recover_builds_one_circle_solution_per_solve(monkeypatch):
     # a collinear row hands back the candidates of its real solve, it does
     # not build a second, mapped solution
     xhat, band = random_band_spectrum(np.random.default_rng(11), 32, 8)
-    trace, settings = trace_of(xhat, 8), RecoverySettings(r=4)
-    calls = dict.fromkeys(("solve_generic", "solve_real_centers", "CircleSolution"), 0)
-
-    def count(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for name in ("solve_generic", "solve_real_centers"):
-        monkeypatch.setattr(recursive_recovery, name, count(name, getattr(recursive_recovery, name)))
-    monkeypatch.setattr(CircleSolution, "__init__", count("CircleSolution", CircleSolution.__init__))
-    recover(trace, band, settings)
-    assert min(calls.values()) >= 1, calls
-    assert calls["CircleSolution"] == calls["solve_generic"] + calls["solve_real_centers"], calls
+    names = ("solve_generic", "solve_real_centers")
+    solves = [mock.Mock(wraps=getattr(recursive_recovery, name)) for name in names]
+    for name, solve in zip(names, solves):
+        monkeypatch.setattr(recursive_recovery, name, solve)
+    init = CircleSolution.__init__
+    with mock.patch.object(CircleSolution, "__init__", autospec=True, side_effect=init) as built:
+        recover(trace_of(xhat, 8), band, RecoverySettings(r=4))
+    calls = [solve.call_count for solve in solves]
+    assert min(calls) >= 1 and built.call_count == sum(calls), (calls, built.call_count)
 
 
 class TestSolveRowByKind:
@@ -287,24 +264,23 @@ class TestSolveRowByKind:
         trace = trace_of(xhat, self.N // self.R)
         report = recover(trace, band, RecoverySettings(r=self.R))
         assert report.success
-        return trace, report.spectrum.values[: band.b].tolist()
+        return trace, band.b, report
 
     def solve(self, case, k, x3_choice=None):
-        """The children of the winner's first k entries at row k, read as
-        ``recover`` reads it, and the row's columns."""
-        trace, values = case
-        w, row = _roots_of_unity(self.R).tolist(), trace.data[k].tolist()
-        ms = _columns(k % self.R, self.R)[:3]
-        denoms = [1.0 + w[(k * m) % self.R] for m in ms]
-        radii = [self.N * math.sqrt(row[m]) / abs(d) for m, d in zip(ms, denoms)]
-        scale = 1.0 + max(radii)
+        """The children of the winner's first k entries at row k, read by
+        ``recover``'s reader at the columns of its report, and those columns."""
+        trace, b, report = case
+        values = report.spectrum.values[:b].tolist()
+        ms = tuple(report.equations_used[k])
         parent = _Branch(tuple(values[:k]), (0.0,) * k, x3_choice)
-        children = _solve_row(parent, k, ms, w, denoms, radii, scale, 1e-7 * scale)
+        w = _roots_of_unity(self.R).tolist()
+        children, errors = _read_row([parent], k, b, ms, trace.data[k].tolist(), self.N, w, 1e-7)
+        assert errors == []
         for child in children:
             assert child.coeffs[:k] == parent.coeffs and len(child.coeffs) == k + 1
             assert child.residuals[:k] == parent.residuals and len(child.residuals) == k + 1
-        # the winner's entry is among the children, within the tolerance
-        assert min(abs(c.coeffs[k] - values[k]) for c in children) <= 1e-7 * scale, k
+        # the winner's entry is among the children, bit for bit
+        assert values[k] in [c.coeffs[k] for c in children], k
         return children, ms
 
     def test_row2_keeps_one_child_in_the_upper_half_plane(self, case):

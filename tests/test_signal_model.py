@@ -5,12 +5,16 @@ from frogkit import (
     BandlimitSpec,
     FrogTrace,
     InvalidParametersError,
+    RecoverySettings,
     Signal,
     Spectrum,
+    basin_experiment,
     dft,
     frog_freq_coeffs,
     frog_trace,
     idft,
+    recover,
+    solve_real_centers,
 )
 from frogkit.signal_model import shift_product_coeffs
 from conftest import direct_trace, random_band_spectrum, random_signal
@@ -106,6 +110,27 @@ def test_trace_type_rejects_negative_and_bad_shape():
 )
 def test_types_reject_non_numeric_input(make):
     with pytest.raises(InvalidParametersError, match="must be numeric"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [
+        (lambda: solve_real_centers([0.0, 1.0], np.array([1 + 5j, 1 + 0j])), "offsets and radii"),
+        (lambda: solve_real_centers([0.0, 1.0], [np.complex128(1 + 5j), 1.0]), "offsets and radii"),
+        (lambda: solve_real_centers([0.0, 1.0], [1.0, np.complex64(1 + 0j)]), "offsets and radii"),
+        (lambda: FrogTrace(np.array([[1 + 5j]]), 1), "trace data"),
+        (lambda: recover(FrogTrace(np.ones((8, 4)), 2), BandlimitSpec(2),
+                         RecoverySettings(r=4, use_power_spectrum=True), np.ones(8) * (1 + 1j)),
+         "power spectrum"),
+        (lambda: basin_experiment(8, (1,), np.array([0.5 + 0j]), 1, 0), "sigma values"),
+    ],
+    ids=["radii array", "radii numpy complex128", "radii numpy complex64", "trace data",
+         "power spectrum", "basin sigmas"],
+)
+def test_complex_values_where_reals_are_required_are_refused(make, what):
+    # numpy dropped the imaginary parts with only a warning; a Python complex raised
+    with pytest.raises(InvalidParametersError, match=f"^{what} must be numeric$"):
         make()
 
 
