@@ -157,21 +157,35 @@ def test_recover_round_trip(tmp_path):
     assert max(report["step_residuals"]) <= 1e-7
 
 
+def test_recover_with_inconsistent_tail_exits_1(tmp_path):
+    # this seed recovers to ~1e-12 (tail 8e-11); scaling the last trace row,
+    # 14, by 1 + 2e-4 leaves every band row fitting and the consistency rows
+    # not: a wrong trace, not a success
+    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100002, "--out", sig).returncode == 0
+    data = frog_trace(io.read_signal(sig), 1).data.copy()
+    data[14] *= 1 + 2e-4
+    io.write_trace(tr, FrogTrace(data, 1))
+    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
+    assert res.returncode == 1, res.stderr
+    report = json.loads(rep.read_text())
+    assert report["success"] is False
+    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
+
+
 def test_recover_with_a_tail_row_inconsistent_by_construction_exits_1(tmp_path):
-    # each seed recovers to ~1e-12; scaling one trace row past the band (rows
-    # 8..14), a middle one or the last, by 1 + 2e-4 leaves every band row
-    # fitting and the consistency rows not: a wrong trace, not a success
-    for seed, row in ((100001, 10), (100002, 14)):
-        sig, tr, rep = (tmp_path / f"{seed}.{suffix}" for suffix in ("s.json", "t.csv", "r.json"))
-        assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", seed, "--out", sig).returncode == 0
-        data = frog_trace(io.read_signal(sig), 1).data.copy()
-        data[row] *= 1 + 2e-4
-        io.write_trace(tr, FrogTrace(data, 1))
-        res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
-        assert res.returncode == 1, res.stderr
-        report = json.loads(rep.read_text())
-        assert report["success"] is False
-        assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
+    # this seed recovers to ~1e-12; scaling trace row 10, past the band, by
+    # 1 + 2e-4 leaves every band row fitting and the consistency rows not
+    sig, tr, rep = tmp_path / "s.json", tmp_path / "t.csv", tmp_path / "r.json"
+    assert run_cli("synthesize", "--n", 256, "--b", 8, "--seed", 100001, "--out", sig).returncode == 0
+    data = frog_trace(io.read_signal(sig), 1).data.copy()
+    data[10] *= 1 + 2e-4
+    io.write_trace(tr, FrogTrace(data, 1))
+    res = run_cli("recover", "--trace", tr, "--l", 1, "--b", 8, "--out", rep)
+    assert res.returncode == 1, res.stderr
+    report = json.loads(rep.read_text())
+    assert report["success"] is False
+    assert max(report["step_residuals"]) <= 1e-6 < report["tail_residual"]
 
 
 def test_recover_that_raises_exits_1_with_one_line(tmp_path):
